@@ -209,16 +209,25 @@ class CochainComplex:
                     out.pop(key, None)
         return out
 
-    def d_matrix(self, k: int) -> SparseExactMatrix:
-        """Matrix of d_k: C^k -> C^{k+1} on the lexicographic wedge bases."""
+    def _d_entries(self, k: int):
+        """(domain, codomain, value) for every nonzero entry of d_k.
+
+        Positions are on the lexicographic wedge bases, module index
+        fastest; domain positions come in increasing order.
+        """
         dimM = self.coeffs.dim
-        rows_of = {T: q for q, T in enumerate(self.wedges(k + 1))}
-        mat = SparseExactMatrix(self.dim_c(k + 1), self.dim_c(k))
+        pos_of = {T: q for q, T in enumerate(self.wedges(k + 1))}
         for s_pos, S in enumerate(self.wedges(k)):
             for m in range(dimM):
-                col = s_pos * dimM + m
+                dom = s_pos * dimM + m
                 for (T, mp), v in self.d_basis(S, m).items():
-                    mat.add(rows_of[T] * dimM + mp, col, v)
+                    yield dom, pos_of[T] * dimM + mp, v
+
+    def d_matrix(self, k: int) -> SparseExactMatrix:
+        """Matrix of d_k: C^k -> C^{k+1} on the lexicographic wedge bases."""
+        mat = SparseExactMatrix(self.dim_c(k + 1), self.dim_c(k))
+        for dom, cod, v in self._d_entries(k):
+            mat.add(cod, dom, v)
         return mat
 
     def d_matrix_by_domain(self, k: int) -> SparseExactMatrix:
@@ -228,14 +237,9 @@ class CochainComplex:
         computations tractable: at full scale the domain has 65k rows while
         the codomain has over a million.
         """
-        dimM = self.coeffs.dim
-        rows_of = {T: q for q, T in enumerate(self.wedges(k + 1))}
         mat = SparseExactMatrix(self.dim_c(k), self.dim_c(k + 1))
-        for s_pos, S in enumerate(self.wedges(k)):
-            for m in range(dimM):
-                row = s_pos * dimM + m
-                for (T, mp), v in self.d_basis(S, m).items():
-                    mat.add(row, rows_of[T] * dimM + mp, v)
+        for dom, cod, v in self._d_entries(k):
+            mat.add(dom, cod, v)
         return mat
 
     def dd_violations(self, k: int) -> list:
@@ -649,20 +653,6 @@ def _analytic_preimages(alg: NewSteinAlgebra) -> list[dict]:
                 for m, c in trace.items():
                     phi_b[((pos,), m)] = -g * c
     return [phi_a, phi_b]
-
-
-def _span_intersection_dim(span_a: list[dict], span_b: list[dict]) -> int:
-    ra = _span_rank(span_a)
-    rb = _span_rank(span_b)
-    rab = _span_rank(span_a + span_b)
-    return ra + rb - rab
-
-
-def _span_rank(vectors: list[dict]) -> int:
-    ech = Echelon()
-    for vec in vectors:
-        ech.insert(dict(vec))
-    return ech.rank
 
 
 def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:

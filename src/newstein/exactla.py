@@ -123,13 +123,6 @@ class SparseExactMatrix:
                 row = new
         return len(pivots)
 
-    def transpose(self) -> "SparseExactMatrix":
-        out = SparseExactMatrix(self.ncols, self.nrows)
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out.add(c, r, v)
-        return out
-
 
 def random_primes(count: int, *, lower: int = 1 << 20, seed: int | None = None) -> list[int]:
     """Distinct pseudo-random primes above ``lower`` (default 2^20)."""

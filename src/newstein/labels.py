@@ -8,7 +8,6 @@ the fourth component only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 # Label kinds, in the canonical basis order used by every constructed algebra:
 # L (6), T (4), Tp (4), C (10), A (12), Q (12), J (3), then K if present.
@@ -20,11 +19,6 @@ def metric(mu: int, nu: int) -> int:
     if mu != nu:
         return 0
     return -1 if mu == 4 else 1
-
-
-def metric_matrix():
-    """The 4x4 metric as a nested tuple (exact integers)."""
-    return tuple(tuple(metric(m, n) for n in range(1, 5)) for m in range(1, 5))
 
 
 @dataclass(frozen=True, order=True)
@@ -107,7 +101,3 @@ def parse_label(text: str) -> BasisLabel:
                 return BasisLabel("K")
             return BasisLabel(kind, tuple(int(d) for d in digits))
     raise ValueError(f"cannot parse label {text!r}")
-
-
-ZERO = Fraction(0)
-ONE = Fraction(1)

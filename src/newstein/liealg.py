@@ -32,12 +32,6 @@ def _parse_any(text: str):
         return text
 
 
-def _jacobi_chunk(job):
-    doc, i0, dim, stride = job
-    alg = LieAlgebra.from_definition(doc)
-    return alg._jacobi_range(range(i0, dim, stride))
-
-
 SparseVec = dict[int, Fraction]
 
 
@@ -144,29 +138,15 @@ class LieAlgebra:
             columns.append({k: v for k, v in img.items() if v != 0})
         return [AlgebraElement(self, vec) for vec in kernel_basis(columns)]
 
-    def jacobi_check(self, workers: int | None = None) -> list[tuple[int, int, int]]:
-        """All basis triples i < j < k violating the Jacobi identity.
+    def jacobi_check(self) -> list[tuple[int, int, int]]:
+        """All basis triples i < j < k violating the Jacobi identity, sorted.
 
         By multilinearity and built-in antisymmetry, strictly increasing
         triples suffice; triples with a repeated index vanish identically.
-        With ``workers`` > 1 the first-index range is partitioned across
-        processes; the result is sorted either way, so it does not depend
-        on scheduling.
         """
-        if workers and workers > 1:
-            import multiprocessing as mp
-
-            doc = self.to_definition()
-            chunks = [(doc, i0, self.dim, workers) for i0 in range(workers)]
-            with mp.Pool(workers) as pool:
-                parts = pool.map(_jacobi_chunk, chunks)
-            return sorted(v for part in parts for v in part)
-        return self._jacobi_range(range(self.dim))
-
-    def _jacobi_range(self, i_values) -> list[tuple[int, int, int]]:
         violations = []
-        pair_brackets = {key: vec for key, vec in self.constants.items()}
-        for i in i_values:
+        pair_brackets = self.constants
+        for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 bij = pair_brackets.get((i, j))
                 for k in range(j + 1, self.dim):
@@ -188,7 +168,7 @@ class LieAlgebra:
                                     acc.pop(t, None)
                     if acc:
                         violations.append((i, j, k))
-        return sorted(violations)
+        return violations
 
     # -- serialization ---------------------------------------------------
 
@@ -210,16 +190,20 @@ class LieAlgebra:
 
     @classmethod
     def from_definition(cls, doc: dict) -> "LieAlgebra":
-        labels = [_parse_any(s) for s in doc["labels"]]
-        if len(labels) != doc["dimension"]:
-            raise ValueError("dimension field does not match label count")
-        constants = {
-            (entry["i"], entry["j"]): {
-                term["k"]: Fraction(term["coeff"]) for term in entry["terms"]
+        try:
+            labels = [_parse_any(s) for s in doc["labels"]]
+            if len(labels) != doc["dimension"]:
+                raise ValueError("dimension field does not match label count")
+            constants = {
+                (entry["i"], entry["j"]): {
+                    term["k"]: Fraction(term["coeff"]) for term in entry["terms"]
+                }
+                for entry in doc["constants"]
             }
-            for entry in doc["constants"]
-        }
-        return cls(doc["name"], labels, constants)
+            name = doc["name"]
+        except KeyError as err:
+            raise ValueError(f"algebra definition lacks the {err} field") from None
+        return cls(name, labels, constants)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_definition(), indent=1) + "\n")

@@ -82,9 +82,6 @@ class FockBasis:
         self.degrees = np.array([sum(s) for s in self.states])
         self.interior = self.degrees <= cutoff - 2
 
-    def interior_projector(self) -> np.ndarray:
-        return np.diag(self.interior.astype(float))
-
 
 def _states_of_degree(total: int):
     return [(a, b, total - a - b)

@@ -3,8 +3,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from newstein import cli
 from newstein.cli import EXIT_BAD_PARAMS, EXIT_MISMATCH, EXIT_OK, EXIT_UNKNOWN_ALGEBRA, main
+
+# verify-all claims whose values are exact, hence the same on every machine;
+# h2-adjoint is exact too but is left out for its two-minute run time
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_all_exact.json").read_text())
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -26,7 +34,17 @@ def test_jacobi_all_selectors(tmp_path):
 
 
 def test_unknown_algebra_exit_code(tmp_path):
-    assert main(["jacobi", "--algebra", "nope"]) == EXIT_UNKNOWN_ALGEBRA
+    # an extension case outside 1..9 or not an integer is an unknown selector too
+    for sel in ("nope", "newstein-ext:12", "newstein-ext:x"):
+        assert main(["jacobi", "--algebra", sel]) == EXIT_UNKNOWN_ALGEBRA
+
+
+def test_definition_without_constants_is_invalid_parameters(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "x", "dimension": 1, "labels": ["x"]}))
+    assert main(["jacobi", "--algebra", f"file:{path}"]) == EXIT_BAD_PARAMS
+    err = capsys.readouterr().err
+    assert "'constants'" in err and "selector" not in err
 
 
 def test_invalid_parameters_exit_code(tmp_path):
@@ -95,6 +113,63 @@ def test_evolve_missing_state_is_io_error(tmp_path):
     from newstein.cli import EXIT_IO
 
     assert main(["evolve", "--tau", "1.0", "--state", str(tmp_path / "none.txt")]) == EXIT_IO
+
+
+def test_evolve_index_out_of_range_names_line(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("0 1.0 0.0\n99999 1.0 0.0\n")
+    rc = main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "4",
+               "--out", str(tmp_path / "o.txt")])
+    assert rc == EXIT_BAD_PARAMS
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_evolve_malformed_line_names_line(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    out = tmp_path / "o.txt"
+    state.write_text("\n0 1.0 0.0\n\n")
+    assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "4",
+                 "--out", str(out)]) == EXIT_OK  # blank lines are allowed
+    state.write_text("0 1.0 0.0\n\ngarbage\n")
+    assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "4",
+                 "--out", str(out)]) == EXIT_BAD_PARAMS
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_grouplaw_check_pinned_values(tmp_path):
+    # values of numpy 2.4 on x86-64; the claim and the command share one loop
+    rc, doc = run_cli(["grouplaw", "check", "--seed", "2161", "--count", "50"], tmp_path)
+    assert rc == EXIT_OK
+    assert doc == {"command": "grouplaw-check", "seed": 2161, "triples": 50,
+                   "max_deviation": 8.971989817752046e-15,
+                   "max_deviation_extended": 5.329070518200751e-15,
+                   "tolerance": 1e-09, "pass": True}
+
+
+def test_verify_unknown_claim_runs_nothing(tmp_path, capsys):
+    rc, doc = run_cli(["verify-all", "--only", "typo"], tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    err = capsys.readouterr().err
+    assert all(name in err for name in cli.CLAIMS)
+
+
+def test_verify_only_accepts_every_registered_claim(tmp_path, monkeypatch):
+    for name in cli.CLAIMS:
+        monkeypatch.setitem(cli.CLAIMS, name, lambda G: dict(
+            claimed=G.dim, computed=G.dim, method="stub"))
+    for name in cli.CLAIMS:
+        rc, doc = run_cli(["verify-all", "--only", name], tmp_path)
+        assert rc == EXIT_OK
+        assert [c["claim"] for c in doc["claims"]] == [name]
+
+
+@pytest.mark.parametrize("expected", GOLDEN, ids=[c["claim"] for c in GOLDEN])
+def test_exact_claims_match_golden(expected):
+    claims = cli.run_verification(expected["claim"])
+    assert len(claims) == 1
+    got = json.dumps(claims[0], indent=1, default=cli._json_default)
+    assert got == json.dumps(expected, indent=1)
 
 
 def test_verify_single_claim(tmp_path):
