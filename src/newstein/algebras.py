@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import labels as lb
-from .extensions import ExtensionClass, case_matrix, derivation_from_matrix
+from .extensions import ExtensionClass, case_matrix, derivation_from_matrix, sample_class
 from .labels import BasisLabel, metric
 from .liealg import LieAlgebra, SparseVec
 
@@ -180,6 +180,7 @@ def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
                    base: NewSteinAlgebra | None = None) -> ExtendedNewSteinAlgebra:
     """Adjoin K acting on the (A, Q, C) span per the chosen canonical case.
 
+    An integer case takes the parameters of ``extensions.sample_class``.
     By default [K, C] carries the trace coefficient beta + gamma', which is
     what the Leibniz rule forces and what every printed case except (8)
     displays.  ``as_printed=True`` keeps case (8)'s displayed [K, C] = 2C
@@ -187,12 +188,7 @@ def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
     cos phi = 1, and the failure is left observable on purpose.
     """
     if isinstance(cls, int):
-        kwargs = {}
-        if cls in (3, 4, 5):
-            kwargs["zeta2"] = _F(2)
-        if cls in (8, 9):
-            kwargs["cos_sin"] = (_F(3, 5), _F(4, 5))
-        cls = ExtensionClass(cls, **kwargs)
+        cls = sample_class(cls)
     base = base if base is not None else build_newstein()
     matrix = case_matrix(cls)
     phi = derivation_from_matrix(matrix, base)

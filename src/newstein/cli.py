@@ -6,9 +6,9 @@ order; human-readable tables go to stderr.  Identical configurations produce
 byte-identical reports.
 
 Exit codes: 0 success (verify-all: every non-conditional claim matches),
-1 claim mismatch, 2 unknown algebra selector, 3 invalid parameters (a
-malformed definition or state file and an unknown verify-all claim
-included), 4 I/O failure.
+1 claim mismatch or failed internal check, 2 unknown algebra selector,
+3 invalid parameters (a malformed config, definition or state file and an
+unknown verify-all claim included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from . import grouplaw as gl
 from . import labels as lb
 from .algebras import (NewSteinAlgebra, build_extended, build_newstein, build_newstein2,
                        heisenberg3, sl2)
-from .cohomology import (CoefficientModule, betti, h1_via_reduction, h2_via_reduction,
-                         reduction_data)
-from .extensions import ExtensionClass, ExtensionMatrix, canonical_matrices, classify
+from .cohomology import (CoefficientModule, InternalCheckError, betti, h1_via_reduction,
+                         h2_via_reduction, reduction_data)
+from .extensions import ExtensionMatrix, canonical_matrices, classify
 from .liealg import LieAlgebra
 from .oscillator import (FockBasis, RepParams, W_operator, WaveFunction, casimir_MA,
                          casimir_MN, evolve, free_mass_check,
@@ -371,8 +371,7 @@ def _extension_classification(G):
 
 @_registered("case8-printed")
 def _case8_printed(G):
-    ext = build_extended(ExtensionClass(8, cos_sin=(Fraction(3, 5), Fraction(4, 5))),
-                         as_printed=True)
+    ext = build_extended(8, as_printed=True)
     return dict(claimed=0, computed=len(ext.jacobi_check()), method="exact",
                 conditional=True,
                 note="the displayed case (8) bracket list satisfies the Jacobi identity "
@@ -656,25 +655,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser, args, argv):
+    """Re-parse with the ``--config`` JSON object as defaults; explicit flags win.
+
+    Raises ``ValueError`` for a file that is not a JSON object and for keys
+    that name no option of the subcommand.
+    """
+    with open(args.config) as fh:
+        try:
+            defaults = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"config {args.config} is not valid JSON: {err}") from None
+    if not isinstance(defaults, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(defaults) - (set(vars(args)) - {"config", "command", "func"}))
+    if unknown:
+        raise ValueError(f"config keys that are not options of {args.command!r}: "
+                         + ", ".join(map(repr, unknown)))
+    _SUBPARSERS[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # config supplies defaults; explicit flags win on the re-parse
-        try:
-            defaults = json.loads(open(args.config).read())
-        except OSError as err:
-            _note(f"cannot read config: {err}")
-            return EXIT_IO
-        subparser = _SUBPARSERS.get(args.command)
-        if subparser is not None:
-            subparser.set_defaults(**defaults)
-            args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _apply_config(parser, args, argv)
         return args.func(args)
     except UnknownAlgebraError as err:
         _note(f"unknown algebra selector: {err}")
         return EXIT_UNKNOWN_ALGEBRA
+    except InternalCheckError as err:
+        _note(f"internal check failed: {err}")
+        return EXIT_MISMATCH
     except (ValueError, ArithmeticError) as err:
         _note(f"invalid parameters: {err}")
         return EXIT_BAD_PARAMS

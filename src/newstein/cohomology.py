@@ -31,6 +31,14 @@ from .liealg import LieAlgebra, SparseVec
 _F = Fraction
 
 
+class InternalCheckError(ArithmeticError):
+    """A consistency check of the computation failed, not one of its inputs.
+
+    Raised for d o d != 0, a negative Betti number and modular ranks that
+    disagree across primes.
+    """
+
+
 class CoefficientModule:
     """Trivial, adjoint, or explicit-matrix coefficients.
 
@@ -52,54 +60,41 @@ class CoefficientModule:
         return cls("adjoint", alg.dim, alg.ad_columns)
 
     @classmethod
-    def explicit(cls, alg: LieAlgebra, matrices: list[dict[int, SparseVec]],
-                 check: bool = True) -> "CoefficientModule":
+    def explicit(cls, alg: LieAlgebra,
+                 matrices: list[dict[int, SparseVec]]) -> "CoefficientModule":
+        """Coefficients acting by the given sparse matrices, checked to represent ``alg``."""
         dim = 0
         for cols in matrices:
             for j, vec in cols.items():
                 dim = max(dim, j + 1, *(k + 1 for k in vec))
-        mod = cls("explicit", dim, lambda t: matrices[t])
-        if check:
-            bad = _representation_violations(alg, matrices, dim)
-            if bad:
-                raise ValueError(f"matrices are not a representation; first bad pair {bad[0]}")
-        return mod
+        bad = _representation_violations(alg, matrices, dim)
+        if bad:
+            raise ValueError(f"matrices are not a representation; first bad pair {bad[0]}")
+        return cls("explicit", dim, lambda t: matrices[t])
 
 
 def _apply_cols(cols: dict[int, SparseVec], vec: SparseVec) -> SparseVec:
     out: SparseVec = {}
     for j, c in vec.items():
         for k, d in cols.get(j, {}).items():
-            new = out.get(k, 0) + c * d
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
+            _bump(out, k, c * d)
     return out
 
 
 def _representation_violations(alg, matrices, dim):
+    """Pairs i < j where rho(e_i) rho(e_j) - rho(e_j) rho(e_i) != rho([e_i, e_j])."""
     bad = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            expected: dict[int, SparseVec] = {}
             for m in range(dim):
                 unit = {m: _F(1)}
-                lhs = _apply_cols(matrices[i], _apply_cols(matrices[j], unit))
-                rhs = _apply_cols(matrices[j], _apply_cols(matrices[i], unit))
-                com = dict(lhs)
-                for k, v in rhs.items():
-                    new = com.get(k, 0) - v
-                    if new:
-                        com[k] = new
-                    else:
-                        com.pop(k, None)
-                want: SparseVec = {}
+                defect = _apply_cols(matrices[i], _apply_cols(matrices[j], unit))
+                for k, v in _apply_cols(matrices[j], _apply_cols(matrices[i], unit)).items():
+                    _bump(defect, k, -v)
                 for t, c in alg.bracket_basis(i, j).items():
                     for k, v in matrices[t].get(m, {}).items():
-                        want[k] = want.get(k, 0) + c * v
-                want = {k: v for k, v in want.items() if v}
-                if com != want:
+                        _bump(defect, k, -c * v)
+                if defect:
                     bad.append((i, j))
                     break
     return bad
@@ -136,16 +131,13 @@ class CochainComplex:
         self.args = list(range(alg.dim)) if arg_indices is None else sorted(arg_indices)
         argset = set(self.args)
         # bracket table restricted to the arguments, indexed by target
-        self._pair_terms: list[tuple[int, int, int, Fraction]] = []
+        self._by_target: dict[int, list[tuple[int, int, Fraction]]] = {}
         for (i, j), vec in alg.constants.items():
             if i in argset and j in argset:
                 for k, c in vec.items():
                     if k not in argset:
                         raise ValueError("argument set is not a subalgebra")
-                    self._pair_terms.append((i, j, k, c))
-        self._by_target: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for i, j, k, c in self._pair_terms:
-            self._by_target.setdefault(k, []).append((i, j, c))
+                    self._by_target.setdefault(k, []).append((i, j, c))
         self._wedge_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def wedges(self, k: int) -> list[tuple[int, ...]]:
@@ -297,7 +289,7 @@ def _unanimous_rank(mat: SparseExactMatrix, primes: list[int]) -> tuple[int, lis
     are kept and, in a single replacement round, fresh primes never tried
     before bring them back up to three.  Every replacement must reach the
     maximum too; one that dissents is persistent disagreement and raises
-    ``ArithmeticError`` naming every prime tried and its rank.  Returns the
+    ``InternalCheckError`` naming every prime tried and its rank.  Returns the
     rank and the agreeing primes.
     """
     ranks = [mat.rank_mod_p(p) for p in primes]
@@ -313,7 +305,7 @@ def _unanimous_rank(mat: SparseExactMatrix, primes: list[int]) -> tuple[int, lis
     for p in fresh:
         tried[p] = mat.rank_mod_p(p)
         if tried[p] != best:
-            raise ArithmeticError(
+            raise InternalCheckError(
                 f"modular ranks disagree: replacement prime {p} gave rank "
                 f"{tried[p]}, maximum {best}; rank by prime tried: {tried}")
         keep.append(p)
@@ -346,7 +338,7 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
     if check_dd and k >= 1:
         bad = cx.dd_violations(k - 1)
         if bad:
-            raise ArithmeticError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
+            raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
     notes = ""
     if method == "exact":
         rank_here = d_here.rank_exact()
@@ -368,7 +360,7 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
         raise ValueError(f"unknown method {method!r}")
     b = cx.dim_c(k) - rank_here - rank_prev
     if b < 0:
-        raise ArithmeticError("negative Betti number: rank computation inconsistent")
+        raise InternalCheckError("negative Betti number: rank computation inconsistent")
     return CohomologyReport(
         algebra=alg.name, module=coeffs.kind, degree=k,
         dim_prev=cx.dim_c(k - 1), dim_here=cx.dim_c(k), dim_next=cx.dim_c(k + 1),
@@ -425,11 +417,7 @@ def _intersect_kernel(basis: list[dict], image_of):
             vec: dict = {}
             for local, coeff in combo.items():
                 for key, v in basis[members[local]].items():
-                    new = vec.get(key, 0) + coeff * v
-                    if new:
-                        vec[key] = new
-                    else:
-                        vec.pop(key, None)
+                    _bump(vec, key, coeff * v)
             if vec:
                 out.append(vec)
     return out
@@ -437,9 +425,9 @@ def _intersect_kernel(basis: list[dict], image_of):
 
 @dataclass
 class InvariantCochainSpace:
-    """Exact basis of fully invariant ideal-cochains, keyed (wedge, target)."""
+    """Exact basis of invariant cochains of the ideal complex, keyed (wedge, target)."""
 
-    algebra: LieAlgebra
+    complex: CochainComplex
     degree: int
     basis: list[dict]
 
@@ -456,6 +444,10 @@ def _generator_order(alg: NewSteinAlgebra, under: str) -> list[int]:
         order.extend(i for i, lab in enumerate(alg.labels)
                      if getattr(lab, "kind", None) == kind)
     return order
+
+
+def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
+    return CochainComplex(alg, CoefficientModule.adjoint(alg), alg.ideal_indices)
 
 
 def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
@@ -481,11 +473,10 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
         raise ValueError("invariant reduction implemented for degrees 1 and 2")
     if under not in ("levi", "full"):
         raise ValueError("under must be 'levi' or 'full'")
-    ideal = alg.ideal_indices
-    cx = CochainComplex(alg, CoefficientModule.adjoint(alg), ideal)
+    cx = _ideal_complex(alg)
     basis: list[dict] = [{(S, m): _F(1)} for S in cx.wedges(k) for m in range(alg.dim)]
 
-    idealset = set(ideal)
+    idealset = set(cx.args)
     for g in _generator_order(alg, under):
         ad_cols = alg.ad_columns(g)
         # transpose over ideal arguments: ad_t[x] lists (y, c) with y in the
@@ -524,7 +515,7 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
             return out
 
         basis = _intersect_kernel(basis, image_of)
-    return InvariantCochainSpace(alg, k, basis)
+    return InvariantCochainSpace(cx, k, basis)
 
 
 def _bump(d: dict, key, value) -> None:
@@ -535,25 +526,11 @@ def _bump(d: dict, key, value) -> None:
         d.pop(key, None)
 
 
-def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
-    return CochainComplex(alg, CoefficientModule.adjoint(alg), alg.ideal_indices)
-
-
-def invariant_cocycles(alg: NewSteinAlgebra, k: int, *,
-                       under: str = "levi") -> tuple[InvariantCochainSpace, list[dict]]:
-    """Invariant cochains plus the sub-basis satisfying the cocycle condition."""
-    inv = invariant_cochains(alg, k, under=under)
-    cx = _ideal_complex(alg)
-    images = [cx.d_apply(vec) for vec in inv.basis]
-    cocycles = []
-    for combo in kernel_basis(images):
-        vec: dict = {}
-        for i, c in combo.items():
-            for key, v in inv.basis[i].items():
-                _bump(vec, key, c * v)
-        if vec:
-            cocycles.append(vec)
-    return inv, cocycles
+def invariant_cocycles(alg: NewSteinAlgebra,
+                       k: int) -> tuple[InvariantCochainSpace, list[dict]]:
+    """Levi-invariant cochains plus a basis of the cocycles among them."""
+    inv = invariant_cochains(alg, k)
+    return inv, _intersect_kernel(inv.basis, inv.complex.d_apply)
 
 
 @dataclass
@@ -576,13 +553,15 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     The reduction computes H^k(algebra, adjoint) as invariant-cocycles
     modulo coboundaries: the semisimple part acts reductively, so the
     cohomology of the invariant subcomplex is the invariant part of the
-    ideal cohomology, and the quotient collapses onto it.  Coboundary
-    membership of each cocycle is decided exactly against the full
-    coboundary space of the ideal complex, with analytic preimages tried
-    first as cheap certificates.
+    ideal cohomology, and the quotient collapses onto it.  A cocycle counts
+    as a class only if it is independent modulo the full coboundary space of
+    the ideal complex and the classes already counted, so the count does not
+    depend on the cocycle basis.  Cocycles in the span of the coboundaries
+    of analytic preimages are certified coboundaries without building that
+    space.
     """
-    inv, cocycles = invariant_cocycles(alg, k, under="levi")
-    cx = _ideal_complex(alg)
+    inv, cocycles = invariant_cocycles(alg, k)
+    cx = inv.complex
     ech = Echelon()
     if k == 2:
         for phi in _analytic_preimages(alg):
@@ -590,30 +569,20 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
             if img:
                 ech.insert(img)
     residual = [z for z in cocycles
-                if any(Echelon._is_real(key) for key in ech.reduce(dict(z)))]
+                if any(Echelon._is_real(key) for key in ech.reduce(z))]
     if residual:
         full = Echelon()
-        if k == 1:
-            for g in range(alg.dim):
-                col: dict = {}
-                for x in alg.ideal_indices:
-                    for m, c in alg.bracket_basis(x, g).items():
-                        _bump(col, ((x,), m), c)
+        for S in cx.wedges(k - 1):
+            for m in range(alg.dim):
+                col = cx.d_basis(S, m)
                 if col:
                     full.insert(col)
-        else:
-            for S in cx.wedges(k - 1):
-                for m in range(alg.dim):
-                    col = cx.d_basis(S, m)
-                    if col:
-                        full.insert(col)
-        residual = [z for z in residual
-                    if any(Echelon._is_real(key) for key in full.reduce(dict(z)))]
+        residual = [z for z in residual if full.insert(z) is not None]
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 
 
 def _reduction_report(alg: NewSteinAlgebra, k: int, data: ReductionData) -> CohomologyReport:
-    cx = _ideal_complex(alg)
+    cx = data.invariant.complex
     return CohomologyReport(
         algebra=alg.name, module="adjoint", degree=k,
         dim_prev=cx.dim_c(k - 1), dim_here=cx.dim_c(k), dim_next=cx.dim_c(k + 1),

@@ -124,12 +124,12 @@ class SparseExactMatrix:
         return len(pivots)
 
 
-def random_primes(count: int, *, lower: int = 1 << 20, seed: int | None = None) -> list[int]:
-    """Distinct pseudo-random primes above ``lower`` (default 2^20)."""
+def random_primes(count: int, *, seed: int | None = None) -> list[int]:
+    """Distinct pseudo-random primes in [2^20, 2^28)."""
     rng = random.Random(seed)
     found: list[int] = []
     while len(found) < count:
-        cand = rng.randrange(lower, lower << 8) | 1
+        cand = rng.randrange(1 << 20, 1 << 28) | 1
         if cand not in found and _is_prime(cand):
             found.append(cand)
     return found

@@ -180,10 +180,6 @@ def leibniz_violations(alg: LieAlgebra, phi: dict[int, SparseVec]) -> list[tuple
 _EPS = 1e-10
 
 
-def _as_float(x) -> float:
-    return float(x)
-
-
 def classify(L: ExtensionMatrix) -> ExtensionClass:
     """Sort a 2x2 real matrix into its canonical case.
 
@@ -214,9 +210,9 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
         # rank-one diagonalizable; rescaling by |tr| sends the nonzero
         # eigenvalue (= tr) to +-1
         z = Fraction(1) if tr > 0 else Fraction(-1)
-        return ExtensionClass(5, zeta2=z, rescale=abs(_as_float(tr)),
+        return ExtensionClass(5, zeta2=z, rescale=abs(float(tr)),
                               jordan_type="rank-one diagonalizable")
-    scale = math.sqrt(abs(_as_float(det)))
+    scale = math.sqrt(abs(float(det)))
     if det < 0:
         # real eigenvalues u > 0 > v with uv = -|det|; rescaled pair (l, -1/l)
         if tr == 0:
@@ -238,7 +234,7 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
             c = _sqrt_fraction(cos_sq) * (1 if tr > 0 else -1)
             s = _sqrt_fraction(1 - cos_sq)
         else:
-            cf = _as_float(tr) / (2 * scale)
+            cf = float(tr) / (2 * scale)
             c, s = cf, math.sqrt(max(0.0, 1 - cf * cf))
         return ExtensionClass(9, cos_sin=(c, s), rescale=scale,
                               jordan_type="complex pair exp(+-i phi)")
@@ -261,8 +257,8 @@ def _dominant_eigenvalue(L: ExtensionMatrix, scale: float):
         s = _sqrt_fraction(abs(L.det))
         cands = [(tr + root) / (2 * s), (tr - root) / (2 * s)]
         return max(cands, key=abs)
-    root = math.sqrt(_as_float(disc))
-    cands = [(_as_float(tr) + root) / (2 * scale), (_as_float(tr) - root) / (2 * scale)]
+    root = math.sqrt(float(disc))
+    cands = [(float(tr) + root) / (2 * scale), (float(tr) - root) / (2 * scale)]
     return max(cands, key=abs)
 
 
@@ -292,30 +288,33 @@ def equivalent(L1: ExtensionMatrix, L2: ExtensionMatrix) -> bool:
     if c1.zeta2 is not None or c2.zeta2 is not None:
         if c1.zeta2 is None or c2.zeta2 is None:
             return False
-        if abs(_as_float(c1.zeta2) - _as_float(c2.zeta2)) > _EPS:
+        if abs(float(c1.zeta2) - float(c2.zeta2)) > _EPS:
             return False
     if c1.cos_sin is not None or c2.cos_sin is not None:
         if c1.cos_sin is None or c2.cos_sin is None:
             return False
         # phi in (0, pi): cos determines the class; sin is fixed positive
-        if abs(_as_float(c1.cos_sin[0]) - _as_float(c2.cos_sin[0])) > _EPS:
+        if abs(float(c1.cos_sin[0]) - float(c2.cos_sin[0])) > _EPS:
             return False
     return True
+
+
+def sample_class(case: int) -> ExtensionClass:
+    """The case with its sample parameters.
+
+    zeta^2 = 2 for cases 3-5 and (cos, sin) = (3/5, 4/5) for cases 8-9.
+    """
+    if case in (3, 4, 5):
+        return ExtensionClass(case, zeta2=Fraction(2))
+    if case in (8, 9):
+        return ExtensionClass(case, cos_sin=(Fraction(3, 5), Fraction(4, 5)))
+    return ExtensionClass(case)
 
 
 def canonical_matrices() -> dict[int, ExtensionMatrix]:
     """One representative matrix per case, read off the bracket lists.
 
-    Cases with parameters use zeta^2 = 2 and (cos, sin) = (3/5, 4/5); the
-    case-8 entry is its printed form, which classifies elsewhere (see
-    :func:`classify`).
+    Parameters are those of :func:`sample_class`; the case-8 entry is its
+    printed form, which classifies elsewhere (see :func:`classify`).
     """
-    reps = {}
-    for case in range(1, 10):
-        kwargs = {}
-        if case in (3, 4, 5):
-            kwargs["zeta2"] = Fraction(2)
-        if case in (8, 9):
-            kwargs["cos_sin"] = (Fraction(3, 5), Fraction(4, 5))
-        reps[case] = case_matrix(ExtensionClass(case, **kwargs))
-    return reps
+    return {case: case_matrix(sample_class(case)) for case in range(1, 10)}

@@ -309,9 +309,10 @@ def shell_point(xi_spatial, m0: float) -> np.ndarray:
     return np.array([v[0], v[1], v[2], math.sqrt(m0 * m0 + v @ v)])
 
 
-def check_on_shell(xi: np.ndarray, m0: float, tol: float = 1e-8) -> None:
+def check_on_shell(xi: np.ndarray, m0: float) -> None:
+    """Raise unless xi is on the forward shell of mass m0, to relative 1e-8."""
     norm = xi[:3] @ xi[:3] - xi[3] * xi[3]
-    if abs(norm + m0 * m0) > tol * max(1.0, m0 * m0) or xi[3] <= 0:
+    if abs(norm + m0 * m0) > 1e-8 * max(1.0, m0 * m0) or xi[3] <= 0:
         raise OffShellError(f"xi = {xi} is not on the forward shell of mass {m0}")
 
 
@@ -330,17 +331,17 @@ def boost_section(xi: np.ndarray, m0: float) -> np.ndarray:
     return num / math.sqrt(2.0 * m0 * (m0 + xi[3]))
 
 
-def rotation_section(eta: np.ndarray, lam: float, *, cone: float = 1e-6) -> np.ndarray:
+def rotation_section(eta: np.ndarray, lam: float) -> np.ndarray:
     """Geodesic rotation taking the pole (0, 0, lam) to eta.
 
-    Raises inside the exclusion cone around the antipode, where no
-    continuous section exists.
+    Raises inside the exclusion cone n_3 < -1 + 1e-6 around the antipode,
+    where no continuous section exists.
     """
     eta = np.asarray(eta, dtype=float)
     if abs(np.linalg.norm(eta) - lam) > 1e-8 * max(1.0, lam):
         raise ValueError(f"|eta| != {lam}")
     n = eta / lam
-    if n[2] < -1.0 + cone:
+    if n[2] < -1.0 + 1e-6:
         raise SectionSingularityError("eta inside the antipodal exclusion cone")
     axis = np.array([-n[1], n[0], 0.0])
     s = np.linalg.norm(axis)
@@ -382,12 +383,6 @@ def wigner_phase(Lam: np.ndarray, xi: np.ndarray, eta: np.ndarray,
     return 2.0 * math.atan2(W[0, 0].imag, W[0, 0].real)
 
 
-def transported_eta(Lam: np.ndarray, xi: np.ndarray, eta: np.ndarray, m0: float) -> np.ndarray:
-    """eta' = D(1)(A_{Lam^-1 xi}^-1 Lam^-1 A_xi) eta."""
-    V, _ = wigner_rotation(Lam, xi, m0)
-    return so3_rep(V.conj().T) @ eta
-
-
 # -- one-parameter subgroups ----------------------------------------------
 
 _EPS3 = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
@@ -403,10 +398,11 @@ def sl2_generator(mu: int, nu: int) -> np.ndarray:
 
 
 def su2_generator(i: int, j: int) -> np.ndarray:
-    """Generator with so3_rep-derivative equal to ad(J_{ij}) on vectors."""
-    code = _EPS3[(i, j)]
-    sign = 1.0 if code > 0 else -1.0
-    return 0.5j * sign * _SIGMA[abs(code) - 1]
+    """Generator with so3_rep-derivative equal to ad(J_{ij}) on vectors.
+
+    For i < j <= 3 this is the rotation generator of ``sl2_generator``.
+    """
+    return sl2_generator(i, j)
 
 
 def one_parameter(label, s: float) -> GroupElement:
@@ -497,15 +493,15 @@ def _project_real(M: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return sol
 
 
-def commutator_coords(alg, x_label, y_label, *, eps: float = 1e-3,
-                      extended_case7: bool = False) -> dict:
+def commutator_coords(alg, x_label, y_label, *, extended_case7: bool = False) -> dict:
     """Structure constants measured from the group commutator.
 
-    Central finite differences of g_s h_t g_s^-1 h_t^-1 at second order; the
-    result approximates the coordinates of [X, Y].
+    Central finite differences (step 1e-3) of g_s h_t g_s^-1 h_t^-1 at
+    second order; the result approximates the coordinates of [X, Y].
     """
     from . import labels as lb
 
+    eps = 1e-3
     def make(label, s):
         if extended_case7:
             if label == lb.K:

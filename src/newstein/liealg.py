@@ -35,6 +35,26 @@ def _parse_any(text: str):
 SparseVec = dict[int, Fraction]
 
 
+def _field(doc: dict, key: str, kinds):
+    """``doc[key]``, or ``ValueError`` naming a field that is missing or not of ``kinds``."""
+    if key not in doc:
+        raise ValueError(f"algebra definition lacks the {key!r} field")
+    value = doc[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ValueError(f"algebra definition field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _listed(doc: dict, key: str, kind) -> list:
+    """``doc[key]`` as a list whose items are all of ``kind``, else ``ValueError``."""
+    items = _field(doc, key, list)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValueError(f"algebra definition field {key!r} holds {item!r}, "
+                             f"expected {kind.__name__} items")
+    return items
+
+
 class LieAlgebra:
     """Labeled basis with sparse exact structure constants.
 
@@ -190,20 +210,21 @@ class LieAlgebra:
 
     @classmethod
     def from_definition(cls, doc: dict) -> "LieAlgebra":
-        try:
-            labels = [_parse_any(s) for s in doc["labels"]]
-            if len(labels) != doc["dimension"]:
-                raise ValueError("dimension field does not match label count")
-            constants = {
-                (entry["i"], entry["j"]): {
-                    term["k"]: Fraction(term["coeff"]) for term in entry["terms"]
-                }
-                for entry in doc["constants"]
-            }
-            name = doc["name"]
-        except KeyError as err:
-            raise ValueError(f"algebra definition lacks the {err} field") from None
-        return cls(name, labels, constants)
+        """Inverse of :meth:`to_definition`.
+
+        A missing or wrongly typed field raises ``ValueError`` naming it.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("algebra definition must be a JSON object")
+        labels = [_parse_any(s) for s in _listed(doc, "labels", str)]
+        if len(labels) != _field(doc, "dimension", int):
+            raise ValueError("dimension field does not match label count")
+        constants = {}
+        for entry in _listed(doc, "constants", dict):
+            key = (_field(entry, "i", int), _field(entry, "j", int))
+            constants[key] = {_field(term, "k", int): Fraction(_field(term, "coeff", (str, int)))
+                              for term in _listed(entry, "terms", dict)}
+        return cls(_field(doc, "name", str), labels, constants)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_definition(), indent=1) + "\n")

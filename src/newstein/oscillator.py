@@ -148,7 +148,6 @@ class OscillatorOperator:
     matrix: np.ndarray
     basis: FockBasis
     hermitian: bool = False
-    exact_on_interior: bool = True
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
@@ -203,31 +202,29 @@ def hamiltonian_K(params: RepParams, basis: FockBasis) -> OscillatorOperator:
     return OscillatorOperator(np.real(mat).astype(complex), basis, hermitian=True)
 
 
-def casimir_MN(params: RepParams, xi: np.ndarray, basis: FockBasis) -> OscillatorOperator:
-    """-g^{mu nu} delta^{ij} Q_{i mu} Q_{j nu}, assembled from generators."""
+def _casimir(kind: str, params: RepParams, xi: np.ndarray,
+             basis: FockBasis) -> OscillatorOperator:
+    """-g^{mu nu} delta^{ij} X_{i mu} X_{j nu} for X = A or Q, from generators.
+
+    The metric is diagonal, so only the mu = nu terms survive.
+    """
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    qs = {(i, mu): internal_generator(BasisLabel("Q", (i, mu)), xi, params, basis).matrix
-          for i in range(1, 4) for mu in range(1, 5)}
     for i in range(1, 4):
         for mu in range(1, 5):
-            for nu in range(1, 5):
-                if mu != nu:
-                    continue
-                gmn = 1.0 if mu < 4 else -1.0
-                mat -= gmn * qs[(i, mu)] @ qs[(i, nu)]
+            x = internal_generator(BasisLabel(kind, (i, mu)), xi, params, basis).matrix
+            gmn = 1.0 if mu < 4 else -1.0
+            mat -= gmn * x @ x
     return OscillatorOperator(mat, basis, hermitian=True)
+
+
+def casimir_MN(params: RepParams, xi: np.ndarray, basis: FockBasis) -> OscillatorOperator:
+    """-g^{mu nu} delta^{ij} Q_{i mu} Q_{j nu}, assembled from generators."""
+    return _casimir("Q", params, xi, basis)
 
 
 def casimir_MA(params: RepParams, xi: np.ndarray, basis: FockBasis) -> OscillatorOperator:
     """-g^{mu nu} delta^{ij} A_{i mu} A_{j nu}, assembled from generators."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    avs = {(i, mu): internal_generator(BasisLabel("A", (i, mu)), xi, params, basis).matrix
-           for i in range(1, 4) for mu in range(1, 5)}
-    for i in range(1, 4):
-        for mu in range(1, 5):
-            gmn = 1.0 if mu < 4 else -1.0
-            mat -= gmn * avs[(i, mu)] @ avs[(i, mu)]
-    return OscillatorOperator(mat, basis, hermitian=True)
+    return _casimir("A", params, xi, basis)
 
 
 def minus_laplacian(params: RepParams, basis: FockBasis) -> np.ndarray:
@@ -275,39 +272,39 @@ def evolve(psi: WaveFunction, tau: float, params: RepParams,
     return WaveFunction(out, basis)
 
 
-def spectrum(params: RepParams, basis: FockBasis, *, interior_only: bool = True,
-             cluster_tol: float = 1e-9) -> list[tuple[float, int]]:
+def spectrum(params: RepParams, basis: FockBasis) -> list[tuple[float, int]]:
     """Eigenvalues of the evolution generator with multiplicities.
 
-    Restricted by default to the uncorrupted block (total degree < cutoff):
-    the generator is block diagonal in the total degree, and truncation only
+    Restricted to the uncorrupted block (total degree < cutoff): the
+    generator is block diagonal in the total degree, and truncation only
     corrupts the top block, so restricting the matrix is exact there.
+    Eigenvalues within 1e-9 of the previous one count as one level.
     """
     H = hamiltonian_K(params, basis).matrix
-    if interior_only:
-        idx = np.where(basis.degrees <= basis.cutoff - 1)[0]
-        H = H[np.ix_(idx, idx)]
-    w = np.linalg.eigvalsh(H)
+    idx = np.where(basis.degrees <= basis.cutoff - 1)[0]
+    w = np.linalg.eigvalsh(H[np.ix_(idx, idx)])
     out: list[tuple[float, int]] = []
     for val in w:
-        if out and abs(val - out[-1][0]) <= cluster_tol:
+        if out and abs(val - out[-1][0]) <= 1e-9:
             out[-1] = (out[-1][0], out[-1][1] + 1)
         else:
             out.append((float(val), 1))
     return out
 
 
+def _external_momentum(xi: np.ndarray, eta: np.ndarray, m0: float, lam: float) -> np.ndarray:
+    """p = vec(A_xi R_eta) p0 with p0 = (0, 0, lam, lam); raises off the shell."""
+    p0 = np.array([0.0, 0.0, lam, lam])
+    return gl.vector_rep(gl.boost_section(xi, m0) @ gl.rotation_section(eta, lam)) @ p0
+
+
 def free_mass_check(xi: np.ndarray, eta: np.ndarray, params: RepParams) -> dict:
-    """g_{mu nu} p^mu p^nu for p = vec(A_xi R_eta) p0 with p0 = (0,0,lam,lam).
+    """g_{mu nu} p^mu p^nu for the external momentum p at (xi, eta).
 
     The external momentum rides the light cone, so the value must vanish and
     the fourth component must stay positive.
     """
-    gl.check_on_shell(xi, params.m0)
-    p0 = np.array([0.0, 0.0, params.lam, params.lam])
-    mat = gl.vector_rep(gl.boost_section(xi, params.m0)
-                        @ gl.rotation_section(eta, params.lam))
-    p = mat @ p0
+    p = _external_momentum(xi, eta, params.m0, params.lam)
     return {"p": p, "mass_squared": mink(p, p), "p4": float(p[3])}
 
 
@@ -324,11 +321,12 @@ class SamplePoint:
 
 
 def random_sample_points(rng: np.random.Generator, count: int,
-                         params: RepParams, *, pole_cone: float = 0.5) -> list[SamplePoint]:
+                         params: RepParams) -> list[SamplePoint]:
+    """Seeded orbit points; eta keeps out of the cone n_3 < -1/2 around the antipode."""
     pts = []
     while len(pts) < count:
         eta_dir = rng.normal(0.0, 1.0, 3)
-        if eta_dir[2] / np.linalg.norm(eta_dir) < -1.0 + pole_cone:
+        if eta_dir[2] / np.linalg.norm(eta_dir) < -0.5:
             continue
         pts.append(SamplePoint(
             xi=gl.shell_point(rng.normal(0.0, 0.6, 3), params.m0),
@@ -400,13 +398,10 @@ def iur_apply(g: gl.GroupElement, F, params: RepParams):
     """
     m0, lam = params.m0, params.lam
     Dj = gl.spin_rep(g.R, params.j)
-    LamInv = np.linalg.inv(g.Lam)
     RvT = gl.so3_rep(g.R).T
 
     def UF(xi, eta, z):
-        gl.check_on_shell(xi, m0)
-        p0 = np.array([0.0, 0.0, lam, lam])
-        p = gl.vector_rep(gl.boost_section(xi, m0) @ gl.rotation_section(eta, lam)) @ p0
+        p = _external_momentum(xi, eta, m0, lam)
         phase = mink(p, g.t) + mink(xi, g.tp)
         xl = lower(xi)
         # <b, a>_1 with b^{j mu} = (alpha/m0^2) z^j xi^mu
@@ -416,8 +411,9 @@ def iur_apply(g: gl.GroupElement, F, params: RepParams):
         D_low = (params.alpha / m0**2) * np.outer(xl, xl)
         phase += float(np.sum(D_low * (g.c - gl.beta_w(g.a, g.q))))
         phase += params.s * gl.wigner_phase(g.Lam, xi, eta, m0, lam)
-        xi2 = gl.vector_rep(LamInv) @ xi
-        eta2 = gl.transported_eta(g.Lam, xi, eta, m0)
+        # xi' = Lam^-1 xi and eta' = D(1)(A_{xi'}^-1 Lam^-1 A_xi) eta
+        V, xi2 = gl.wigner_rotation(g.Lam, xi, m0)
+        eta2 = gl.so3_rep(V.conj().T) @ eta
         z2 = RvT @ (z - g.q @ xl)
         val = np.atleast_1d(F(xi2, eta2, z2))
         return np.exp(1j * phase) * (Dj @ val)
@@ -478,9 +474,7 @@ def external_generator(X: BasisLabel, pt: SamplePoint, params: RepParams,
     if kind == "Tp":
         return GeneratorAction(lower(xi)[ix[0] - 1] * eye, zero3, zero3, zero3)
     if kind == "T":
-        p0 = np.array([0.0, 0.0, lam, lam])
-        p = gl.vector_rep(gl.boost_section(xi, m0)
-                          @ gl.rotation_section(eta, lam)) @ p0
+        p = _external_momentum(xi, eta, m0, lam)
         return GeneratorAction(lower(p)[ix[0] - 1] * eye, zero3, zero3, zero3)
     if kind == "C":
         mu, nu = ix
@@ -577,29 +571,22 @@ def external_vector_fields(params: RepParams, *, variant: str = "printed"):
     """
     from . import labels as lb
 
-    fields = {}
-    for m in range(1, 4):
-        for n in range(m + 1, 5):
-            lab = lb.L(m, n)
-            fields[lab] = (lambda pt, lab=lab:
-                           external_generator(lab, pt, params, variant=variant))
-    for i in range(1, 3):
-        for jx in range(i + 1, 4):
-            lab = lb.J(i, jx)
-            fields[lab] = (lambda pt, lab=lab:
-                           external_generator(lab, pt, params, variant=variant))
-    return fields
+    labels = ([lb.L(m, n) for m in range(1, 4) for n in range(m + 1, 5)]
+              + [lb.J(i, jx) for i in range(1, 3) for jx in range(i + 1, 4)])
+    return {lab: (lambda pt, lab=lab: external_generator(lab, pt, params, variant=variant))
+            for lab in labels}
 
 
 def generator_oracle(X: BasisLabel, params: RepParams, *, points=None,
-                     functions=None, eps: float = 1e-5, seed: int = 5) -> dict:
+                     functions=None, seed: int = 5) -> dict:
     """Compare d/ds U(exp(sX)) F against the displayed generator formulas.
 
-    Central finite differences of the induced action along the one-parameter
-    subgroup, evaluated on analytic test functions; reports the maximum
-    deviation for the printed coefficients and, where they differ, for the
-    rederived ones.
+    Central finite differences (step 1e-5) of the induced action along the
+    one-parameter subgroup, evaluated on analytic test functions; reports
+    the maximum deviation for the printed coefficients and, where they
+    differ, for the rederived ones.
     """
+    eps = 1e-5
     rng = np.random.default_rng(seed)
     d = int(round(2 * params.j)) + 1
     pts = points if points is not None else random_sample_points(rng, 6, params)
@@ -612,11 +599,7 @@ def generator_oracle(X: BasisLabel, params: RepParams, *, points=None,
             numeric = (np.atleast_1d(plus(pt.xi, pt.eta, pt.z))
                        - np.atleast_1d(minus(pt.xi, pt.eta, pt.z))) / (2 * eps)
             for variant in ("printed", "rederived"):
-                if X.kind in ("L", "J"):
-                    act = external_generator(X, pt, params, variant=variant)
-                else:
-                    act = external_generator(X, pt, params)
-                formula = act.apply(fn, pt)
+                formula = external_generator(X, pt, params, variant=variant).apply(fn, pt)
                 dev = float(np.abs(numeric - formula).max())
                 report[variant] = max(report[variant], dev)
     report["agrees"] = report["printed"] <= 1e-5 or report["rederived"] <= 1e-5

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from newstein import cli
-from newstein.cli import EXIT_BAD_PARAMS, EXIT_MISMATCH, EXIT_OK, EXIT_UNKNOWN_ALGEBRA, main
+from newstein.cli import (EXIT_BAD_PARAMS, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
+                          EXIT_UNKNOWN_ALGEBRA, main)
 
 # verify-all claims whose values are exact, hence the same on every machine;
 # h2-adjoint is exact too but is left out for its two-minute run time
@@ -45,6 +46,39 @@ def test_definition_without_constants_is_invalid_parameters(tmp_path, capsys):
     assert main(["jacobi", "--algebra", f"file:{path}"]) == EXIT_BAD_PARAMS
     err = capsys.readouterr().err
     assert "'constants'" in err and "selector" not in err
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"name": "x", "dimension": 1, "labels": [5], "constants": []}, "'labels'"),
+    ([1], "JSON object"),
+    ({"name": "x", "dimension": 2, "labels": ["a", "b"],
+      "constants": [{"i": "0", "j": 1, "terms": []}]}, "'i'"),
+], ids=["numeric-label", "top-level-list", "string-index"])
+def test_definition_with_wrongly_typed_field_is_invalid_parameters(tmp_path, capsys, doc, field):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["jacobi", "--algebra", f"file:{path}"]) == EXIT_BAD_PARAMS
+    assert field in capsys.readouterr().err
+
+
+def test_failed_internal_check_is_a_mismatch(monkeypatch, capsys):
+    """Modular ranks that keep alternating are the engine's fault: exit 1."""
+    from newstein.exactla import SparseExactMatrix
+
+    calls = []
+
+    def alternating(self, p):
+        calls.append(p)
+        return len(calls) % 2
+
+    monkeypatch.setattr(SparseExactMatrix, "rank_mod_p", alternating)
+    assert main(["cohomology", "--algebra", "h3", "--degree", "1",
+                 "--method", "modular"]) == EXIT_MISMATCH
+    assert "internal check failed" in capsys.readouterr().err
+
+
+def test_arithmetic_error_from_input_is_invalid_parameters():
+    assert main(["extensions", "classify", "--matrix", "1/0", "0", "0", "0"]) == EXIT_BAD_PARAMS
 
 
 def test_invalid_parameters_exit_code(tmp_path):
@@ -201,6 +235,23 @@ def test_config_file_defaults(tmp_path):
     assert rc == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["seed"] == 7 and doc["triples"] == 25
+
+
+@pytest.mark.parametrize("text,code,needle", [
+    ("{bad", EXIT_BAD_PARAMS, "not valid JSON"),
+    ('{"nosuch": 1, "seed": 3}', EXIT_BAD_PARAMS, "'nosuch'"),
+    ("[1]", EXIT_BAD_PARAMS, "JSON object"),
+    (None, EXIT_IO, "none.json"),
+], ids=["invalid-json", "unknown-key", "not-an-object", "missing-file"])
+def test_config_file_errors(tmp_path, capsys, text, code, needle):
+    cfg = tmp_path / "none.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "o.json"
+    assert main(["--config", str(cfg), "grouplaw", "check", "--count", "1",
+                 "--out", str(out)]) == code
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_golden_fixtures_match_builders():

@@ -178,8 +178,13 @@ def test_mixer_is_a_derivation_not_inner(G):
         assert not any(G.labels[k].kind == "Tp" for k in img)
 
 
-def test_h2_adjoint_reduction_value_and_classes(G):
-    data = reduction_data(G, 2)
+@pytest.fixture(scope="module")
+def h2_data(G):
+    return reduction_data(G, 2)
+
+
+def test_h2_adjoint_reduction_value_and_classes(G, h2_data):
+    data = h2_data
     assert data.betti == 2
     assert len(data.residual_classes) == 2
     # both classes live on (T, T') pairs with values in the C block
@@ -188,6 +193,23 @@ def test_h2_adjoint_reduction_value_and_classes(G):
             kinds = sorted(G.labels[s].kind for s in S)
             assert kinds == ["T", "Tp"]
             assert G.labels[m].kind == "C"
+
+
+def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch):
+    """A coboundary b replaced by b + c (c a class) still leaves two classes."""
+    from newstein import cohomology
+
+    inv, cocycles = h2_data.invariant, h2_data.cocycles
+    classes = h2_data.residual_classes
+    b = next(z for z in cocycles if all(z is not c for c in classes))
+    mixed_vec = dict(b)
+    for key, v in classes[0].items():
+        mixed_vec[key] = mixed_vec.get(key, 0) + v
+    mixed = [{k: v for k, v in mixed_vec.items() if v} if z is b else z for z in cocycles]
+    monkeypatch.setattr(cohomology, "invariant_cocycles", lambda alg, k: (inv, mixed))
+    data = reduction_data(G, 2)
+    assert data.betti == 2 and data.boundary_dim == 2
+    assert all(any(z is m for m in mixed) for z in data.residual_classes)
 
 
 def test_h2_deformations_integrate_exactly(G):
