@@ -19,13 +19,14 @@ exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .algebras import NewSteinAlgebra
-from .exactla import Echelon, SparseExactMatrix, kernel_basis, random_primes
+from .exactla import Echelon, SparseExactMatrix, _bump, kernel_basis, random_primes
 from .liealg import LieAlgebra, SparseVec
 
 _F = Fraction
@@ -43,7 +44,8 @@ class CoefficientModule:
     """Trivial, adjoint, or explicit-matrix coefficients.
 
     ``action(t)`` returns the sparse columns of rho(e_t) on the module basis
-    (input index -> output vector).
+    (input index -> output vector).  The columns are shared between calls
+    and are read-only.
     """
 
     def __init__(self, kind: str, dim: int, action):
@@ -57,6 +59,7 @@ class CoefficientModule:
 
     @classmethod
     def adjoint(cls, alg: LieAlgebra) -> "CoefficientModule":
+        """ad on the algebra itself, read from its shared adjoint table."""
         return cls("adjoint", alg.dim, alg.ad_columns)
 
     @classmethod
@@ -100,22 +103,6 @@ def _representation_violations(alg, matrices, dim):
     return bad
 
 
-def _wedge_sign(tup: tuple[int, ...]):
-    """Sort a tuple, returning (sorted, parity sign) or None on repeats."""
-    lst = list(tup)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return None
-    return tuple(lst), sign
-
-
 class CochainComplex:
     """CE complex of an algebra (or subalgebra) with given coefficients.
 
@@ -138,6 +125,12 @@ class CochainComplex:
                     if k not in argset:
                         raise ValueError("argument set is not a subalgebra")
                     self._by_target.setdefault(k, []).append((i, j, c))
+        # _acting[m] lists (t, rho(e_t) e_m) for every argument t moving e_m
+        self._acting: list[list[tuple[int, dict]]] = [[] for _ in range(coeffs.dim)]
+        for t in self.args:
+            for m, col in coeffs.action(t).items():
+                if col:
+                    self._acting[m].append((t, col))
         self._wedge_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def wedges(self, k: int) -> list[tuple[int, ...]]:
@@ -153,52 +146,41 @@ class CochainComplex:
     def d_basis(self, S: tuple[int, ...], m: int) -> dict:
         """Column of d applied to the basis cochain at (S, m)."""
         out: dict = {}
-        inS = set(S)
-        # action part: removing t from the sorted T leaves exactly S
-        for t in self.args:
-            if t in inS:
+        # action part: t enters the sorted S at position q, so removing it
+        # from T leaves exactly S with sign (-1)^q
+        for t, col in self._acting[m]:
+            q = bisect_left(S, t)
+            if q < len(S) and S[q] == t:
                 continue
-            T, _ = _wedge_sign(S + (t,))
-            sgn = (-1) ** T.index(t)
-            for mp, c in self.coeffs.action(t).get(m, {}).items():
-                key = (T, mp)
-                new = out.get(key, 0) + sgn * c
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+            T = S[:q] + (t,) + S[q:]
+            for mp, c in col.items():
+                _bump(out, (T, mp), -c if q & 1 else c)
         # bracket part
         for p, c_idx in enumerate(S):
+            pairs = self._by_target.get(c_idx)
+            if not pairs:
+                continue
             rest = S[:p] + S[p + 1:]
-            restset = set(rest)
-            for a, b, coeff in self._by_target.get(c_idx, ()):
-                if a in restset or b in restset:
+            n = len(rest)
+            for a, b, coeff in pairs:
+                ia = bisect_left(rest, a)
+                if ia < n and rest[ia] == a:
                     continue
-                ws = _wedge_sign(rest + (a, b))
-                if ws is None:
+                ib = bisect_left(rest, b, ia)
+                if ib < n and rest[ib] == b:
                     continue
-                # evaluating at sorted T: w([T_i,T_j], rest) picks up (-1)^{i+j},
-                # and reading the coefficient at S moves the target past p slots
-                T, _ = ws
-                i, j = T.index(a), T.index(b)
-                sgn = (-1) ** (i + j + p)
-                key = (T, m)
-                new = out.get(key, 0) + sgn * coeff
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                # a < b sit at positions ia and ib + 1 of the sorted T, so
+                # w([T_i,T_j], rest) picks up (-1)^{ia+ib+1}, and reading the
+                # coefficient at S moves the target past p slots
+                T = rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]
+                _bump(out, (T, m), -coeff if (ia + ib + 1 + p) & 1 else coeff)
         return out
 
     def d_apply(self, vec: dict) -> dict:
         out: dict = {}
         for (S, m), c in vec.items():
             for key, v in self.d_basis(S, m).items():
-                new = out.get(key, 0) + c * v
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+                _bump(out, key, c * v)
         return out
 
     def _d_entries(self, k: int):
@@ -498,12 +480,13 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
             for mp, c in ad_cols.get(m, {}).items():
                 _bump(img, (S, mp), c)
             for p, x in enumerate(S):
+                rest = S[:p] + S[p + 1:]
                 for y, c in ad_t.get(x, ()):
-                    ws = _wedge_sign(S[:p] + (y,) + S[p + 1:])
-                    if ws is None:
+                    # y replaces x at slot p and moves to slot q of the sorted T
+                    q = bisect_left(rest, y)
+                    if q < len(rest) and rest[q] == y:
                         continue
-                    T, sgn = ws
-                    _bump(img, (T, m), -sgn * c)
+                    _bump(img, (rest[:q] + (y,) + rest[q:], m), c if (p + q) & 1 else -c)
             coord_cache[key] = img
             return img
 
@@ -516,14 +499,6 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
 
         basis = _intersect_kernel(basis, image_of)
     return InvariantCochainSpace(cx, k, basis)
-
-
-def _bump(d: dict, key, value) -> None:
-    new = d.get(key, 0) + value
-    if new:
-        d[key] = new
-    else:
-        d.pop(key, None)
 
 
 def invariant_cocycles(alg: NewSteinAlgebra,

@@ -30,6 +30,18 @@ def _normalize(row: Row) -> Row:
     return row
 
 
+def _bump(d: dict, key, value) -> None:
+    """d[key] += value, dropping zeros; a first touch stores ``value`` itself,
+    which saves building a ``0 + value`` Fraction."""
+    if key not in d:
+        if value:
+            d[key] = value
+    elif new := d[key] + value:
+        d[key] = new
+    else:
+        del d[key]
+
+
 class SparseExactMatrix:
     """Sparse matrix over exact rationals, stored as integer-cleared rows."""
 
@@ -44,13 +56,9 @@ class SparseExactMatrix:
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
         row = self.rows.setdefault(r, {})
-        new = row.get(c, 0) + value
-        if new == 0:
-            row.pop(c, None)
-            if not row:
-                del self.rows[r]
-        else:
-            row[c] = new
+        _bump(row, c, value)
+        if not row:
+            del self.rows[r]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .exactla import kernel_basis
@@ -86,21 +87,28 @@ class LieAlgebra:
     # -- bracket ---------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        """[e_i, e_j] as a sparse coefficient vector."""
+        """[e_i, e_j] as a fresh sparse coefficient vector."""
         if i == j:
             return {}
         if i < j:
             return dict(self.constants.get((i, j), {}))
         return {k: -v for k, v in self.constants.get((j, i), {}).items()}
 
+    @cached_property
+    def _ad(self) -> list[dict[int, SparseVec]]:
+        """ad(e_i) columns for every i, built once; see :meth:`ad_columns`."""
+        return [{j: b for j in range(self.dim) if (b := self.bracket_basis(i, j))}
+                for i in range(self.dim)]
+
     def bracket_vec(self, x: SparseVec, y: SparseVec) -> SparseVec:
         out: SparseVec = {}
         for i, xi in x.items():
+            cols = self._ad[i]
             for j, yj in y.items():
                 coeff = xi * yj
-                if i == j or coeff == 0:
+                if j not in cols or coeff == 0:
                     continue
-                for k, c in self.bracket_basis(i, j).items():
+                for k, c in cols[j].items():
                     new = out.get(k, 0) + coeff * c
                     if new:
                         out[k] = new
@@ -130,19 +138,21 @@ class LieAlgebra:
         """Matrix of ad(x) = [x, .] in the fixed basis (rows index outputs)."""
         vec = x.coeffs if isinstance(x, AlgebraElement) else x
         mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, c in self.bracket_vec(vec, {j: Fraction(1)}).items():
-                mat[k][j] = c
+        for i, xi in vec.items():
+            for j, col in self._ad[i].items():
+                for k, c in col.items():
+                    mat[k][j] += xi * c
         return mat
 
     def ad_columns(self, i: int) -> dict[int, SparseVec]:
-        """Sparse columns of ad(e_i): maps j -> [e_i, e_j] (nonzero only)."""
-        cols: dict[int, SparseVec] = {}
-        for j in range(self.dim):
-            b = self.bracket_basis(i, j)
-            if b:
-                cols[j] = b
-        return cols
+        """Sparse columns of ad(e_i): maps j -> [e_i, e_j] (nonzero only).
+
+        The table is built once per algebra, on first use, and every call
+        returns the same dict: callers share it and its vectors and must
+        not modify them (copy first, or use :meth:`bracket_basis`, which
+        returns a fresh dict).
+        """
+        return self._ad[i]
 
     def centralizer(self, generators: list["AlgebraElement"]) -> list["AlgebraElement"]:
         """Basis of {x : [g, x] = 0 for every listed g}, exact null space."""
@@ -180,7 +190,7 @@ class LieAlgebra:
                         if not inner:
                             continue
                         for m, c in inner.items():
-                            for t, d in self.bracket_basis(m, outer).items():
+                            for t, d in self._ad[m].get(outer, {}).items():
                                 new = acc.get(t, 0) + sign * c * d
                                 if new:
                                     acc[t] = new
@@ -212,18 +222,25 @@ class LieAlgebra:
     def from_definition(cls, doc: dict) -> "LieAlgebra":
         """Inverse of :meth:`to_definition`.
 
-        A missing or wrongly typed field raises ``ValueError`` naming it.
+        A missing or wrongly typed field, a repeated (i, j) pair and a
+        repeated target k within one entry raise ``ValueError`` naming it.
         """
         if not isinstance(doc, dict):
             raise ValueError("algebra definition must be a JSON object")
         labels = [_parse_any(s) for s in _listed(doc, "labels", str)]
         if len(labels) != _field(doc, "dimension", int):
             raise ValueError("dimension field does not match label count")
-        constants = {}
+        constants: dict[tuple[int, int], SparseVec] = {}
         for entry in _listed(doc, "constants", dict):
             key = (_field(entry, "i", int), _field(entry, "j", int))
-            constants[key] = {_field(term, "k", int): Fraction(_field(term, "coeff", (str, int)))
-                              for term in _listed(entry, "terms", dict)}
+            if key in constants:
+                raise ValueError(f"algebra definition repeats the constants entry for (i, j) = {key}")
+            terms = constants[key] = {}
+            for term in _listed(entry, "terms", dict):
+                k = _field(term, "k", int)
+                if k in terms:
+                    raise ValueError(f"constants entry (i, j) = {key} repeats the target k = {k}")
+                terms[k] = Fraction(_field(term, "coeff", (str, int)))
         return cls(_field(doc, "name", str), labels, constants)
 
     def save(self, path: str | Path) -> None:

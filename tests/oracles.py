@@ -44,7 +44,7 @@ def brute_bracket(alg: LieAlgebra, x: dict, y: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def brute_cochain_value(alg, S, m, args, dimM):
+def brute_cochain_value(S, m, args):
     """Evaluate the basis cochain (S, m) at an argument tuple, with sign."""
     if sorted(args) != list(S) or len(set(args)) != len(args):
         return {}
@@ -55,6 +55,26 @@ def brute_cochain_value(alg, S, m, args, dimM):
             if perm[i] > perm[j]:
                 sign = -sign
     return {m: F(sign)}
+
+
+def brute_d_value(alg: LieAlgebra, S, m, T, act) -> dict:
+    """(d e_{S,m})(T) as a sparse module vector, by the textbook formula.
+
+    ``act(t, vec)`` is the action of e_t on a module vector.  For sorted T
+    this is the coefficient of the basis cochain (T, mp) in d e_{S,m}.
+    """
+    total: dict = {}
+    for i, ti in enumerate(T):
+        rest = T[:i] + T[i + 1:]
+        for mp, v in act(ti, brute_cochain_value(S, m, rest)).items():
+            total[mp] = total.get(mp, 0) + F(-1) ** i * v
+    for i in range(len(T)):
+        for j in range(i + 1, len(T)):
+            rest = tuple(t for p, t in enumerate(T) if p not in (i, j))
+            for c, coeff in alg.bracket_basis(T[i], T[j]).items():
+                for mp, v in brute_cochain_value(S, m, (c,) + rest).items():
+                    total[mp] = total.get(mp, 0) + F(-1) ** (i + j) * coeff * v
+    return {mp: v for mp, v in total.items() if v}
 
 
 def brute_d_matrix(alg: LieAlgebra, k: int, module: str) -> list[list[Fraction]]:
@@ -72,28 +92,12 @@ def brute_d_matrix(alg: LieAlgebra, k: int, module: str) -> list[list[Fraction]]
         return brute_bracket(alg, {t: F(1)}, vec)
 
     wedges_k = list(combinations(range(n), k))
-    wedges_k1 = list(combinations(range(n), k + 1))
     rows = []
-    for T in wedges_k1:
+    for T in combinations(range(n), k + 1):
+        # (d e_{S,m})(T) for every column, then one row per component mp
+        values = [brute_d_value(alg, S, m, T, act) for S in wedges_k for m in range(dimM)]
         for mp in range(dimM):
-            row = []
-            for S in wedges_k:
-                for m in range(dimM):
-                    total = F(0)
-                    # evaluate (d e_{S,m})(T) and read off component mp
-                    for i, ti in enumerate(T):
-                        rest = T[:i] + T[i + 1:]
-                        val = brute_cochain_value(alg, S, m, rest, dimM)
-                        img = act(ti, val)
-                        total += F(-1) ** i * img.get(mp, F(0))
-                    for i in range(len(T)):
-                        for j in range(i + 1, len(T)):
-                            rest = tuple(t for p, t in enumerate(T) if p not in (i, j))
-                            for c, coeff in alg.bracket_basis(T[i], T[j]).items():
-                                val = brute_cochain_value(alg, S, m, (c,) + rest, dimM)
-                                total += F(-1) ** (i + j) * coeff * val.get(mp, F(0))
-                    row.append(total)
-            rows.append(row)
+            rows.append([val.get(mp, F(0)) for val in values])
     return rows
 
 

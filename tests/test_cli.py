@@ -61,6 +61,15 @@ def test_definition_with_wrongly_typed_field_is_invalid_parameters(tmp_path, cap
     assert field in capsys.readouterr().err
 
 
+def test_definition_with_repeated_pair_is_invalid_parameters(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "x", "dimension": 2, "labels": ["a", "b"], "constants": [
+        {"i": 0, "j": 1, "terms": [{"k": 0, "coeff": "1"}]},
+        {"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "5"}]}]}))
+    assert main(["jacobi", "--algebra", f"file:{path}"]) == EXIT_BAD_PARAMS
+    assert "(i, j) = (0, 1)" in capsys.readouterr().err
+
+
 def test_failed_internal_check_is_a_mismatch(monkeypatch, capsys):
     """Modular ranks that keep alternating are the engine's fault: exit 1."""
     from newstein.exactla import SparseExactMatrix

@@ -5,7 +5,9 @@ the tests freeze the computed values; the claim-by-claim comparison lives in
 the CLI's verification report and the acceptance suite.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +21,8 @@ from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyRe
 from newstein.exactla import Echelon
 from newstein.liealg import LieAlgebra
 
-from oracles import brute_betti, brute_d_matrix, einstein_algebra, newton_algebra
+from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
+                     einstein_algebra, newton_algebra)
 
 F = Fraction
 
@@ -49,24 +52,84 @@ def test_small_algebra_betti_and_oracle(alg_name, module, k, expected):
     assert betti(alg, coeffs, k, method="modular").betti == expected
 
 
+def _assert_d_matrices_match_brute_force(alg, degrees):
+    for module in ("trivial", "adjoint"):
+        coeffs = (CoefficientModule.trivial() if module == "trivial"
+                  else CoefficientModule.adjoint(alg))
+        for k in degrees:
+            mine = coboundary_matrix(alg, coeffs, k)
+            brute = brute_d_matrix(alg, k, module)
+            dense = [[F(0)] * mine.ncols for _ in range(mine.nrows)]
+            transposed: dict = {}
+            for r, row in mine.rows.items():
+                for c, v in row.items():
+                    dense[r][c] = v
+                    transposed.setdefault(c, {})[r] = v
+            assert dense == brute, (alg.name, module, k)
+            by_domain = CochainComplex(alg, coeffs).d_matrix_by_domain(k)
+            assert (by_domain.nrows, by_domain.ncols) == (mine.ncols, mine.nrows)
+            assert by_domain.rows == transposed
+
+
 def test_coboundary_matrix_matches_brute_force():
     for alg in (heisenberg3(), sl2()):
-        for module in ("trivial", "adjoint"):
-            coeffs = (CoefficientModule.trivial() if module == "trivial"
-                      else CoefficientModule.adjoint(alg))
-            for k in (0, 1, 2):
-                mine = coboundary_matrix(alg, coeffs, k)
-                brute = brute_d_matrix(alg, k, module)
-                dense = [[F(0)] * mine.ncols for _ in range(mine.nrows)]
-                transposed: dict = {}
-                for r, row in mine.rows.items():
-                    for c, v in row.items():
-                        dense[r][c] = v
-                        transposed.setdefault(c, {})[r] = v
-                assert dense == brute
-                by_domain = CochainComplex(alg, coeffs).d_matrix_by_domain(k)
-                assert (by_domain.nrows, by_domain.ncols) == (mine.ncols, mine.nrows)
-                assert by_domain.rows == transposed
+        _assert_d_matrices_match_brute_force(alg, (0, 1, 2))
+
+
+def _interleaved_sum() -> LieAlgebra:
+    """sl2 + h3 with the factors' basis elements interleaved.
+
+    Brackets of one factor then straddle arguments of the other, so the
+    wedge signs of four-element wedges are exercised.
+    """
+    s, h = sl2(), heisenberg3()
+    summed = {**s.constants, **{(i + 3, j + 3): {k + 3: c for k, c in vec.items()}
+                                for (i, j), vec in h.constants.items()}}
+    order = [4, 1, 5, 0, 3, 2]          # q, e, z, h, p, f
+    pos = {old: new for new, old in enumerate(order)}
+    constants: dict = {}
+    for (i, j), vec in summed.items():
+        sign = 1 if pos[i] < pos[j] else -1
+        key = tuple(sorted((pos[i], pos[j])))
+        constants[key] = {pos[k]: sign * c for k, c in vec.items()}
+    labels = [(list(s.labels) + list(h.labels))[old] for old in order]
+    return LieAlgebra("sl2+h3", labels, constants)
+
+
+def test_coboundary_matrix_matches_brute_force_on_interleaved_sum():
+    alg = _interleaved_sum()
+    assert alg.jacobi_check() == []
+    _assert_d_matrices_match_brute_force(alg, (0, 1, 2, 3))
+
+
+def test_ideal_complex_columns_match_brute_force(G):
+    """Columns of d on the ideal subcomplex, seeded wedges, adjoint coefficients.
+
+    Only wedges T = S + {t} and T = S - {c} + {a, b} can carry a nonzero
+    value of d e_{S,m}; each is evaluated by the textbook formula.
+    """
+    cx = CochainComplex(G, CoefficientModule.adjoint(G), G.ideal_indices)
+    rng = random.Random(20)
+
+    def act(t, vec):
+        return brute_bracket(G, {t: F(1)}, vec)
+
+    compared = 0
+    for k in (0, 1, 2):
+        for _ in range(4):
+            S, m = rng.choice(cx.wedges(k)), rng.randrange(G.dim)
+            col = cx.d_basis(S, m)
+            candidates = {tuple(sorted(S + (t,))) for t in cx.args if t not in S}
+            for p in range(k):
+                rest = S[:p] + S[p + 1:]
+                candidates |= {tuple(sorted(rest + ab)) for ab in combinations(cx.args, 2)
+                               if not set(ab) & set(rest)}
+            candidates |= {T for T, _ in col}
+            expected = {(T, mp): v for T in candidates
+                        for mp, v in brute_d_value(G, S, m, T, act).items()}
+            assert col == expected, (S, m)
+            compared += len(col)
+    assert compared > 50
 
 
 def test_h3_rank_d1_is_one():

@@ -1,5 +1,6 @@
 """Core engine tests: brackets, Jacobi, adjoint, centralizer, serialization."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -151,3 +152,42 @@ def test_definition_roundtrip_generic_labels(tmp_path):
     back = LieAlgebra.load(path)
     assert back.labels == h.labels
     assert back.constants == h.constants
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"name": "x", "dimension": 2, "labels": ["a", "b"], "constants": [
+        {"i": 0, "j": 1, "terms": [{"k": 0, "coeff": "1"}]},
+        {"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "5"}]}]}, "(i, j) = (0, 1)"),
+    ({"name": "x", "dimension": 2, "labels": ["a", "b"], "constants": [
+        {"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"}, {"k": 1, "coeff": "5"}]}]},
+     "target k = 1"),
+], ids=["repeated-pair", "repeated-target"])
+def test_definition_with_repeated_entry_is_rejected(doc, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        LieAlgebra.from_definition(doc)
+
+
+def test_adjoint_table_is_shared_and_matches_brackets(G):
+    from newstein.algebras import build_extended
+
+    extended = [build_extended(3), build_extended(8)]
+    # the sample parameters of cases 3 and 8 give non-integer constants
+    for alg in extended:
+        assert any(c.denominator != 1 for vec in alg.constants.values() for c in vec.values())
+    for alg in [G, sl2(), heisenberg3(), *extended]:
+        for i in range(alg.dim):
+            cols = alg.ad_columns(i)
+            assert cols is alg.ad_columns(i)
+            assert all(cols.values())
+            for j in range(alg.dim):
+                assert cols.get(j, {}) == alg.bracket_basis(i, j)
+
+
+def test_adjoint_table_not_mutated_by_cohomology(G):
+    from newstein.cohomology import CoefficientModule, betti, h1_via_reduction
+
+    betti(G, CoefficientModule.adjoint(G), 1, method="modular", check_dd=False)
+    h1_via_reduction(G)
+    for i in range(G.dim):
+        fresh = {j: G.bracket_basis(i, j) for j in range(G.dim) if G.bracket_basis(i, j)}
+        assert G.ad_columns(i) == fresh
