@@ -310,7 +310,7 @@ def _center_dim(G):
 @_registered("h1-adjoint")
 def _h1_adjoint(G):
     red = h1_via_reduction(G)
-    direct = betti(G, CoefficientModule.adjoint(G), 1, method="modular", check_dd=False)
+    direct = betti(G, CoefficientModule.adjoint(G), 1, method="modular")
     agree = red.betti == direct.betti
     return dict(
         claimed=6, computed=red.betti, method="invariant-reduction-exact + modular-direct",
@@ -325,7 +325,7 @@ def _h1_adjoint(G):
 @_registered("h2-adjoint")
 def _h2_adjoint(G):
     red = h2_via_reduction(G)
-    direct = betti(G, CoefficientModule.adjoint(G), 2, method="exact", check_dd=False)
+    direct = betti(G, CoefficientModule.adjoint(G), 2, method="exact")
     agree = "agree" if red.betti == direct.betti else "DISAGREE"
     return dict(
         claimed=0, computed=red.betti, method="invariant-reduction-exact + direct-exact",

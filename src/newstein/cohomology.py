@@ -5,10 +5,15 @@ Cochains live on lexicographic wedge bases; the differential is
     (d w)(x_0..x_k) = sum_i (-1)^i x_i . w(..x_i^..)
                     + sum_{i<j} (-1)^{i+j} w([x_i, x_j], ..x_i^..x_j^..)
 
+Every term of d is linear in one structure constant or module entry, so
+each complex scales them once by D, their least common denominator: then
+``d_basis``, ``d_apply`` and the matrices carry the integer differential
+D * d, with the ranks and kernels of d (D = 1 for the 51-dim algebra).
+
 Ranks are computed exactly (fraction-free sparse elimination) or modulo
 several large primes with a unanimity requirement; a modular rank can only
 undershoot the rational rank, so the modular Betti number is reported as a
-high-confidence upper bound, not a proof.
+high-confidence upper bound, not a proof.  A prime dividing D is refused.
 
 The module also implements the invariant-cochain reduction: cohomology of
 the nilpotent ideal with coefficients in the full algebra, restricted to
@@ -22,8 +27,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from functools import cache
+from itertools import combinations, product
+from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
 from .exactla import Echelon, SparseExactMatrix, _bump, kernel_basis, random_primes
@@ -108,7 +114,8 @@ class CochainComplex:
 
     ``arg_indices`` restricts the wedge arguments to a subset of the ambient
     basis (it must span a subalgebra); coefficients always carry the ambient
-    action.  Coordinates are keyed (wedge_tuple, module_index).
+    action.  Coordinates are keyed (wedge_tuple, module_index).  ``scale``
+    is D, the common denominator every differential is multiplied by.
     """
 
     def __init__(self, alg: LieAlgebra, coeffs: CoefficientModule,
@@ -117,20 +124,23 @@ class CochainComplex:
         self.coeffs = coeffs
         self.args = list(range(alg.dim)) if arg_indices is None else sorted(arg_indices)
         argset = set(self.args)
+        brackets = [(i, j, vec) for (i, j), vec in alg.constants.items()
+                    if i in argset and j in argset]
+        acting = [(t, m, col) for t in self.args for m, col in coeffs.action(t).items() if col]
+        # D * d is integral: scale every constant and entry once
+        self.scale = D = lcm(*(Fraction(c).denominator for *_, vec in brackets + acting
+                               for c in vec.values()))
         # bracket table restricted to the arguments, indexed by target
-        self._by_target: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for (i, j), vec in alg.constants.items():
-            if i in argset and j in argset:
-                for k, c in vec.items():
-                    if k not in argset:
-                        raise ValueError("argument set is not a subalgebra")
-                    self._by_target.setdefault(k, []).append((i, j, c))
-        # _acting[m] lists (t, rho(e_t) e_m) for every argument t moving e_m
-        self._acting: list[list[tuple[int, dict]]] = [[] for _ in range(coeffs.dim)]
-        for t in self.args:
-            for m, col in coeffs.action(t).items():
-                if col:
-                    self._acting[m].append((t, col))
+        self._by_target: dict[int, list[tuple[int, int, int]]] = {}
+        for i, j, vec in brackets:
+            for k, c in vec.items():
+                if k not in argset:
+                    raise ValueError("argument set is not a subalgebra")
+                self._by_target.setdefault(k, []).append((i, j, int(c * D)))
+        # _acting[m] lists (t, D rho(e_t) e_m) for every argument t moving e_m
+        self._acting: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(coeffs.dim)]
+        for t, m, col in acting:
+            self._acting[m].append((t, {mp: int(c * D) for mp, c in col.items()}))
         self._wedge_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def wedges(self, k: int) -> list[tuple[int, ...]]:
@@ -144,24 +154,25 @@ class CochainComplex:
         return comb(len(self.args), k) * self.coeffs.dim
 
     def d_basis(self, S: tuple[int, ...], m: int) -> dict:
-        """Column of d applied to the basis cochain at (S, m)."""
+        """Column of D * d applied to the basis cochain at (S, m)."""
         out: dict = {}
+        n = len(S)
         # action part: t enters the sorted S at position q, so removing it
-        # from T leaves exactly S with sign (-1)^q
+        # from T leaves exactly S with sign (-1)^q; every key (T, mp) is new
         for t, col in self._acting[m]:
             q = bisect_left(S, t)
-            if q < len(S) and S[q] == t:
+            if q < n and S[q] == t:
                 continue
             T = S[:q] + (t,) + S[q:]
             for mp, c in col.items():
-                _bump(out, (T, mp), -c if q & 1 else c)
+                out[T, mp] = -c if q & 1 else c
         # bracket part
+        n -= 1
         for p, c_idx in enumerate(S):
             pairs = self._by_target.get(c_idx)
             if not pairs:
                 continue
             rest = S[:p] + S[p + 1:]
-            n = len(rest)
             for a, b, coeff in pairs:
                 ia = bisect_left(rest, a)
                 if ia < n and rest[ia] == a:
@@ -172,63 +183,73 @@ class CochainComplex:
                 # a < b sit at positions ia and ib + 1 of the sorted T, so
                 # w([T_i,T_j], rest) picks up (-1)^{ia+ib+1}, and reading the
                 # coefficient at S moves the target past p slots
-                T = rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]
-                _bump(out, (T, m), -coeff if (ia + ib + 1 + p) & 1 else coeff)
+                key = (rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:], m)
+                if v := out.pop(key, 0) + (-coeff if (ia + ib + 1 + p) & 1 else coeff):
+                    out[key] = v
         return out
 
     def d_apply(self, vec: dict) -> dict:
+        """D * d of a cochain given as {(wedge, module index): coefficient}."""
         out: dict = {}
         for (S, m), c in vec.items():
             for key, v in self.d_basis(S, m).items():
                 _bump(out, key, c * v)
         return out
 
-    def _d_entries(self, k: int):
-        """(domain, codomain, value) for every nonzero entry of d_k.
+    def _columns(self, k: int) -> dict[int, dict[int, int]]:
+        """Nonzero columns of D * d_k: domain position -> {codomain position: value}.
 
-        Positions are on the lexicographic wedge bases, module index
-        fastest; domain positions come in increasing order.
+        Positions are on the lexicographic wedge bases, module index fastest.
         """
         dimM = self.coeffs.dim
-        pos_of = {T: q for q, T in enumerate(self.wedges(k + 1))}
-        for s_pos, S in enumerate(self.wedges(k)):
-            for m in range(dimM):
-                dom = s_pos * dimM + m
-                for (T, mp), v in self.d_basis(S, m).items():
-                    yield dom, pos_of[T] * dimM + mp, v
+        start = {T: q * dimM for q, T in enumerate(self.wedges(k + 1))}
+        cols = {}
+        for dom, (S, m) in enumerate(product(self.wedges(k), range(dimM))):
+            if col := self.d_basis(S, m):
+                cols[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
+        return cols
 
     def d_matrix(self, k: int) -> SparseExactMatrix:
-        """Matrix of d_k: C^k -> C^{k+1} on the lexicographic wedge bases."""
+        """Matrix of D * d_k: C^k -> C^{k+1} on the lexicographic wedge bases."""
         mat = SparseExactMatrix(self.dim_c(k + 1), self.dim_c(k))
-        for dom, cod, v in self._d_entries(k):
-            mat.add(cod, dom, v)
+        for dom, col in self._columns(k).items():
+            for cod, v in col.items():
+                mat.rows.setdefault(cod, {})[dom] = v
         return mat
 
     def d_matrix_by_domain(self, k: int) -> SparseExactMatrix:
-        """Transpose of d_k, one row per domain basis cochain (same rank).
+        """Transpose of D * d_k, one row per domain basis cochain (same rank).
 
         Eliminating along the smaller side keeps the big second-degree
         computations tractable: at full scale the domain has 65k rows while
         the codomain has over a million.
         """
         mat = SparseExactMatrix(self.dim_c(k), self.dim_c(k + 1))
-        for dom, cod, v in self._d_entries(k):
-            mat.add(dom, cod, v)
+        mat.rows = self._columns(k)
         return mat
 
     def dd_violations(self, k: int) -> list:
-        """Basis cochains at degree k with d(d(.)) != 0 (must be empty)."""
-        bad = []
-        for S in self.wedges(k):
-            for m in range(self.coeffs.dim):
-                if self.d_apply(self.d_basis(S, m)):
-                    bad.append((S, m))
-        return bad
+        """Basis cochains at degree k with d(d(.)) != 0 (must be empty).
+
+        Each degree-(k+1) column is built once, however many images hold it.
+        """
+        next_column = cache(lambda key: self.d_basis(*key))
+        return _dd_defects((((S, m), self.d_basis(S, m)) for S, m in
+                            product(self.wedges(k), range(self.coeffs.dim))), next_column)
 
 
-def coboundary_matrix(alg: LieAlgebra, coeffs: CoefficientModule, k: int) -> SparseExactMatrix:
-    """Matrix of d_k on the full algebra, lexicographic wedge bases."""
-    return CochainComplex(alg, coeffs).d_matrix(k)
+def _dd_defects(columns, next_column) -> list:
+    """Keys of the (key, column) pairs of one differential whose column the
+    next one, read through ``next_column(index)``, maps to nonzero."""
+    bad = []
+    for key, col in columns:
+        acc: dict = {}
+        for mid, v in col.items():
+            for out, w in next_column(mid).items():
+                _bump(acc, out, v * w)
+        if acc:
+            bad.append(key)
+    return bad
 
 
 @dataclass
@@ -295,41 +316,50 @@ def _unanimous_rank(mat: SparseExactMatrix, primes: list[int]) -> tuple[int, lis
 
 
 def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
-          method: str = "exact", primes: list[int] | None = None,
-          check_dd: bool = True) -> CohomologyReport:
+          method: str = "exact", primes: list[int] | None = None) -> CohomologyReport:
     """dim H^k(alg, coeffs) with the requested rank method.
 
     Degrees are capped at 3 for large algebras: the next cochain space runs
     past desk scale there (about 10^6 dimensions at degree four for the
-    51-dimensional algebra).
+    51-dimensional algebra).  The d o d check always runs.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > 3 and alg.dim > 20:
         raise ValueError("degree capped at 3 for large algebras")
     cx = CochainComplex(alg, coeffs)
+    if method == "modular":
+        used = primes if primes is not None else random_primes(3, seed=k + alg.dim)
+        if len(used) < 3 or len(set(used)) != len(used):
+            raise ValueError("modular method needs at least 3 distinct primes")
+        if dividing := [p for p in used if cx.scale % p == 0]:
+            raise ValueError(f"primes {dividing} divide the common denominator {cx.scale} "
+                             "of the constants; modular rank needs primes that do not")
+    elif method != "exact":
+        raise ValueError(f"unknown method {method!r}")
+
+    def by_domain(deg):
+        # rank is orientation-free; eliminate along the smaller side
+        return cx.dim_c(deg + 1) > cx.dim_c(deg)
 
     def matrix(deg):
-        # rank is orientation-free; eliminate along the smaller side
-        if cx.dim_c(deg + 1) > cx.dim_c(deg):
-            return cx.d_matrix_by_domain(deg)
-        return cx.d_matrix(deg)
+        return cx.d_matrix_by_domain(deg) if by_domain(deg) else cx.d_matrix(deg)
 
     d_here = matrix(k)
     d_prev = matrix(k - 1) if k >= 1 else None
-    if check_dd and k >= 1:
-        bad = cx.dd_violations(k - 1)
-        if bad:
+    if k >= 1:
+        # d_k o d_{k-1}, or its transpose, from the rows just built; a pair of
+        # mixed orientation is checked column by column instead
+        first, second = (d_prev, d_here) if by_domain(k) else (d_here, d_prev)
+        if bad := (_dd_defects(first.rows.items(), lambda c: second.rows.get(c, {}))
+                   if by_domain(k - 1) == by_domain(k) else cx.dd_violations(k - 1)):
             raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
     notes = ""
     if method == "exact":
         rank_here = d_here.rank_exact()
         rank_prev = d_prev.rank_exact() if d_prev is not None else 0
-        used: list[int] = []
-    elif method == "modular":
-        used = primes if primes is not None else random_primes(3, seed=k + alg.dim)
-        if len(used) < 3 or len(set(used)) != len(used):
-            raise ValueError("modular method needs at least 3 distinct primes")
+        used = []
+    else:
         rank_here, used_h = _unanimous_rank(d_here, used)
         if d_prev is not None:
             rank_prev, used_p = _unanimous_rank(d_prev, used)
@@ -338,8 +368,6 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
         used = sorted(set(used_h) | set(used_p))
         notes = ("modular ranks are lower bounds of the rational ranks, so this "
                  "Betti number is a high-confidence upper-bound certificate")
-    else:
-        raise ValueError(f"unknown method {method!r}")
     b = cx.dim_c(k) - rank_here - rank_prev
     if b < 0:
         raise InternalCheckError("negative Betti number: rank computation inconsistent")
@@ -543,15 +571,11 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
             img = cx.d_apply(phi)
             if img:
                 ech.insert(img)
-    residual = [z for z in cocycles
-                if any(Echelon._is_real(key) for key in ech.reduce(z))]
+    residual = [z for z in cocycles if ech.reduce(z)]
     if residual:
         full = Echelon()
-        for S in cx.wedges(k - 1):
-            for m in range(alg.dim):
-                col = cx.d_basis(S, m)
-                if col:
-                    full.insert(col)
+        for S, m in product(cx.wedges(k - 1), range(alg.dim)):
+            full.insert(cx.d_basis(S, m))
         residual = [z for z in residual if full.insert(z) is not None]
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 

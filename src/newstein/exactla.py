@@ -1,13 +1,16 @@
-"""Sparse exact linear algebra over the rationals and over prime fields.
+"""Sparse exact linear algebra over the integers, the rationals and prime fields.
 
 Two layers:
 
-* ``SparseExactMatrix`` stores integer-cleared rows and computes ranks by
-  online sparse echelon, either exactly (gcd-normalized integer rows, no
-  rounding anywhere) or modulo a prime.
-* ``Echelon`` is a generic-key incremental reducer over ``Fraction`` used for
-  kernels, span membership and preimage extraction on small and medium
-  systems.  Keys only need to be mutually comparable.
+* ``SparseExactMatrix`` holds sparse integer rows (the coboundary builders
+  write them directly, see ``cohomology``) and computes ranks by online
+  sparse echelon, exactly (fraction-free, gcd-normalized) or modulo a
+  prime.  ``add`` also takes a rational entry and clears its denominator by
+  scaling that whole row, which keeps every rank.
+* ``Echelon`` is a generic-key incremental reducer over the rationals used
+  for kernels, span membership and preimage extraction on small and medium
+  systems.  It takes ``int`` or ``Fraction`` entries and never makes a
+  float.  Keys only need to be mutually comparable.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ def _normalize(row: Row) -> Row:
         g = gcd(g, v)
         if g == 1:
             return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _bump(d: dict, key, value) -> None:
@@ -43,92 +44,79 @@ def _bump(d: dict, key, value) -> None:
 
 
 class SparseExactMatrix:
-    """Sparse matrix over exact rationals, stored as integer-cleared rows."""
+    """Sparse matrix of integer rows, each stored up to a positive factor."""
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, Row] = {}
+        # factor by which ``add`` has scaled a row to clear a denominator
+        self._row_scale: dict[int, int] = {}
 
-    def add(self, r: int, c: int, value: Fraction) -> None:
-        if value == 0:
-            return
+    def add(self, r: int, c: int, value: Fraction | int) -> None:
+        """Entry (r, c) += value; a rational value first scales row r by its denominator."""
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
+        value = Fraction(value) * self._row_scale.get(r, 1)
         row = self.rows.setdefault(r, {})
-        _bump(row, c, value)
+        if (q := value.denominator) > 1:
+            self.rows[r] = row = {k: v * q for k, v in row.items()}
+            self._row_scale[r] = self._row_scale.get(r, 1) * q
+        _bump(row, c, int(value * q))
         if not row:
             del self.rows[r]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def _int_rows(self) -> list[Row]:
-        """Rows with denominators cleared; values are kept un-normalized so
-        mod-p reductions see the true entries."""
-        out = []
-        for row in self.rows.values():
-            denoms = 1
-            for v in row.values():
-                denoms = denoms * Fraction(v).denominator // gcd(denoms, Fraction(v).denominator)
-            out.append({c: int(v * denoms) for c, v in row.items()})
-        return out
-
     def rank_exact(self) -> int:
         """Rank over the rationals by fraction-free sparse elimination."""
         pivots: dict[int, Row] = {}
-        work = sorted((_normalize(r) for r in self._int_rows()), key=len)
-        for row in work:
-            row = dict(row)
+        for row in sorted(self.rows.values(), key=len):
+            row = _normalize(row)
+            owned = False           # a stored row is copied before it changes
             while row:
                 c = min(row)
                 p = pivots.get(c)
                 if p is None:
-                    pivots[c] = _normalize(row)
+                    pivots[c] = row
                     break
                 a, b = row[c], p[c]
-                g = gcd(a, b)
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
                 fa, fb = b // g, a // g
-                new = {}
-                for k, v in row.items():
-                    new[k] = v * fa
+                if fa != 1:
+                    row = {k: v * fa for k, v in row.items()}
+                elif not owned:
+                    row = dict(row)
                 for k, v in p.items():
-                    w = new.get(k, 0) - v * fb
-                    if w:
-                        new[k] = w
+                    if w := row.get(k, 0) - v * fb:
+                        row[k] = w
                     else:
-                        new.pop(k, None)
-                row = _normalize(new)
+                        del row[k]
+                row = _normalize(row)
+                owned = True
         return len(pivots)
 
     def rank_mod_p(self, p: int) -> int:
         """Rank over GF(p) by sparse elimination with unit pivots."""
         pivots: dict[int, Row] = {}
-        work = []
-        for row in self._int_rows():
-            r = {c: v % p for c, v in row.items() if v % p}
-            if r:
-                work.append(r)
-        work.sort(key=len)
-        for row in work:
+        # rows are reduced mod p one at a time, so only pivots add memory
+        for row in sorted(self.rows.values(), key=len):
+            row = {c: w for c, v in row.items() if (w := v % p)}
             while row:
                 c = min(row)
                 piv = pivots.get(c)
                 if piv is None:
                     inv = pow(row[c], -1, p)
-                    pivots[c] = {k: (v * inv) % p for k, v in row.items()}
+                    pivots[c] = {k: v * inv % p for k, v in row.items()}
                     break
                 f = row[c]
-                new = {}
-                for k, v in row.items():
-                    new[k] = v
                 for k, v in piv.items():
-                    w = (new.get(k, 0) - f * v) % p
-                    if w:
-                        new[k] = w
+                    if w := (row.get(k, 0) - f * v) % p:
+                        row[k] = w
                     else:
-                        new.pop(k, None)
-                row = new
+                        del row[k]
         return len(pivots)
 
 
@@ -169,49 +157,56 @@ def _is_prime(n: int) -> bool:
 class Echelon:
     """Incremental exact reducer over arbitrary comparable keys.
 
-    Vectors are dicts key -> Fraction.  Keys of the form ('#aug', i) are
-    bookkeeping coordinates: they are carried through row operations but
-    never chosen as pivots, which turns span-membership tests into solvers
-    (the residual's augmented part is the certificate combination).
+    Vectors are dicts key -> int or Fraction; pivot rows are scaled to a
+    leading 1 by ``Fraction`` division.  A vector may come with an augmented
+    part, a second dict over its own keys that undergoes the same row
+    operations but never supplies a pivot: that turns span-membership tests
+    into solvers (the residual's augmented part is the certificate
+    combination).  Give every inserted vector an augmented part, or none.
     """
-
-    AUG = "#aug"
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
+        self.augmented: dict[object, dict] = {}
 
-    @staticmethod
-    def _is_real(key) -> bool:
-        return not (isinstance(key, tuple) and len(key) == 2 and key[0] == Echelon.AUG)
+    def reduce(self, vec: dict, aug: dict | None = None) -> dict:
+        """Residual of ``vec`` against the current pivots; does not insert.
 
-    def reduce(self, vec: dict) -> dict:
-        """Reduce ``vec`` against the current pivots; does not insert."""
-        vec = {k: Fraction(v) for k, v in vec.items() if v != 0}
-        while True:
-            real = [k for k in vec if self._is_real(k)]
-            if not real:
-                return vec
-            c = min(real)
+        ``aug``, if given, is ``vec``'s augmented part and is updated in place.
+        """
+        vec = {k: v for k, v in vec.items() if v}
+        while vec:
+            c = min(vec)
             piv = self.pivots.get(c)
             if piv is None:
-                return vec
-            f = vec[c]
+                break
+            f = -vec[c]
             for k, v in piv.items():
-                w = vec.get(k, 0) - f * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
+                _bump(vec, k, f * v)
+            if aug is not None:
+                for k, v in self.augmented[c].items():
+                    _bump(aug, k, f * v)
+        return vec
 
-    def insert(self, vec: dict) -> object | None:
-        """Reduce and insert; returns the new pivot key or None if dependent."""
-        vec = self.reduce(vec)
-        real = [k for k in vec if self._is_real(k)]
-        if not real:
+    def insert(self, vec: dict, aug: dict | None = None) -> object | None:
+        """Reduce and insert; returns the new pivot key or None if dependent.
+
+        ``aug`` is reduced in place; if ``vec`` is dependent it ends as the
+        combination giving zero, else it becomes the pivot's augmented part.
+        """
+        vec = self.reduce(vec, aug)
+        if not vec:
             return None
-        c = min(real)
-        inv = 1 / vec[c]
-        self.pivots[c] = {k: v * inv for k, v in vec.items()}
+        c = min(vec)
+        if vec[c] != 1:
+            # Fraction, not 1 / int: integer input must not give float pivots
+            inv = 1 / Fraction(vec[c])
+            vec = {k: v * inv for k, v in vec.items()}
+            if aug is not None:
+                aug = {k: v * inv for k, v in aug.items()}
+        self.pivots[c] = vec
+        if aug is not None:
+            self.augmented[c] = aug
         return c
 
     @property
@@ -227,27 +222,7 @@ def kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
     ech = Echelon()
     out = []
     for i, vec in enumerate(vectors):
-        aug = dict(vec)
-        aug[(Echelon.AUG, i)] = Fraction(1)
-        res = ech.reduce(aug)
-        if all(not Echelon._is_real(k) for k in res):
-            out.append({k[1]: v for k, v in res.items()})
-        else:
-            ech.insert(res)
+        combo = {i: Fraction(1)}
+        if ech.insert(vec, combo) is None:
+            out.append(combo)
     return out
-
-
-def span_contains(span_vectors: list[dict], target: dict) -> dict[int, Fraction] | None:
-    """Coefficients expressing ``target`` in the span, or None.
-
-    The certificate c satisfies sum_i c[i] * span_vectors[i] = target.
-    """
-    ech = Echelon()
-    for i, vec in enumerate(span_vectors):
-        aug = dict(vec)
-        aug[(Echelon.AUG, i)] = Fraction(1)
-        ech.insert(aug)
-    res = ech.reduce(dict(target))
-    if any(Echelon._is_real(k) for k in res):
-        return None
-    return {k[1]: -v for k, v in res.items()}

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, deliberately sharing no
-code path with the package's sparse engines.
+code path with the package's sparse engines.  The exception is the last
+section: two thin wrappers over those engines that only tests call.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from newstein.cohomology import CochainComplex, CoefficientModule
+from newstein.exactla import Echelon, SparseExactMatrix
 from newstein.liealg import LieAlgebra
 
 F = Fraction
@@ -154,3 +157,25 @@ def newton_algebra() -> LieAlgebra:
                 sign = F(1) if (a, b) in ((0, 1), (1, 2), (2, 0)) else F(-1)
                 add(a, base + b, base + c, sign)
     return LieAlgebra("newton", labels, constants)
+
+
+# -- wrappers over the package engines, for tests only ---------------------
+
+
+def coboundary_matrix(alg: LieAlgebra, coeffs: CoefficientModule, k: int) -> SparseExactMatrix:
+    """Matrix of D * d_k on the full algebra, lexicographic wedge bases."""
+    return CochainComplex(alg, coeffs).d_matrix(k)
+
+
+def span_contains(span_vectors: list[dict], target: dict) -> dict[int, Fraction] | None:
+    """Coefficients expressing ``target`` in the span, or None.
+
+    The certificate c satisfies sum_i c[i] * span_vectors[i] = target.
+    """
+    ech = Echelon()
+    for i, vec in enumerate(span_vectors):
+        ech.insert(vec, {i: F(1)})
+    combo: dict = {}
+    if ech.reduce(target, combo):
+        return None
+    return {i: -v for i, v in combo.items()}

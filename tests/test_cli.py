@@ -70,6 +70,22 @@ def test_definition_with_repeated_pair_is_invalid_parameters(tmp_path, capsys):
     assert "(i, j) = (0, 1)" in capsys.readouterr().err
 
 
+def test_modular_prime_dividing_the_scale_is_invalid_parameters(tmp_path, capsys):
+    from newstein.exactla import random_primes
+
+    # betti's default primes at degree 2 on a 3-dim algebra
+    p = random_primes(3, seed=2 + 3)[0]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "h3p", "dimension": 3, "labels": ["x", "y", "z"],
+                                "constants": [{"i": 0, "j": 1,
+                                               "terms": [{"k": 2, "coeff": f"1/{p}"}]}]}))
+    argv = ["cohomology", "--algebra", f"file:{path}", "--degree", "2"]
+    assert main(argv + ["--method", "modular"]) == EXIT_BAD_PARAMS
+    assert "divide" in capsys.readouterr().err
+    rc, doc = run_cli(argv, tmp_path)
+    assert rc == EXIT_OK and doc["betti"] == 2
+
+
 def test_failed_internal_check_is_a_mismatch(monkeypatch, capsys):
     """Modular ranks that keep alternating are the engine's fault: exit 1."""
     from newstein.exactla import SparseExactMatrix

@@ -3,10 +3,9 @@
 import random
 from fractions import Fraction
 
-from newstein.exactla import (Echelon, SparseExactMatrix, kernel_basis,
-                              random_primes, span_contains)
+from newstein.exactla import Echelon, SparseExactMatrix, kernel_basis, random_primes
 
-from oracles import dense_rank
+from oracles import dense_rank, span_contains
 
 F = Fraction
 
@@ -81,6 +80,17 @@ def test_echelon_rank_generic_keys():
     ech.insert({("a", 1): F(2), ("b", 2): F(2)})
     ech.insert({("b", 2): F(1)})
     assert ech.rank == 2
+
+
+def test_echelon_on_int_vectors_keeps_exact_pivots():
+    """Integer input, as d_basis columns are, must never give float pivots."""
+    ech = Echelon()
+    ech.insert({0: 2, 1: 3})
+    ech.insert({1: 4, 2: 1})
+    assert ech.pivots == {0: {0: 1, 1: F(3, 2)}, 1: {1: 1, 2: F(1, 4)}}
+    for piv in ech.pivots.values():
+        assert all(type(v) is F for v in piv.values())
+    assert ech.insert({0: 4, 1: 6}) is None
 
 
 def test_random_primes_are_prime_and_large():

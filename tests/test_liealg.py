@@ -186,7 +186,7 @@ def test_adjoint_table_is_shared_and_matches_brackets(G):
 def test_adjoint_table_not_mutated_by_cohomology(G):
     from newstein.cohomology import CoefficientModule, betti, h1_via_reduction
 
-    betti(G, CoefficientModule.adjoint(G), 1, method="modular", check_dd=False)
+    betti(G, CoefficientModule.adjoint(G), 1, method="modular")
     h1_via_reduction(G)
     for i in range(G.dim):
         fresh = {j: G.bracket_basis(i, j) for j in range(G.dim) if G.bracket_basis(i, j)}

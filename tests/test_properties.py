@@ -1,9 +1,10 @@
 """Property tests: basis independence of the engine and exact cross-checks.
 
 A rational change of basis leaves the Jacobi identity and every Betti
-number unchanged; the coboundary squares to zero, exact and modular ranks
-agree, the incremental ``Echelon`` agrees with ``SparseExactMatrix``, and
-definitions survive a JSON round trip.
+number unchanged; the coboundary squares to zero, its matrices are the
+brute-force ones times the complex's common denominator D, exact and
+modular ranks agree, the incremental ``Echelon`` agrees with
+``SparseExactMatrix``, and definitions survive a JSON round trip.
 """
 
 import json
@@ -18,6 +19,8 @@ from newstein.algebras import heisenberg3, sl2
 from newstein.cohomology import CochainComplex, CoefficientModule, betti
 from newstein.exactla import Echelon, SparseExactMatrix, random_primes
 from newstein.liealg import LieAlgebra
+
+from oracles import brute_betti, brute_d_matrix, dense_rank
 
 F = Fraction
 PRIME = random_primes(1, seed=0)[0]
@@ -101,6 +104,32 @@ def test_dd_vanishes_and_exact_rank_equals_modular(name, P):
             assert cx.dd_violations(k) == []
             mat = cx.d_matrix(k)
             assert mat.rank_exact() == mat.rank_mod_p(PRIME)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@given(P=integer_matrices)
+@settings(max_examples=25, deadline=None)
+def test_scaled_matrices_are_common_denominator_times_brute_force(name, P):
+    """On a basis with non-integral constants, d_matrix(k) is exactly D * d_k."""
+    alg = rebased(name, P)
+    D = CochainComplex(alg, CoefficientModule.trivial()).scale
+    assume(D > 1)
+    for module, coeffs in zip(("trivial", "adjoint"), modules(alg)):
+        cx = CochainComplex(alg, coeffs)
+        assert cx.scale == D
+        for k in range(4):
+            mat = cx.d_matrix(k)
+            dense = [[0] * mat.ncols for _ in range(mat.nrows)]
+            for r, row in mat.rows.items():
+                for c, v in row.items():
+                    assert type(v) is int
+                    dense[r][c] = v
+            brute = brute_d_matrix(alg, k, module)
+            assert dense == [[D * v for v in row] for row in brute]
+            assert mat.rank_exact() == mat.rank_mod_p(PRIME) == dense_rank(brute)
+            expected = brute_betti(alg, k, module)
+            assert betti(alg, coeffs, k).betti == expected
+            assert betti(alg, coeffs, k, method="modular").betti == expected
 
 
 @given(data=st.data())
