@@ -47,7 +47,7 @@ class InternalCheckError(ArithmeticError):
 
 
 class CoefficientModule:
-    """Trivial, adjoint, or explicit-matrix coefficients.
+    """Trivial or adjoint coefficients.
 
     ``action(t)`` returns the sparse columns of rho(e_t) on the module basis
     (input index -> output vector).  The columns are shared between calls
@@ -67,46 +67,6 @@ class CoefficientModule:
     def adjoint(cls, alg: LieAlgebra) -> "CoefficientModule":
         """ad on the algebra itself, read from its shared adjoint table."""
         return cls("adjoint", alg.dim, alg.ad_columns)
-
-    @classmethod
-    def explicit(cls, alg: LieAlgebra,
-                 matrices: list[dict[int, SparseVec]]) -> "CoefficientModule":
-        """Coefficients acting by the given sparse matrices, checked to represent ``alg``."""
-        dim = 0
-        for cols in matrices:
-            for j, vec in cols.items():
-                dim = max(dim, j + 1, *(k + 1 for k in vec))
-        bad = _representation_violations(alg, matrices, dim)
-        if bad:
-            raise ValueError(f"matrices are not a representation; first bad pair {bad[0]}")
-        return cls("explicit", dim, lambda t: matrices[t])
-
-
-def _apply_cols(cols: dict[int, SparseVec], vec: SparseVec) -> SparseVec:
-    out: SparseVec = {}
-    for j, c in vec.items():
-        for k, d in cols.get(j, {}).items():
-            _bump(out, k, c * d)
-    return out
-
-
-def _representation_violations(alg, matrices, dim):
-    """Pairs i < j where rho(e_i) rho(e_j) - rho(e_j) rho(e_i) != rho([e_i, e_j])."""
-    bad = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for m in range(dim):
-                unit = {m: _F(1)}
-                defect = _apply_cols(matrices[i], _apply_cols(matrices[j], unit))
-                for k, v in _apply_cols(matrices[j], _apply_cols(matrices[i], unit)).items():
-                    _bump(defect, k, -v)
-                for t, c in alg.bracket_basis(i, j).items():
-                    for k, v in matrices[t].get(m, {}).items():
-                        _bump(defect, k, -c * v)
-                if defect:
-                    bad.append((i, j))
-                    break
-    return bad
 
 
 class CochainComplex:

@@ -13,6 +13,10 @@ independent of (m0, alpha).
 
 Truncation corrupts only the top two total degrees, so operator identities
 are asserted on the interior subspace (total degree <= N - 2) throughout.
+The evolution operator is the exception: each truncated lowering operator
+sends distinct states to distinct states, so u^2 + p^2 = a a^dag + a^dag a is
+exactly diagonal on the whole truncated space, top degree included, and the
+spectrum and the evolution are read off that diagonal.
 
 The external sector evaluates the generators as first-order differential
 operators at points (xi, eta, z); the unitary convention is
@@ -28,7 +32,7 @@ generator oracle checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -59,6 +63,8 @@ class RepParams:
     j: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("m0, alpha, lam, ell, s, j must be finite")
         if self.m0 <= 0 or self.alpha <= 0 or self.lam <= 0:
             raise ValueError("m0, alpha, lam must be positive")
         for half in (self.s, self.j):
@@ -69,7 +75,13 @@ class RepParams:
 
 
 class FockBasis:
-    """All |n1 n2 n3> with n1 + n2 + n3 <= N, lexicographic order."""
+    """All |n1 n2 n3> with n1 + n2 + n3 <= N, lexicographic order.
+
+    ``occupation[i, j]`` is n_j of state i, and ``lowered[j, i]`` is the
+    index of the state with one quantum less in mode j (-1 when n_j = 0):
+    the annihilation operator a_j maps state i to ``lowered[j, i]`` with
+    amplitude sqrt(n_j).  Each map is injective.
+    """
 
     def __init__(self, cutoff: int):
         if cutoff < 0:
@@ -79,7 +91,11 @@ class FockBasis:
                        for s in sorted(_states_of_degree(total))]
         self.index = {s: i for i, s in enumerate(self.states)}
         self.dim = len(self.states)
-        self.degrees = np.array([sum(s) for s in self.states])
+        self.occupation = np.array(self.states)
+        self.lowered = np.array(
+            [[self.index[s[:j] + (s[j] - 1,) + s[j + 1:]] if s[j] else -1 for s in self.states]
+             for j in range(3)])
+        self.degrees = self.occupation.sum(axis=1)
         self.interior = self.degrees <= cutoff - 2
 
 
@@ -90,15 +106,16 @@ def _states_of_degree(total: int):
 
 def lowering_matrix(basis: FockBasis, mode: int) -> np.ndarray:
     """Annihilation operator of one mode on the truncated basis."""
+    src = np.flatnonzero(basis.lowered[mode] >= 0)
     out = np.zeros((basis.dim, basis.dim))
-    for i, s in enumerate(basis.states):
-        n = s[mode]
-        if n == 0:
-            continue
-        t = list(s)
-        t[mode] -= 1
-        out[basis.index[tuple(t)], i] = math.sqrt(n)
+    out[basis.lowered[mode, src], src] = np.sqrt(basis.occupation[src, mode])
     return out
+
+
+def _quadrature(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
+    """u = (a + a^dag)/sqrt(2) or p = i (a^dag - a)/sqrt(2) of one mode."""
+    a = lowering_matrix(basis, mode)
+    return (a + a.T) / math.sqrt(2) if kind == "u" else 1j * (a.T - a) / math.sqrt(2)
 
 
 def ladder_matrices(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -108,12 +125,8 @@ def ladder_matrices(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray
     the whole truncated space, with the canonical commutator holding on the
     interior subspace.
     """
-    us, ps = [], []
-    for mode in range(3):
-        a = lowering_matrix(basis, mode)
-        us.append((a + a.T) / math.sqrt(2))
-        ps.append(1j * (a.T - a) / math.sqrt(2))
-    return us, ps
+    return ([_quadrature(basis, mode, "u") for mode in range(3)],
+            [_quadrature(basis, mode, "p") for mode in range(3)])
 
 
 def second_order_exact(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -179,27 +192,40 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
         mat = (params.alpha / params.m0**2) * xl[mu - 1] * xl[nu - 1] * eye
     elif kind == "A":
         i, mu = X.indices
-        us, _ = ladder_matrices(basis)
-        mat = scale * xl[mu - 1] * us[i - 1]
+        mat = scale * xl[mu - 1] * _quadrature(basis, i - 1, "u")
     elif kind == "Q":
         i, mu = X.indices
-        _, ps = ladder_matrices(basis)
-        mat = -scale * xl[mu - 1] * ps[i - 1]
+        mat = -scale * xl[mu - 1] * _quadrature(basis, i - 1, "p")
     else:
         raise ValueError(f"label {X} is not in the internal sector")
     return OscillatorOperator(mat.astype(complex), basis, hermitian=True)
 
 
+def _energies(params: RepParams, basis: FockBasis) -> np.ndarray:
+    """Diagonal of H: (1/2) sum_j (|row_i a_j|^2 + |col_i a_j|^2) + ell/2.
+
+    For the truncated ladders u_j^2 + p_j^2 = a_j a_j^dag + a_j^dag a_j, and
+    both products are diagonal because a_j has at most one entry per row and
+    per column (its lowering map is injective).  Column i holds sqrt(n_j);
+    row i holds sqrt(n_j + 1) unless raising leaves the truncated space.
+    """
+    twice = basis.degrees.copy()
+    for mode in range(3):
+        src = np.flatnonzero(basis.lowered[mode] >= 0)
+        twice[basis.lowered[mode, src]] += basis.occupation[src, mode]
+    return twice / 2.0 + params.ell / 2.0
+
+
 def hamiltonian_K(params: RepParams, basis: FockBasis) -> OscillatorOperator:
     """Matrix of the evolution generator (1/2)(-(m0^2/a)Lap + (a/m0^2)z^2 + ell).
 
-    In dimensionless variables this is (1/2)(sum_j p_j^2 + u_j^2 + ell); its
-    uncorrupted eigenvalues are n + 3/2 + ell/2, independent of (m0, alpha).
+    In dimensionless variables this is (1/2)(sum_j p_j^2 + u_j^2 + ell), which
+    is diagonal in the Fock basis (see ``_energies``): n + 3/2 + ell/2 on total
+    degree n < N, independent of (m0, alpha), and N/2 + ell/2 on the top
+    degree N, where the truncated raising operators vanish.
     """
-    us, ps = ladder_matrices(basis)
-    mat = sum(u @ u + p @ p for u, p in zip(us, ps)) / 2.0
-    mat = mat + params.ell / 2.0 * np.eye(basis.dim)
-    return OscillatorOperator(np.real(mat).astype(complex), basis, hermitian=True)
+    return OscillatorOperator(np.diag(_energies(params, basis)).astype(complex), basis,
+                              hermitian=True)
 
 
 def _casimir(kind: str, params: RepParams, xi: np.ndarray,
@@ -265,31 +291,27 @@ class WaveFunction:
 
 def evolve(psi: WaveFunction, tau: float, params: RepParams,
            basis: FockBasis) -> WaveFunction:
-    """psi(tau) = exp(-i tau H) psi via spectral decomposition of H."""
-    H = hamiltonian_K(params, basis).matrix
-    w, v = np.linalg.eigh(H)
-    out = v @ (np.exp(-1j * tau * w) * (v.conj().T @ psi.coeffs))
-    return WaveFunction(out, basis)
+    """psi(tau) = exp(-i tau H) psi.
+
+    H is diagonal in the Fock basis, top degree included, so each
+    coefficient only picks up its phase exp(-i tau E_i).
+    """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    return WaveFunction(np.exp(-1j * tau * _energies(params, basis)) * psi.coeffs, basis)
 
 
 def spectrum(params: RepParams, basis: FockBasis) -> list[tuple[float, int]]:
     """Eigenvalues of the evolution generator with multiplicities.
 
-    Restricted to the uncorrupted block (total degree < cutoff): the
-    generator is block diagonal in the total degree, and truncation only
-    corrupts the top block, so restricting the matrix is exact there.
-    Eigenvalues within 1e-9 of the previous one count as one level.
+    H is diagonal in the Fock basis, so its eigenvalues are its diagonal
+    entries, n + 3/2 + ell/2 on each state of total degree n.  The top degree
+    N is left out: truncation corrupts it to N/2 + ell/2.  Entries of one
+    degree are equal to the last bit, so each level is one distinct value.
     """
-    H = hamiltonian_K(params, basis).matrix
-    idx = np.where(basis.degrees <= basis.cutoff - 1)[0]
-    w = np.linalg.eigvalsh(H[np.ix_(idx, idx)])
-    out: list[tuple[float, int]] = []
-    for val in w:
-        if out and abs(val - out[-1][0]) <= 1e-9:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((float(val), 1))
-    return out
+    levels, counts = np.unique(_energies(params, basis)[basis.degrees < basis.cutoff],
+                               return_counts=True)
+    return [(float(v), int(c)) for v, c in zip(levels, counts)]
 
 
 def _external_momentum(xi: np.ndarray, eta: np.ndarray, m0: float, lam: float) -> np.ndarray:

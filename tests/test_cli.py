@@ -110,6 +110,27 @@ def test_invalid_parameters_exit_code(tmp_path):
     assert main(["spectrum", "--ell", "0.0", "--cutoff", "-3"]) == EXIT_BAD_PARAMS
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--ell", "0", "--m0", "nan", "--alpha", "inf", "--cutoff", "2"],
+    ["spectrum", "--ell", "nan", "--cutoff", "2"],
+])
+def test_spectrum_non_finite_parameters_are_invalid(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_PARAMS
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_non_finite_tau_is_invalid(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("0 1.0 0.0\n")
+    out = tmp_path / "o.txt"
+    assert main(["evolve", "--tau", "inf", "--state", str(state), "--cutoff", "4",
+                 "--out", str(out)]) == EXIT_BAD_PARAMS
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cohomology_subcommand(tmp_path):
     rc, doc = run_cli(["cohomology", "--algebra", "h3", "--coeffs", "trivial",
                        "--degree", "2", "--method", "modular"], tmp_path)

@@ -195,16 +195,6 @@ def test_trivial_degree_general_properties(G):
     assert betti(h3, CoefficientModule.trivial(), 1).betti == 2  # dim h3/[h3,h3]
 
 
-def test_explicit_module_validation():
-    alg = sl2()
-    good = [alg.ad_columns(i) for i in range(alg.dim)]
-    CoefficientModule.explicit(alg, good)
-    bad = [dict(cols) for cols in good]
-    bad[0] = {0: {1: F(1)}}
-    with pytest.raises(ValueError):
-        CoefficientModule.explicit(alg, bad)
-
-
 # -- positive controls against the engine at scale ------------------------
 
 

@@ -64,6 +64,60 @@ def test_oscillator_energy_diagonal(basis):
     assert np.abs(block - np.diag(want)).max() < 1e-12
 
 
+def dense_hamiltonian(params, basis):
+    """(1/2) sum_j (u_j u_j + p_j p_j) + ell/2 from the dense ladder matrices."""
+    us, ps = ladder_matrices(basis)
+    return (sum(u @ u + p @ p for u, p in zip(us, ps)) / 2.0
+            + params.ell / 2.0 * np.eye(basis.dim))
+
+
+@pytest.mark.parametrize("cutoff", [6, 12])
+def test_hamiltonian_matches_dense_ladder_products(cutoff):
+    b = FockBasis(cutoff)
+    p = RepParams(m0=1.7, alpha=0.6, ell=-1.3)
+    # the whole truncated space, top degree included
+    assert np.abs(hamiltonian_K(p, b).matrix - dense_hamiltonian(p, b)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [6, 12])
+def test_evolve_and_spectrum_match_dense_eigensolvers(cutoff):
+    b = FockBasis(cutoff)
+    p = RepParams(m0=0.8, alpha=1.4, ell=0.7)
+    dense = dense_hamiltonian(p, b)
+    w, v = np.linalg.eigh(dense)
+    rng = np.random.default_rng(cutoff)
+    psi = rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)
+    for tau in (0.5, 3.0, 10.0):
+        want = v @ (np.exp(-1j * tau * w) * (v.conj().T @ psi))
+        got = evolve(WaveFunction(psi, b), tau, p, b).coeffs
+        assert np.abs(got - want).max() <= 1e-12
+    idx = np.flatnonzero(b.degrees < b.cutoff)
+    want = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+    levels, mults = zip(*spectrum(p, b))
+    assert np.abs(np.repeat(levels, mults) - want).max() <= 1e-12
+
+
+def test_spectrum_and_evolve_at_cutoff_40_without_eigensolvers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    b = FockBasis(40)
+    assert b.dim == 12341
+    p = RepParams(m0=2.1, alpha=0.4, ell=0.6)
+    rows = spectrum(p, b)
+    assert len(rows) == 40
+    for n, (val, mult) in enumerate(rows):
+        assert abs(val - (n + 1.5 + p.ell / 2)) <= 1e-12
+        assert mult == (n + 1) * (n + 2) // 2
+    # interior degrees evolve with n + 3/2 + ell/2, the top degree with N/2 + ell/2
+    tau = 2.3
+    energy = np.where(b.degrees < b.cutoff, b.degrees + 1.5, b.cutoff / 2) + p.ell / 2
+    out = evolve(WaveFunction(np.ones(b.dim, dtype=complex), b), tau, p, b)
+    assert np.abs(out.coeffs - np.exp(-1j * tau * energy)).max() <= 1e-12
+
+
 def test_mass_spectrum_rows(basis):
     spec = spectrum(RepParams(ell=0.0), basis)
     assert spec[0] == (pytest.approx(1.5), 1)
@@ -361,3 +415,14 @@ def test_rep_params_validation():
         RepParams(j=-0.5)
     with pytest.raises(ValueError):
         internal_generator(lb.L(1, 2), np.array([0, 0, 0, 1.0]), RepParams(), FockBasis(2))
+    for field in ("m0", "alpha", "lam", "ell", "s", "j"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RepParams(**{field: value})
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_evolve_rejects_non_finite_tau(tau):
+    b = FockBasis(2)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(WaveFunction(np.ones(b.dim, dtype=complex), b), tau, RepParams(), b)
