@@ -32,10 +32,8 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
-from .exactla import Echelon, SparseExactMatrix, _bump, kernel_basis, random_primes
+from .exactla import Echelon, SparseExactMatrix, _bump, _normalize, kernel_basis, random_primes
 from .liealg import LieAlgebra, SparseVec
-
-_F = Fraction
 
 
 class InternalCheckError(ArithmeticError):
@@ -363,7 +361,8 @@ def _intersect_kernel(basis: list[dict], image_of):
 
     ``image_of(vec)`` maps a sparse vector to its sparse image.  The basis is
     partitioned into connected components through shared image coordinates;
-    each component contributes an independent exact null-space problem.
+    each component is an independent exact null-space problem, and a lone
+    vector with a nonzero image has no kernel.  Combinations come out primitive.
     """
     images = [image_of(vec) for vec in basis]
     uf = _UnionFind(len(basis))
@@ -382,14 +381,13 @@ def _intersect_kernel(basis: list[dict], image_of):
         if all(not images[i] for i in members):
             out.extend(basis[i] for i in members)
             continue
-        combos = kernel_basis([images[i] for i in members])
-        for combo in combos:
+        for combo in kernel_basis([images[i] for i in members]) if len(members) > 1 else ():
             vec: dict = {}
             for local, coeff in combo.items():
                 for key, v in basis[members[local]].items():
                     _bump(vec, key, coeff * v)
             if vec:
-                out.append(vec)
+                out.append(_normalize(vec))
     return out
 
 
@@ -438,17 +436,23 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
     strict invariance under all basis generators; note that cochains
     invariant only up to coboundary are then excluded, so the full-strict
     space is smaller than the space of invariant cohomology classes.
+
+    It runs on integers: each operator is scaled by its own common
+    denominator, and the basis holds primitive integer cochains.
     """
     if k not in (1, 2):
         raise ValueError("invariant reduction implemented for degrees 1 and 2")
     if under not in ("levi", "full"):
         raise ValueError("under must be 'levi' or 'full'")
     cx = _ideal_complex(alg)
-    basis: list[dict] = [{(S, m): _F(1)} for S in cx.wedges(k) for m in range(alg.dim)]
+    basis: list[dict] = [{(S, m): 1} for S in cx.wedges(k) for m in range(alg.dim)]
 
     idealset = set(cx.args)
     for g in _generator_order(alg, under):
-        ad_cols = alg.ad_columns(g)
+        ad_g = alg.ad_columns(g)
+        # D * (g . f) has the kernel of g . f and integer entries
+        D = lcm(*(c.denominator for vec in ad_g.values() for c in vec.values()))
+        ad_cols = {y: {x: int(c * D) for x, c in vec.items()} for y, vec in ad_g.items()}
         # transpose over ideal arguments: ad_t[x] lists (y, c) with y in the
         # ideal and [g, e_y] containing c * e_x, because the argument
         # constraint -f(.., [g, y], ..) lands on preimages
@@ -464,9 +468,7 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
             if key in coord_cache:
                 return coord_cache[key]
             S, m = key
-            img: dict = {}
-            for mp, c in ad_cols.get(m, {}).items():
-                _bump(img, (S, mp), c)
+            img = {(S, mp): c for mp, c in ad_cols.get(m, {}).items()}
             for p, x in enumerate(S):
                 rest = S[:p] + S[p + 1:]
                 for y, c in ad_t.get(x, ()):
@@ -573,7 +575,7 @@ def _analytic_preimages(alg: NewSteinAlgebra) -> list[dict]:
     for pos in alg.ideal_indices:
         lab = alg.labels[pos]
         if lab.kind == "A":
-            phi_a[((pos,), pos)] = _F(1)
+            phi_a[((pos,), pos)] = 1
         elif lab.kind == "C":
             mu, nu = lab.indices
             g = metric(mu, nu)
@@ -599,10 +601,10 @@ def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:
         return alg.index[BasisLabel(kind, lab.indices)]
 
     fam = []
-    fam.append({((p,), p): _F(1) for p in kinds["T"]})                       # alpha
-    fam.append({((p,), p): _F(1) for p in kinds["Tp"]})                      # alpha'
-    fam.append({((p,), p): _F(1) for p in kinds["A"] + kinds["C"]})          # beta
-    fam.append({((p,), partner(p, "A")): _F(1) for p in kinds["Q"]})         # beta'
-    fam.append({((p,), partner(p, "Q")): _F(1) for p in kinds["A"]})         # gamma
-    fam.append({((p,), p): _F(1) for p in kinds["Q"] + kinds["C"]})          # gamma'
+    fam.append({((p,), p): 1 for p in kinds["T"]})                       # alpha
+    fam.append({((p,), p): 1 for p in kinds["Tp"]})                      # alpha'
+    fam.append({((p,), p): 1 for p in kinds["A"] + kinds["C"]})          # beta
+    fam.append({((p,), partner(p, "A")): 1 for p in kinds["Q"]})         # beta'
+    fam.append({((p,), partner(p, "Q")): 1 for p in kinds["A"]})         # gamma
+    fam.append({((p,), p): 1 for p in kinds["Q"] + kinds["C"]})          # gamma'
     return fam

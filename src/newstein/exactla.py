@@ -1,23 +1,21 @@
 """Sparse exact linear algebra over the integers, the rationals and prime fields.
 
-Two layers:
-
 * ``SparseExactMatrix`` holds sparse integer rows (the coboundary builders
   write them directly, see ``cohomology``) and computes ranks by online
-  sparse echelon, exactly (fraction-free, gcd-normalized) or modulo a
-  prime.  ``add`` also takes a rational entry and clears its denominator by
-  scaling that whole row, which keeps every rank.
-* ``Echelon`` is a generic-key incremental reducer over the rationals used
-  for kernels, span membership and preimage extraction on small and medium
-  systems.  It takes ``int`` or ``Fraction`` entries and never makes a
-  float.  Keys only need to be mutually comparable.
+  sparse echelon, exactly (fraction-free, gcd-normalized) or modulo a prime.
+* ``kernel_basis`` is fraction-free too: the same elimination, carrying each
+  vector's combination, returns primitive integer kernel vectors.
+* ``Echelon`` is the rational reducer for span membership and preimage
+  certificates, which need exact rational residuals.  It takes ``int`` or
+  ``Fraction`` entries and never makes a float.  Keys only need to be
+  mutually comparable.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Row = dict[int, int]
 
@@ -43,6 +41,41 @@ def _bump(d: dict, key, value) -> None:
         del d[key]
 
 
+def _echelon(rows) -> dict[int, Row]:
+    """Fraction-free sparse echelon of integer rows: leading column -> pivot row.
+
+    Each row is reduced against the pivots so far and, unless it vanishes,
+    becomes a pivot itself; every step keeps the row gcd-normalized.  The
+    given rows are never modified.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = _normalize(row)
+        owned = False           # a given row is copied before it changes
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            a, b = row[c], p[c]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
+            fa, fb = b // g, a // g
+            if fa != 1:
+                row = {k: v * fa for k, v in row.items()}
+            elif not owned:
+                row = dict(row)
+            for k, v in p.items():
+                if w := row.get(k, 0) - v * fb:
+                    row[k] = w
+                else:
+                    del row[k]
+            row = _normalize(row)
+            owned = True
+    return pivots
+
+
 class SparseExactMatrix:
     """Sparse matrix of integer rows, each stored up to a positive factor."""
 
@@ -50,53 +83,13 @@ class SparseExactMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows: dict[int, Row] = {}
-        # factor by which ``add`` has scaled a row to clear a denominator
-        self._row_scale: dict[int, int] = {}
-
-    def add(self, r: int, c: int, value: Fraction | int) -> None:
-        """Entry (r, c) += value; a rational value first scales row r by its denominator."""
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
-        value = Fraction(value) * self._row_scale.get(r, 1)
-        row = self.rows.setdefault(r, {})
-        if (q := value.denominator) > 1:
-            self.rows[r] = row = {k: v * q for k, v in row.items()}
-            self._row_scale[r] = self._row_scale.get(r, 1) * q
-        _bump(row, c, int(value * q))
-        if not row:
-            del self.rows[r]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
     def rank_exact(self) -> int:
         """Rank over the rationals by fraction-free sparse elimination."""
-        pivots: dict[int, Row] = {}
-        for row in sorted(self.rows.values(), key=len):
-            row = _normalize(row)
-            owned = False           # a stored row is copied before it changes
-            while row:
-                c = min(row)
-                p = pivots.get(c)
-                if p is None:
-                    pivots[c] = row
-                    break
-                a, b = row[c], p[c]
-                g = gcd(a, b) if b > 0 else -gcd(a, b)
-                # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
-                fa, fb = b // g, a // g
-                if fa != 1:
-                    row = {k: v * fa for k, v in row.items()}
-                elif not owned:
-                    row = dict(row)
-                for k, v in p.items():
-                    if w := row.get(k, 0) - v * fb:
-                        row[k] = w
-                    else:
-                        del row[k]
-                row = _normalize(row)
-                owned = True
-        return len(pivots)
+        return len(_echelon(sorted(self.rows.values(), key=len)))
 
     def rank_mod_p(self, p: int) -> int:
         """Rank over GF(p) by sparse elimination with unit pivots."""
@@ -214,15 +207,17 @@ class Echelon:
         return len(self.pivots)
 
 
-def kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
-    """Kernel of the linear map sending unit i to ``vectors[i]``.
+def kernel_basis(vectors: list[dict]) -> list[Row]:
+    """Primitive integer x, n - rank of them, with sum_i x[i] * vectors[i] = 0.
 
-    Returns sparse coefficient dicts x with sum_i x[i] * vectors[i] = 0.
+    Rows [s_i * vectors[i] | e_i], s_i the common denominator of vector i,
+    are eliminated together; unit columns sort after every key, so a pivot
+    leading in them combines the scaled vectors to zero, and x[i] picks up s_i.
     """
-    ech = Echelon()
-    out = []
-    for i, vec in enumerate(vectors):
-        combo = {i: Fraction(1)}
-        if ech.insert(vec, combo) is None:
-            out.append(combo)
-    return out
+    col = {k: q for q, k in enumerate(sorted({k for vec in vectors for k in vec}))}
+    n0 = len(col)
+    scales = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
+    rows = [{col[k]: int(v * s) for k, v in vec.items() if v} | {n0 + i: 1}
+            for i, (vec, s) in enumerate(zip(vectors, scales))]
+    return [_normalize({i - n0: v * scales[i - n0] for i, v in row.items()})
+            for c, row in _echelon(rows).items() if c >= n0]

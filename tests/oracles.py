@@ -3,13 +3,15 @@
 Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, deliberately sharing no
 code path with the package's sparse engines.  The exception is the last
-section: two thin wrappers over those engines that only tests call.
+section: thin wrappers over those engines that only tests call, among them
+the rational kernel that ``exactla.kernel_basis`` is checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.exactla import Echelon, SparseExactMatrix
@@ -179,3 +181,25 @@ def span_contains(span_vectors: list[dict], target: dict) -> dict[int, Fraction]
     if ech.reduce(target, combo):
         return None
     return {i: -v for i, v in combo.items()}
+
+
+def integer_matrix(rows: list[list]) -> SparseExactMatrix:
+    """Dense rational rows as a ``SparseExactMatrix``, each row scaled by the
+    common denominator of its entries (the same rank)."""
+    mat = SparseExactMatrix(len(rows), len(rows[0]) if rows else 0)
+    for r, row in enumerate(rows):
+        s = lcm(*(F(v).denominator for v in row))
+        if entries := {c: int(F(v) * s) for c, v in enumerate(row) if v}:
+            mat.rows[r] = entries
+    return mat
+
+
+def rational_kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
+    """Kernel of unit i -> ``vectors[i]`` by rational elimination (``Echelon``)."""
+    ech = Echelon()
+    out = []
+    for i, vec in enumerate(vectors):
+        combo = {i: F(1)}
+        if ech.insert(vec, combo) is None:
+            out.append(combo)
+    return out

@@ -8,12 +8,13 @@ the CLI's verification report and the acceptance suite.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from newstein import labels as lb
-from newstein.algebras import (beta_cocycle, build_newstein, build_newstein2,
-                               heisenberg3, sl2)
+from newstein.algebras import (NewSteinAlgebra, beta_cocycle, build_extended,
+                               build_newstein, build_newstein2, heisenberg3, sl2)
 from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyReport,
                                  betti, h1_via_reduction,
                                  h2_via_reduction, invariant_cochains,
@@ -304,6 +305,37 @@ def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch
     assert all(any(z is m for m in mixed) for z in data.residual_classes)
 
 
+def test_invariant_reduction_runs_on_integers(G, h2_data):
+    """Invariant cochains, cocycles and classes are primitive int vectors."""
+    for data in (reduction_data(G, 1), h2_data):
+        vecs = data.invariant.basis + data.cocycles + data.residual_classes
+        assert all(type(v) is int for vec in vecs for v in vec.values())
+        assert all(gcd(*vec.values()) == 1 for vec in vecs)
+
+
+@pytest.mark.parametrize("case,scale", [(3, 2), (8, 5)])
+def test_h1_reduction_with_rational_invariance_operators(case, scale):
+    """Scaling each invariance operator by its denominator keeps every count."""
+    ext = build_extended(case)
+    assert CochainComplex(ext, CoefficientModule.adjoint(ext)).scale == scale
+    red = h1_via_reduction(ext)
+    assert red.notes == "invariant cochains 11, invariant cocycles 8, of which coboundaries 1"
+    assert red.betti == 7
+
+
+def test_reduction_survives_rational_levi_operators(G):
+    """Rescaling one L and one J generator by 1/2 and 1/5 puts those
+    denominators into their invariance operators; no count may move."""
+    s = {G.levi_indices[0]: F(1, 2), G.levi_indices[-1]: F(1, 5)}
+    scaled = NewSteinAlgebra("scaled", list(G.labels), {
+        (i, j): {k: s.get(i, 1) * s.get(j, 1) * c / s.get(k, 1) for k, c in vec.items()}
+        for (i, j), vec in G.constants.items()})
+    assert CochainComplex(scaled, CoefficientModule.adjoint(scaled)).scale == 10
+    assert invariant_cochains(scaled, 1, under="full").dim == 5
+    red = h1_via_reduction(scaled)
+    assert (red.betti, red.notes) == (8, h1_via_reduction(G).notes)
+
+
 def test_h2_deformations_integrate_exactly(G):
     """First-order deformation directions found in degree two integrate.
 
@@ -532,10 +564,9 @@ def test_modular_disagreement_aborts():
 def test_modular_unlucky_prime_is_replaced():
     """A prime dividing a pivot undershoots once; a fresh prime replaces it."""
     from newstein.cohomology import _unanimous_rank
-    from newstein.exactla import SparseExactMatrix
+    from oracles import integer_matrix
 
-    m = SparseExactMatrix(1, 1)
-    m.add(0, 0, F(7))
+    m = integer_matrix([[F(7)]])
     rank, primes = _unanimous_rank(m, [7, 5, 11])
     assert rank == 1
     assert len(primes) == 3 and len(set(primes)) == 3 and 7 not in primes

@@ -3,24 +3,20 @@
 import random
 from fractions import Fraction
 
-from newstein.exactla import Echelon, SparseExactMatrix, kernel_basis, random_primes
+from newstein.exactla import Echelon, kernel_basis, random_primes
 
-from oracles import dense_rank, span_contains
+from oracles import dense_rank, integer_matrix, span_contains
 
 F = Fraction
 
 
 def random_sparse(rng, nrows, ncols, density=0.3):
-    mat = SparseExactMatrix(nrows, ncols)
     dense = [[F(0)] * ncols for _ in range(nrows)]
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < density:
-                v = F(rng.randint(-6, 6), rng.randint(1, 4))
-                if v:
-                    mat.add(r, c, v)
-                    dense[r][c] = v
-    return mat, dense
+                dense[r][c] = F(rng.randint(-6, 6), rng.randint(1, 4))
+    return integer_matrix(dense), dense
 
 
 def test_rank_exact_matches_dense():
@@ -41,8 +37,7 @@ def test_rank_mod_p_matches_exact_generic():
 
 
 def test_rank_mod_p_can_undershoot_on_bad_prime():
-    m = SparseExactMatrix(1, 1)
-    m.add(0, 0, F(7))
+    m = integer_matrix([[F(7)]])
     assert m.rank_exact() == 1
     assert m.rank_mod_p(7) == 0
     assert m.rank_mod_p(5) == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newstein import labels as lb
-from newstein.algebras import build_newstein, heisenberg3, sl2
+from newstein.algebras import build_extended, build_newstein, heisenberg3, sl2
 from newstein.liealg import AlgebraElement, LieAlgebra, MismatchedAlgebraError
 
 F = Fraction
@@ -117,6 +117,20 @@ def test_centralizer_of_levi_is_trace_c(G):
         ratio = sol.coeffs[k] / v
         break
     assert sol == ratio * trace
+
+
+@pytest.mark.parametrize("build", [build_newstein, lambda: build_extended(3)],
+                         ids=["newstein", "extended-3"])
+def test_centralizer_coefficients_are_exact(build):
+    """Integer kernels reach callers as Fractions, never as int / int floats."""
+    alg = build()
+    cen = alg.centralizer([alg.basis_element(alg.labels[i]) for i in alg.levi_indices])
+    assert cen and all(type(c) is F for v in cen for c in v.coeffs.values())
+    trace = alg.trace_c()
+    k0 = next(iter(trace.coeffs))
+    ratio = cen[0].coeffs[k0] / trace.coeffs[k0]
+    assert type(ratio) is F
+    assert cen[0] == ratio * trace
 
 
 def test_center_is_trace_c(G):

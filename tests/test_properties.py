@@ -4,11 +4,13 @@ A rational change of basis leaves the Jacobi identity and every Betti
 number unchanged; the coboundary squares to zero, its matrices are the
 brute-force ones times the complex's common denominator D, exact and
 modular ranks agree, the incremental ``Echelon`` agrees with
-``SparseExactMatrix``, and definitions survive a JSON round trip.
+``SparseExactMatrix``, the fraction-free ``kernel_basis`` spans the rational
+kernel, and definitions survive a JSON round trip.
 """
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 from newstein import labels as lb
 from newstein.algebras import heisenberg3, sl2
 from newstein.cohomology import CochainComplex, CoefficientModule, betti
-from newstein.exactla import Echelon, SparseExactMatrix, random_primes
+from newstein.exactla import Echelon, kernel_basis, random_primes
 from newstein.liealg import LieAlgebra
 
-from oracles import brute_betti, brute_d_matrix, dense_rank
+from oracles import brute_betti, brute_d_matrix, dense_rank, integer_matrix, rational_kernel_basis
 
 F = Fraction
 PRIME = random_primes(1, seed=0)[0]
@@ -138,13 +140,38 @@ def test_echelon_rank_equals_sparse_rank(data):
     nrows, ncols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
                               min_size=nrows, max_size=nrows))
-    mat = SparseExactMatrix(nrows, ncols)
+    mat = integer_matrix([[F(v) for v in row] for row in rows])
     ech = Echelon()
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            mat.add(r, c, F(v))
+    for row in rows:
         ech.insert({c: F(v) for c, v in enumerate(row) if v})
     assert ech.rank == mat.rank_exact()
+
+
+entries = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_is_primitive_integer_and_spans_the_rational_kernel(data):
+    n, width = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 5))
+    vectors = [{k: v for k, v in enumerate(row) if v} for row in
+               data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                                  min_size=n, max_size=n))]
+    combos = kernel_basis(vectors)
+    rank = dense_rank([[vec.get(k, 0) for k in range(width)] for vec in vectors])
+    assert len(combos) == n - rank
+    for combo in combos:
+        assert all(type(v) is int for v in combo.values())
+        assert gcd(*combo.values()) == 1
+        total: dict = {}
+        for i, c in combo.items():
+            for k, v in vectors[i].items():
+                total[k] = total.get(k, 0) + c * v
+        assert not any(total.values())
+    ours = [[combo.get(i, 0) for i in range(n)] for combo in combos]
+    oracle = [[combo.get(i, 0) for i in range(n)] for combo in rational_kernel_basis(vectors)]
+    assert dense_rank(ours) == dense_rank(oracle) == dense_rank(ours + oracle) == n - rank
 
 
 LABEL_POOL = [lb.T(1), lb.Tp(2), lb.C(1, 2), lb.A(3, 4), lb.L(1, 4), lb.J(2, 3), lb.K,
