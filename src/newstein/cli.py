@@ -105,6 +105,8 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.via_reduction and args.degree not in (1, 2):
+        raise ValueError(f"--via-reduction computes --degree 1 or 2, not {args.degree}")
     alg = load_algebra(args.algebra)
     if args.via_reduction:
         if not isinstance(alg, NewSteinAlgebra):
@@ -117,7 +119,7 @@ def cmd_cohomology(args) -> int:
     doc = {"command": "cohomology"}
     doc.update(report.as_dict())
     _emit(doc, args.out)
-    _note(f"H^{args.degree}({alg.name}, {args.coeffs}) = {report.betti}  [{report.method}]")
+    _note(f"H^{report.degree}({alg.name}, {report.module}) = {report.betti}  [{report.method}]")
     return EXIT_OK
 
 

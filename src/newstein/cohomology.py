@@ -530,9 +530,7 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     ech = Echelon()
     if k == 2:
         for phi in _analytic_preimages(alg):
-            img = cx.d_apply(phi)
-            if img:
-                ech.insert(img)
+            ech.insert(cx.d_apply(phi))
     residual = [z for z in cocycles if ech.reduce(z)]
     if residual:
         full = Echelon()
@@ -569,7 +567,7 @@ def _analytic_preimages(alg: NewSteinAlgebra) -> list[dict]:
     """One-cochains whose coboundaries span the invariant two-coboundaries."""
     phi_a: dict = {}
     phi_b: dict = {}
-    trace = alg.trace_c().coeffs
+    trace = {m: int(c) for m, c in alg.trace_c().coeffs.items()}     # entries +-1
     from .labels import metric
 
     for pos in alg.ideal_indices:

@@ -1,20 +1,21 @@
 """Sparse exact linear algebra over the integers, the rationals and prime fields.
 
+Exact elimination is one fraction-free step, ``_reduce``, on gcd-normalized
+integer rows; its residual is a positive multiple of the rational one.
+
 * ``SparseExactMatrix`` holds sparse integer rows (the coboundary builders
   write them directly, see ``cohomology``) and computes ranks by online
-  sparse echelon, exactly (fraction-free, gcd-normalized) or modulo a prime.
-* ``kernel_basis`` is fraction-free too: the same elimination, carrying each
-  vector's combination, returns primitive integer kernel vectors.
-* ``Echelon`` is the rational reducer for span membership and preimage
-  certificates, which need exact rational residuals.  It takes ``int`` or
-  ``Fraction`` entries and never makes a float.  Keys only need to be
-  mutually comparable.
+  sparse echelon, exactly or modulo a prime.
+* ``kernel_basis`` runs the same elimination on [vector | unit] rows and
+  returns primitive integer kernel vectors.
+* ``Echelon`` is its incremental form, for span membership: ``int`` or
+  ``Fraction`` entries, denominators cleared on entry, primitive ``int``
+  pivots, keys only mutually comparable.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 
 Row = dict[int, int]
@@ -41,38 +42,49 @@ def _bump(d: dict, key, value) -> None:
         del d[key]
 
 
+def _integral(vec: dict) -> tuple[dict, int]:
+    """(s * vec as int entries without zeros, s) for s the common denominator."""
+    s = lcm(*(v.denominator for v in vec.values()))
+    return {k: int(v * s) for k, v in vec.items() if v}, s
+
+
+def _reduce(pivots: dict, row: dict) -> dict:
+    """Gcd-normalized residual of int ``row`` against ``pivots``; ``row`` is not modified."""
+    row = _normalize(row)
+    owned = False           # a given row is copied before it changes
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            break
+        a, b = row[c], p[c]
+        g = gcd(a, b) if b > 0 else -gcd(a, b)
+        # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
+        fa, fb = b // g, a // g
+        if fa != 1:
+            row = {k: v * fa for k, v in row.items()}
+        elif not owned:
+            row = dict(row)
+        for k, v in p.items():
+            if w := row.get(k, 0) - v * fb:
+                row[k] = w
+            else:
+                del row[k]
+        row = _normalize(row)
+        owned = True
+    return row
+
+
 def _echelon(rows) -> dict[int, Row]:
     """Fraction-free sparse echelon of integer rows: leading column -> pivot row.
 
     Each row is reduced against the pivots so far and, unless it vanishes,
-    becomes a pivot itself; every step keeps the row gcd-normalized.  The
-    given rows are never modified.
+    becomes a pivot itself.  The given rows are never modified.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
-        row = _normalize(row)
-        owned = False           # a given row is copied before it changes
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = row
-                break
-            a, b = row[c], p[c]
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
-            fa, fb = b // g, a // g
-            if fa != 1:
-                row = {k: v * fa for k, v in row.items()}
-            elif not owned:
-                row = dict(row)
-            for k, v in p.items():
-                if w := row.get(k, 0) - v * fb:
-                    row[k] = w
-                else:
-                    del row[k]
-            row = _normalize(row)
-            owned = True
+        if row := _reduce(pivots, row):
+            pivots[min(row)] = row
     return pivots
 
 
@@ -148,58 +160,26 @@ def _is_prime(n: int) -> bool:
 
 
 class Echelon:
-    """Incremental exact reducer over arbitrary comparable keys.
+    """Incremental fraction-free reducer over arbitrary comparable keys.
 
-    Vectors are dicts key -> int or Fraction; pivot rows are scaled to a
-    leading 1 by ``Fraction`` division.  A vector may come with an augmented
-    part, a second dict over its own keys that undergoes the same row
-    operations but never supplies a pivot: that turns span-membership tests
-    into solvers (the residual's augmented part is the certificate
-    combination).  Give every inserted vector an augmented part, or none.
+    Vectors are dicts key -> int or Fraction; pivots are primitive ``int``
+    rows.  A residual is zero exactly when the vector lies in the span.
     """
 
     def __init__(self):
         self.pivots: dict[object, dict] = {}
-        self.augmented: dict[object, dict] = {}
 
-    def reduce(self, vec: dict, aug: dict | None = None) -> dict:
-        """Residual of ``vec`` against the current pivots; does not insert.
+    def reduce(self, vec: dict) -> dict:
+        """Residual of ``vec`` against the current pivots; does not insert."""
+        return _reduce(self.pivots, _integral(vec)[0])
 
-        ``aug``, if given, is ``vec``'s augmented part and is updated in place.
-        """
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            c = min(vec)
-            piv = self.pivots.get(c)
-            if piv is None:
-                break
-            f = -vec[c]
-            for k, v in piv.items():
-                _bump(vec, k, f * v)
-            if aug is not None:
-                for k, v in self.augmented[c].items():
-                    _bump(aug, k, f * v)
-        return vec
-
-    def insert(self, vec: dict, aug: dict | None = None) -> object | None:
-        """Reduce and insert; returns the new pivot key or None if dependent.
-
-        ``aug`` is reduced in place; if ``vec`` is dependent it ends as the
-        combination giving zero, else it becomes the pivot's augmented part.
-        """
-        vec = self.reduce(vec, aug)
+    def insert(self, vec: dict) -> object | None:
+        """Reduce and insert; returns the new pivot key or None if dependent."""
+        vec = self.reduce(vec)
         if not vec:
             return None
         c = min(vec)
-        if vec[c] != 1:
-            # Fraction, not 1 / int: integer input must not give float pivots
-            inv = 1 / Fraction(vec[c])
-            vec = {k: v * inv for k, v in vec.items()}
-            if aug is not None:
-                aug = {k: v * inv for k, v in aug.items()}
         self.pivots[c] = vec
-        if aug is not None:
-            self.augmented[c] = aug
         return c
 
     @property
@@ -216,8 +196,8 @@ def kernel_basis(vectors: list[dict]) -> list[Row]:
     """
     col = {k: q for q, k in enumerate(sorted({k for vec in vectors for k in vec}))}
     n0 = len(col)
-    scales = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
-    rows = [{col[k]: int(v * s) for k, v in vec.items() if v} | {n0 + i: 1}
-            for i, (vec, s) in enumerate(zip(vectors, scales))]
-    return [_normalize({i - n0: v * scales[i - n0] for i, v in row.items()})
+    scaled = [_integral(vec) for vec in vectors]
+    rows = [{col[k]: v for k, v in row.items()} | {n0 + i: 1}
+            for i, (row, _) in enumerate(scaled)]
+    return [_normalize({i - n0: v * scaled[i - n0][1] for i, v in row.items()})
             for c, row in _echelon(rows).items() if c >= n0]

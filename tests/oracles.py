@@ -3,8 +3,8 @@
 Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, deliberately sharing no
 code path with the package's sparse engines.  The exception is the last
-section: thin wrappers over those engines that only tests call, among them
-the rational kernel that ``exactla.kernel_basis`` is checked against.
+section: ``coboundary_matrix`` and ``integer_matrix``, thin wrappers over
+those engines that only tests call.
 """
 
 from __future__ import annotations
@@ -14,30 +14,65 @@ from itertools import combinations
 from math import lcm
 
 from newstein.cohomology import CochainComplex, CoefficientModule
-from newstein.exactla import Echelon, SparseExactMatrix
+from newstein.exactla import SparseExactMatrix
 from newstein.liealg import LieAlgebra
 
 F = Fraction
 
 
-def dense_rank(rows: list[list[Fraction]]) -> int:
-    """Plain dense Gaussian elimination over the rationals."""
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: nonzero rows, pivot columns."""
     rows = [list(map(F, r)) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][col]:
+            if i != r and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    """Plain dense Gaussian elimination over the rationals."""
+    return len(rref(rows)[1])
+
+
+def dense_nullspace(vectors: list[dict]) -> list[list[Fraction]]:
+    """Basis of {x : sum_i x[i] * vectors[i] = 0}, one per free column of the RREF."""
+    keys = list(dict.fromkeys(k for vec in vectors for k in vec))
+    reduced, pivots = rref([[vec.get(k, 0) for vec in vectors] for k in keys])
+    basis = []
+    for free in (j for j in range(len(vectors)) if j not in pivots):
+        x = [F(0)] * len(vectors)
+        x[free] = F(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[free]
+        basis.append(x)
+    return basis
+
+
+def span_contains(span_vectors: list[dict], target: dict) -> dict[int, Fraction] | None:
+    """Coefficients expressing ``target`` in the span, or None.
+
+    The certificate c satisfies sum_i c[i] * span_vectors[i] = target.
+    """
+    for x in dense_nullspace(span_vectors + [target]):
+        if x[-1]:
+            return {i: -v / x[-1] for i, v in enumerate(x[:-1]) if v}
+    return None
+
+
+def rational_kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
+    """Kernel of unit i -> ``vectors[i]``, as sparse combinations."""
+    return [{i: v for i, v in enumerate(x) if v} for x in dense_nullspace(vectors)]
 
 
 def brute_bracket(alg: LieAlgebra, x: dict, y: dict) -> dict:
@@ -169,20 +204,6 @@ def coboundary_matrix(alg: LieAlgebra, coeffs: CoefficientModule, k: int) -> Spa
     return CochainComplex(alg, coeffs).d_matrix(k)
 
 
-def span_contains(span_vectors: list[dict], target: dict) -> dict[int, Fraction] | None:
-    """Coefficients expressing ``target`` in the span, or None.
-
-    The certificate c satisfies sum_i c[i] * span_vectors[i] = target.
-    """
-    ech = Echelon()
-    for i, vec in enumerate(span_vectors):
-        ech.insert(vec, {i: F(1)})
-    combo: dict = {}
-    if ech.reduce(target, combo):
-        return None
-    return {i: -v for i, v in combo.items()}
-
-
 def integer_matrix(rows: list[list]) -> SparseExactMatrix:
     """Dense rational rows as a ``SparseExactMatrix``, each row scaled by the
     common denominator of its entries (the same rank)."""
@@ -192,14 +213,3 @@ def integer_matrix(rows: list[list]) -> SparseExactMatrix:
         if entries := {c: int(F(v) * s) for c, v in enumerate(row) if v}:
             mat.rows[r] = entries
     return mat
-
-
-def rational_kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
-    """Kernel of unit i -> ``vectors[i]`` by rational elimination (``Echelon``)."""
-    ech = Echelon()
-    out = []
-    for i, vec in enumerate(vectors):
-        combo = {i: F(1)}
-        if ech.insert(vec, combo) is None:
-            out.append(combo)
-    return out

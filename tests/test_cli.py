@@ -11,8 +11,7 @@ from newstein import cli
 from newstein.cli import (EXIT_BAD_PARAMS, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                           EXIT_UNKNOWN_ALGEBRA, main)
 
-# verify-all claims whose values are exact, hence the same on every machine;
-# h2-adjoint is exact too but is left out for its two-minute run time
+# verify-all claims whose values are exact, hence the same on every machine
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_all_exact.json").read_text())
 
 
@@ -138,6 +137,21 @@ def test_cohomology_subcommand(tmp_path):
     rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
                        "--degree", "1", "--via-reduction"], tmp_path)
     assert rc == EXIT_OK and doc["betti"] == 8
+
+
+@pytest.mark.parametrize("degree", ["0", "3"])
+def test_reduction_outside_degrees_one_and_two_is_invalid(tmp_path, capsys, degree):
+    rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
+                       "--degree", degree, "--via-reduction"], tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    assert "--degree 1 or 2" in capsys.readouterr().err
+
+
+def test_cohomology_note_names_the_computed_module_and_degree(tmp_path, capsys):
+    rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--degree", "1",
+                       "--via-reduction"], tmp_path)
+    assert rc == EXIT_OK and (doc["module"], doc["degree"]) == ("adjoint", 1)
+    assert "H^1(newstein, adjoint) = 8" in capsys.readouterr().err
 
 
 def test_file_selector_roundtrip(tmp_path):

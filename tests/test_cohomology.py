@@ -19,7 +19,7 @@ from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyRe
                                  betti, h1_via_reduction,
                                  h2_via_reduction, invariant_cochains,
                                  six_parameter_cochain_family, reduction_data)
-from newstein.cohomology import InternalCheckError, _ideal_complex
+from newstein.cohomology import InternalCheckError, _analytic_preimages, _ideal_complex
 from newstein.exactla import Echelon, random_primes
 from newstein.liealg import LieAlgebra
 
@@ -306,11 +306,16 @@ def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch
 
 
 def test_invariant_reduction_runs_on_integers(G, h2_data):
-    """Invariant cochains, cocycles and classes are primitive int vectors."""
+    """Invariant cochains, cocycles and classes are primitive int vectors,
+    and the coboundaries of the analytic preimages have int entries."""
     for data in (reduction_data(G, 1), h2_data):
         vecs = data.invariant.basis + data.cocycles + data.residual_classes
         assert all(type(v) is int for vec in vecs for v in vec.values())
         assert all(gcd(*vec.values()) == 1 for vec in vecs)
+    cx = h2_data.invariant.complex
+    for phi in _analytic_preimages(G):
+        img = cx.d_apply(phi)
+        assert img and all(type(v) is int for v in img.values())
 
 
 @pytest.mark.parametrize("case,scale", [(3, 2), (8, 5)])

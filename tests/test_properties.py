@@ -2,10 +2,12 @@
 
 A rational change of basis leaves the Jacobi identity and every Betti
 number unchanged; the coboundary squares to zero, its matrices are the
-brute-force ones times the complex's common denominator D, exact and
-modular ranks agree, the incremental ``Echelon`` agrees with
-``SparseExactMatrix``, the fraction-free ``kernel_basis`` spans the rational
-kernel, and definitions survive a JSON round trip.
+brute-force ones times the complex's common denominator D, and exact and
+modular ranks agree.  The fraction-free eliminator is checked against the
+dense rational oracles: ``Echelon`` and ``SparseExactMatrix`` ranks against
+``dense_rank``, ``Echelon`` membership against ``span_contains`` and
+``kernel_basis`` against the rational kernel.  Definitions survive a JSON
+round trip.
 """
 
 import json
@@ -22,7 +24,8 @@ from newstein.cohomology import CochainComplex, CoefficientModule, betti
 from newstein.exactla import Echelon, kernel_basis, random_primes
 from newstein.liealg import LieAlgebra
 
-from oracles import brute_betti, brute_d_matrix, dense_rank, integer_matrix, rational_kernel_basis
+from oracles import (brute_betti, brute_d_matrix, dense_rank, integer_matrix,
+                     rational_kernel_basis, span_contains)
 
 F = Fraction
 PRIME = random_primes(1, seed=0)[0]
@@ -144,11 +147,38 @@ def test_echelon_rank_equals_sparse_rank(data):
     ech = Echelon()
     for row in rows:
         ech.insert({c: F(v) for c, v in enumerate(row) if v})
-    assert ech.rank == mat.rank_exact()
+    assert ech.rank == mat.rank_exact() == dense_rank(rows)
 
 
 entries = st.one_of(st.integers(-4, 4),
                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def _combine(weights, vectors) -> dict:
+    total: dict = {}
+    for w, vec in zip(weights, vectors):
+        for k, v in vec.items():
+            total[k] = total.get(k, 0) + w * v
+    return total
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_echelon_membership_matches_span_certificate(data):
+    keys = [(a, b) for a in "xy" for b in range(3)]
+    vector = st.dictionaries(st.sampled_from(keys), entries, max_size=4)
+    span = data.draw(st.lists(vector, max_size=4))
+    # half the targets are drawn from the span, so both answers occur
+    weights = data.draw(st.lists(entries, min_size=len(span), max_size=len(span)))
+    target = data.draw(st.one_of(vector, st.just(_combine(weights, span))))
+    ech = Echelon()
+    for vec in span:
+        ech.insert(vec)
+    combo = span_contains(span, target)
+    assert (not ech.reduce(target)) == (combo is not None)
+    if combo is not None:
+        rebuilt = _combine([combo.get(i, 0) for i in range(len(span))], span)
+        assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in target.items() if v}
 
 
 @given(data=st.data())
@@ -164,11 +194,7 @@ def test_kernel_basis_is_primitive_integer_and_spans_the_rational_kernel(data):
     for combo in combos:
         assert all(type(v) is int for v in combo.values())
         assert gcd(*combo.values()) == 1
-        total: dict = {}
-        for i, c in combo.items():
-            for k, v in vectors[i].items():
-                total[k] = total.get(k, 0) + c * v
-        assert not any(total.values())
+        assert not any(_combine([combo.get(i, 0) for i in range(n)], vectors).values())
     ours = [[combo.get(i, 0) for i in range(n)] for combo in combos]
     oracle = [[combo.get(i, 0) for i in range(n)] for combo in rational_kernel_basis(vectors)]
     assert dense_rank(ours) == dense_rank(oracle) == dense_rank(ours + oracle) == n - rank
