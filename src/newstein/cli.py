@@ -107,6 +107,8 @@ def cmd_jacobi(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.via_reduction and args.degree not in (1, 2):
         raise ValueError(f"--via-reduction computes --degree 1 or 2, not {args.degree}")
+    if args.via_reduction and args.method != "exact":
+        raise ValueError("--via-reduction is exact only; drop --method modular")
     alg = load_algebra(args.algebra)
     if args.via_reduction:
         if not isinstance(alg, NewSteinAlgebra):
@@ -601,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--method", choices=["exact", "modular"], default="exact")
     p.add_argument("--via-reduction", action="store_true",
-                   help="use the invariant ideal-complex reduction (adjoint, degree 1 or 2)")
+                   help="use the exact invariant ideal-complex reduction (adjoint, degree 1 or 2)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cohomology)
 

@@ -17,9 +17,11 @@ high-confidence upper bound, not a proof.  A prime dividing D is refused.
 
 The module also implements the invariant-cochain reduction: cohomology of
 the nilpotent ideal with coefficients in the full algebra, restricted to
-cochains invariant under the whole algebra.  That shrinks the second-degree
-computation from tens of thousands of unknowns to a handful and keeps it
-exact.
+the Levi-invariant subcomplex.  By Hochschild-Serre (1953), with the Levi
+factor acting completely reducibly and its first and second cohomology
+vanishing, that is H^k of the whole algebra for k = 1, 2.  It shrinks the
+second-degree computation from tens of thousands of unknowns to a handful
+and keeps it exact.
 """
 
 from __future__ import annotations
@@ -404,51 +406,37 @@ class InvariantCochainSpace:
         return len(self.basis)
 
 
-def _generator_order(alg: NewSteinAlgebra, under: str) -> list[int]:
-    """Invariance constraints ordered so early kernels have tiny blocks."""
-    kinds_order = ("T", "Tp", "C", "J", "L", "A", "Q") if under == "full" else ("J", "L")
-    order = []
-    for kind in kinds_order:
-        order.extend(i for i, lab in enumerate(alg.labels)
-                     if getattr(lab, "kind", None) == kind)
-    return order
+def _generator_order(alg: NewSteinAlgebra) -> list[int]:
+    """Levi generators, J first, so early kernels have tiny blocks."""
+    return sorted(alg.levi_indices, key=lambda i: alg.labels[i].kind != "J")
 
 
 def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
     return CochainComplex(alg, CoefficientModule.adjoint(alg), alg.ideal_indices)
 
 
-def invariant_cochains(alg: NewSteinAlgebra, k: int, *,
-                       under: str = "levi") -> InvariantCochainSpace:
-    """Basis of invariant cochains Hom(Lambda^k ideal, algebra), exact.
+def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
+    """Basis of the Levi-invariant cochains Hom(Lambda^k ideal, algebra), exact.
 
-    Invariance of f under a generator g is the vanishing of the Lie
+    Invariance of f under a Levi generator g is the vanishing of the Lie
     derivative
 
         (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
 
-    solved as an intersection of operator kernels.  ``under='levi'``
-    (default) enforces the constraints for the L and J generators only;
-    that is the subcomplex whose cohomology computes the full adjoint
-    cohomology, because the semisimple part acts reductively and ideal
-    elements act trivially on cohomology classes (their Lie derivative of a
-    cocycle is the coboundary of a contraction).  ``under='full'`` enforces
-    strict invariance under all basis generators; note that cochains
-    invariant only up to coboundary are then excluded, so the full-strict
-    space is smaller than the space of invariant cohomology classes.
+    solved as an intersection of operator kernels, one per L and J
+    generator.  At k = 0 the cochains are the algebra itself and the basis
+    spans the centralizer of the Levi factor.
 
     It runs on integers: each operator is scaled by its own common
     denominator, and the basis holds primitive integer cochains.
     """
-    if k not in (1, 2):
-        raise ValueError("invariant reduction implemented for degrees 1 and 2")
-    if under not in ("levi", "full"):
-        raise ValueError("under must be 'levi' or 'full'")
+    if k not in (0, 1, 2):
+        raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
     cx = _ideal_complex(alg)
     basis: list[dict] = [{(S, m): 1} for S in cx.wedges(k) for m in range(alg.dim)]
 
     idealset = set(cx.args)
-    for g in _generator_order(alg, under):
+    for g in _generator_order(alg):
         ad_g = alg.ad_columns(g)
         # D * (g . f) has the kernel of g . f and integer entries
         D = lcm(*(c.denominator for vec in ad_g.values() for c in vec.values()))
@@ -513,30 +501,20 @@ class ReductionData:
 
 
 def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
-    """Invariant cocycles on the ideal and their coboundary subspace.
+    """H^k of the Levi-invariant subcomplex of the ideal complex.
 
-    The reduction computes H^k(algebra, adjoint) as invariant-cocycles
-    modulo coboundaries: the semisimple part acts reductively, so the
-    cohomology of the invariant subcomplex is the invariant part of the
-    ideal cohomology, and the quotient collapses onto it.  A cocycle counts
-    as a class only if it is independent modulo the full coboundary space of
-    the ideal complex and the classes already counted, so the count does not
-    depend on the cocycle basis.  Cocycles in the span of the coboundaries
-    of analytic preimages are certified coboundaries without building that
-    space.
+    Among the invariant cocycles, the coboundaries are exactly d of the
+    invariant (k-1)-cochains: the Levi factor acts completely reducibly, so
+    taking invariants commutes with cohomology.  Those images seed one
+    echelon; each cocycle it still accepts is a class, so the count does
+    not depend on the cocycle basis.
     """
     inv, cocycles = invariant_cocycles(alg, k)
     cx = inv.complex
     ech = Echelon()
-    if k == 2:
-        for phi in _analytic_preimages(alg):
-            ech.insert(cx.d_apply(phi))
-    residual = [z for z in cocycles if ech.reduce(z)]
-    if residual:
-        full = Echelon()
-        for S, m in product(cx.wedges(k - 1), range(alg.dim)):
-            full.insert(cx.d_basis(S, m))
-        residual = [z for z in residual if full.insert(z) is not None]
+    for phi in invariant_cochains(alg, k - 1).basis:
+        ech.insert(cx.d_apply(phi))
+    residual = [z for z in cocycles if ech.insert(z) is not None]
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 
 
@@ -561,26 +539,6 @@ def h1_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
 def h2_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
     """dim H^2(alg, alg) through the invariant ideal complex, exact."""
     return _reduction_report(alg, 2, reduction_data(alg, 2))
-
-
-def _analytic_preimages(alg: NewSteinAlgebra) -> list[dict]:
-    """One-cochains whose coboundaries span the invariant two-coboundaries."""
-    phi_a: dict = {}
-    phi_b: dict = {}
-    trace = {m: int(c) for m, c in alg.trace_c().coeffs.items()}     # entries +-1
-    from .labels import metric
-
-    for pos in alg.ideal_indices:
-        lab = alg.labels[pos]
-        if lab.kind == "A":
-            phi_a[((pos,), pos)] = 1
-        elif lab.kind == "C":
-            mu, nu = lab.indices
-            g = metric(mu, nu)
-            if g:
-                for m, c in trace.items():
-                    phi_b[((pos,), m)] = -g * c
-    return [phi_a, phi_b]
 
 
 def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:

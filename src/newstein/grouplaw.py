@@ -259,15 +259,6 @@ class ExtendedGroupElement:
     k: float
     g: GroupElement
 
-    def to_record(self) -> dict:
-        rec = self.g.to_record()
-        rec["k"] = self.k
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "ExtendedGroupElement":
-        return cls(float(rec["k"]), GroupElement.from_record(rec))
-
 
 def rotate_aq(g: GroupElement, k: float) -> GroupElement:
     """The automorphism integrating [K, A] = -Q, [K, Q] = A at parameter k.
@@ -367,20 +358,21 @@ def wigner_rotation(Lam: np.ndarray, xi: np.ndarray, m0: float) -> tuple[np.ndar
 
 
 def wigner_phase(Lam: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                 m0: float, lam: float) -> float:
-    """The U(1) angle of the little-group element at (xi, eta).
+                 m0: float, lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The U(1) angle of the little-group element at (xi, eta), with the
+    transported point (xi', eta').
 
-    Assembles W = R_eta^-1 (A_xi^-1 Lam A_{Lam^-1 xi}) R_eta' with the
-    transported eta' and returns phi in (-2pi, 2pi] with
-    W = diag(e^{i phi/2}, e^{-i phi/2}); raises if W fails to commute with
-    the pole rotation generator.
+    Assembles W = R_eta^-1 (A_xi^-1 Lam A_{Lam^-1 xi}) R_eta' with
+    xi' = Lam^-1 xi and eta' = D(1)(V^-1) eta, and returns phi in
+    (-2pi, 2pi] with W = diag(e^{i phi/2}, e^{-i phi/2}); raises if W fails
+    to commute with the pole rotation generator.
     """
-    V, _ = wigner_rotation(Lam, xi, m0)
+    V, xi2 = wigner_rotation(Lam, xi, m0)
     eta2 = so3_rep(V.conj().T) @ eta
     W = rotation_section(eta, lam).conj().T @ V @ rotation_section(eta2, lam)
     if max(abs(W[0, 1]), abs(W[1, 0])) > 1e-8:
         raise StabilizerError("assembled element does not stabilize the pole")
-    return 2.0 * math.atan2(W[0, 0].imag, W[0, 0].real)
+    return 2.0 * math.atan2(W[0, 0].imag, W[0, 0].real), xi2, eta2
 
 
 # -- one-parameter subgroups ----------------------------------------------

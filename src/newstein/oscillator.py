@@ -432,10 +432,9 @@ def iur_apply(g: gl.GroupElement, F, params: RepParams):
         # with c taken from the abelian factor of g = h k
         D_low = (params.alpha / m0**2) * np.outer(xl, xl)
         phase += float(np.sum(D_low * (g.c - gl.beta_w(g.a, g.q))))
-        phase += params.s * gl.wigner_phase(g.Lam, xi, eta, m0, lam)
         # xi' = Lam^-1 xi and eta' = D(1)(A_{xi'}^-1 Lam^-1 A_xi) eta
-        V, xi2 = gl.wigner_rotation(g.Lam, xi, m0)
-        eta2 = gl.so3_rep(V.conj().T) @ eta
+        phi, xi2, eta2 = gl.wigner_phase(g.Lam, xi, eta, m0, lam)
+        phase += params.s * phi
         z2 = RvT @ (z - g.q @ xl)
         val = np.atleast_1d(F(xi2, eta2, z2))
         return np.exp(1j * phase) * (Dj @ val)

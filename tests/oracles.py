@@ -3,18 +3,19 @@
 Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, deliberately sharing no
 code path with the package's sparse engines.  The exception is the last
-section: ``coboundary_matrix`` and ``integer_matrix``, thin wrappers over
-those engines that only tests call.
+section: ``coboundary_matrix``, ``integer_matrix`` and
+``full_coboundary_classes``, thin wrappers over those engines that only
+tests call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
-from newstein.cohomology import CochainComplex, CoefficientModule
-from newstein.exactla import SparseExactMatrix
+from newstein.cohomology import CochainComplex, CoefficientModule, invariant_cocycles
+from newstein.exactla import Echelon, SparseExactMatrix
 from newstein.liealg import LieAlgebra
 
 F = Fraction
@@ -213,3 +214,19 @@ def integer_matrix(rows: list[list]) -> SparseExactMatrix:
         if entries := {c: int(F(v) * s) for c, v in enumerate(row) if v}:
             mat.rows[r] = entries
     return mat
+
+
+def full_coboundary_classes(alg, k: int) -> list[dict]:
+    """Invariant k-cocycles independent modulo d of all of C^{k-1}(ideal,
+    algebra) and of the classes before them, in the order of the cocycle basis.
+
+    The reference for the invariant reduction, which reduces modulo d of
+    the invariant (k-1)-cochains only: for the 51-dim algebra at k = 2, 10
+    of the 2142 one-cochains.
+    """
+    inv, cocycles = invariant_cocycles(alg, k)
+    cx = inv.complex
+    full = Echelon()
+    for S, m in product(cx.wedges(k - 1), range(alg.dim)):
+        full.insert(cx.d_basis(S, m))
+    return [z for z in cocycles if full.insert(z) is not None]

@@ -147,6 +147,16 @@ def test_reduction_outside_degrees_one_and_two_is_invalid(tmp_path, capsys, degr
     assert "--degree 1 or 2" in capsys.readouterr().err
 
 
+def test_reduction_with_modular_method_is_invalid(tmp_path, capsys):
+    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction",
+                       "--method", "modular"], tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    assert "exact only" in capsys.readouterr().err
+    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction",
+                       "--method", "exact"], tmp_path)
+    assert rc == EXIT_OK and doc["method"] == "invariant-reduction-exact"
+
+
 def test_cohomology_note_names_the_computed_module_and_degree(tmp_path, capsys):
     rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--degree", "1",
                        "--via-reduction"], tmp_path)

@@ -5,10 +5,12 @@ the tests freeze the computed values; the claim-by-claim comparison lives in
 the CLI's verification report and the acceptance suite.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +21,13 @@ from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyRe
                                  betti, h1_via_reduction,
                                  h2_via_reduction, invariant_cochains,
                                  six_parameter_cochain_family, reduction_data)
-from newstein.cohomology import InternalCheckError, _analytic_preimages, _ideal_complex
+from newstein.cohomology import InternalCheckError, _ideal_complex
 from newstein.exactla import Echelon, random_primes
 from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
-                     coboundary_matrix, einstein_algebra, newton_algebra)
+                     coboundary_matrix, dense_rank, einstein_algebra,
+                     full_coboundary_classes, newton_algebra, span_contains)
 
 F = Fraction
 
@@ -307,15 +310,48 @@ def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch
 
 def test_invariant_reduction_runs_on_integers(G, h2_data):
     """Invariant cochains, cocycles and classes are primitive int vectors,
-    and the coboundaries of the analytic preimages have int entries."""
+    and the coboundaries of the invariant one-cochains have int entries."""
     for data in (reduction_data(G, 1), h2_data):
         vecs = data.invariant.basis + data.cocycles + data.residual_classes
         assert all(type(v) is int for vec in vecs for v in vec.values())
         assert all(gcd(*vec.values()) == 1 for vec in vecs)
     cx = h2_data.invariant.complex
-    for phi in _analytic_preimages(G):
-        img = cx.d_apply(phi)
-        assert img and all(type(v) is int for v in img.values())
+    images = [cx.d_apply(phi) for phi in invariant_cochains(G, 1).basis]
+    assert any(images)
+    assert all(type(v) is int for img in images for v in img.values())
+
+
+GOLDEN_REDUCTION = json.loads(
+    (Path(__file__).parent / "golden" / "reduction_newstein.json").read_text())
+
+
+def test_reduction_reports_match_golden(G):
+    """Dimensions, ranks and notes of both reduction reports, pinned from the
+    reduction modulo d of every (k-1)-cochain of the ideal."""
+    assert h1_via_reduction(G).as_dict() == GOLDEN_REDUCTION["1"]
+    assert h2_via_reduction(G).as_dict() == GOLDEN_REDUCTION["2"]
+
+
+def _levi_rescaled(G):
+    """G with one L and one J generator rescaled by 1/2 and 1/5, which puts
+    those denominators into their invariance operators."""
+    s = {G.levi_indices[0]: F(1, 2), G.levi_indices[-1]: F(1, 5)}
+    return NewSteinAlgebra("scaled", list(G.labels), {
+        (i, j): {k: s.get(i, 1) * s.get(j, 1) * c / s.get(k, 1) for k, c in vec.items()}
+        for (i, j), vec in G.constants.items()})
+
+
+@pytest.mark.parametrize("name,k", [("newstein", 1), ("newstein", 2), ("ext3", 1),
+                                    ("ext8", 1), ("levi-rescaled", 1)])
+def test_reduction_matches_full_coboundary_elimination(G, h2_data, name, k):
+    """Reducing modulo d of the invariant (k-1)-cochains finds the same
+    classes as reducing modulo d of every (k-1)-cochain of the ideal."""
+    alg = {"newstein": G, "ext3": build_extended(3), "ext8": build_extended(8),
+           "levi-rescaled": _levi_rescaled(G)}[name]
+    data = h2_data if (name, k) == ("newstein", 2) else reduction_data(alg, k)
+    classes = full_coboundary_classes(alg, k)
+    assert data.residual_classes == classes
+    assert data.boundary_dim == len(data.cocycles) - len(classes)
 
 
 @pytest.mark.parametrize("case,scale", [(3, 2), (8, 5)])
@@ -331,12 +367,9 @@ def test_h1_reduction_with_rational_invariance_operators(case, scale):
 def test_reduction_survives_rational_levi_operators(G):
     """Rescaling one L and one J generator by 1/2 and 1/5 puts those
     denominators into their invariance operators; no count may move."""
-    s = {G.levi_indices[0]: F(1, 2), G.levi_indices[-1]: F(1, 5)}
-    scaled = NewSteinAlgebra("scaled", list(G.labels), {
-        (i, j): {k: s.get(i, 1) * s.get(j, 1) * c / s.get(k, 1) for k, c in vec.items()}
-        for (i, j), vec in G.constants.items()})
+    scaled = _levi_rescaled(G)
     assert CochainComplex(scaled, CoefficientModule.adjoint(scaled)).scale == 10
-    assert invariant_cochains(scaled, 1, under="full").dim == 5
+    assert invariant_cochains(scaled, 1).dim == 10
     red = h1_via_reduction(scaled)
     assert (red.betti, red.notes) == (8, h1_via_reduction(G).notes)
 
@@ -397,6 +430,23 @@ def test_h1_reduction_sensitivity_negative_control(G):
     assert h1_via_reduction(G).betti == 8
 
 
+def _analytic_preimages(G) -> list[dict]:
+    """The A-identity one-cochain and C_{mu nu} -> -g_{mu nu} tr C."""
+    from newstein.labels import metric
+
+    phi_a: dict = {}
+    phi_b: dict = {}
+    trace = G.trace_c().coeffs
+    for pos in G.ideal_indices:
+        lab = G.labels[pos]
+        if lab.kind == "A":
+            phi_a[((pos,), pos)] = 1
+        elif lab.kind == "C" and (g := metric(*lab.indices)):
+            for m, c in trace.items():
+                phi_b[((pos,), m)] = int(-g * c)
+    return [phi_a, phi_b]
+
+
 def test_invariant_two_coboundary_family_forms(G):
     """The invariant two-coboundaries realize exactly the displayed family.
 
@@ -404,7 +454,6 @@ def test_invariant_two_coboundary_family_forms(G):
     d of C_{mu nu} -> -g_{mu nu} tr C gives the metric-trace variant; and
     the two coboundaries vanish on every other argument pair.
     """
-    from newstein.cohomology import _analytic_preimages, _ideal_complex
     from newstein.labels import metric
 
     cx = _ideal_complex(G)
@@ -424,6 +473,23 @@ def test_invariant_two_coboundary_family_forms(G):
                         want_b[key] = want_b.get(key, 0) + sgn * g * c
     assert cx.d_apply(phi_a) == want_a
     assert cx.d_apply(phi_b) == {k: v for k, v in want_b.items() if v}
+
+
+def test_displayed_family_spans_the_invariant_two_coboundaries(G):
+    """phi_a and phi_b are Levi-invariant one-cochains, and their coboundaries
+    span the same rank-2 space as d of every invariant one-cochain."""
+    cx = _ideal_complex(G)
+    basis = invariant_cochains(G, 1).basis
+    family = _analytic_preimages(G)
+    for phi in family:
+        assert span_contains(basis, phi) is not None
+    mine = [cx.d_apply(phi) for phi in family]
+    everyone = [cx.d_apply(phi) for phi in basis]
+    keys = sorted({key for img in mine + everyone for key in img})
+    for images in (mine, everyone):
+        assert dense_rank([[img.get(key, 0) for key in keys] for img in images]) == 2
+    for img in everyone:
+        assert span_contains(mine, img) is not None
 
 
 def test_h2_trivial_is_one_and_spanned_by_beta(G):
@@ -475,16 +541,14 @@ def test_planar_extra_cocycles_are_the_epsilon_pairings():
         assert ech.reduce(dict(vec))
 
 
-def test_invariant_cochains_under_full_vs_levi(G):
-    strict = invariant_cochains(G, 1, under="full")
-    levi = invariant_cochains(G, 1, under="levi")
-    assert strict.dim == 5
-    assert levi.dim == 10
-    ech = Echelon()
-    for vec in levi.basis:
-        ech.insert(dict(vec))
-    for vec in strict.basis:
-        assert not ech.reduce(dict(vec))
+def test_invariant_cochains_of_the_levi_factor(G):
+    """At k = 0 the invariant cochains span the centralizer of the Levi
+    factor, the line of the metric trace of C; at k = 1 there are ten."""
+    levi = [G.basis_element(G.labels[i]) for i in G.levi_indices]
+    centre = [{m: c for ((), m), c in vec.items()} for vec in invariant_cochains(G, 0).basis]
+    assert centre == [x.coeffs for x in G.centralizer(levi)]
+    assert span_contains(centre, G.trace_c().coeffs) is not None
+    assert invariant_cochains(G, 1).dim == 10
 
 
 def test_invariant_one_cocycles_with_zero_translation_parts_are_derivations(G):

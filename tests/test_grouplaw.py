@@ -257,10 +257,10 @@ def test_wigner_phase_trivial_and_rotation():
     pole = np.array([0.0, 0, lam])
     eta = sphere_point([0.3, -0.2, 0.9], lam)
     xi = shell_point([0.4, 0.1, -0.3], m0)
-    assert wigner_phase(np.eye(2, dtype=complex), xi, eta, m0, lam) == pytest.approx(0.0)
+    assert wigner_phase(np.eye(2, dtype=complex), xi, eta, m0, lam)[0] == pytest.approx(0.0)
     theta = 0.8
     Ldiag = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
-    assert wigner_phase(Ldiag, xi0, pole, m0, lam) == pytest.approx(theta)
+    assert wigner_phase(Ldiag, xi0, pole, m0, lam)[0] == pytest.approx(theta)
 
 
 def test_wigner_phase_additive_on_stabilizer():
@@ -272,9 +272,9 @@ def test_wigner_phase_additive_on_stabilizer():
         return np.diag([np.exp(1j * t / 2), np.exp(-1j * t / 2)])
 
     t1, t2 = 0.5, 0.9
-    p1 = wigner_phase(rot(t1), xi0, pole, m0, lam)
-    p2 = wigner_phase(rot(t2), xi0, pole, m0, lam)
-    p12 = wigner_phase(rot(t1) @ rot(t2), xi0, pole, m0, lam)
+    p1 = wigner_phase(rot(t1), xi0, pole, m0, lam)[0]
+    p2 = wigner_phase(rot(t2), xi0, pole, m0, lam)[0]
+    p12 = wigner_phase(rot(t1) @ rot(t2), xi0, pole, m0, lam)[0]
     assert p1 + p2 == pytest.approx(p12)
 
 
