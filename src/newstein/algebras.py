@@ -19,7 +19,6 @@ their indices.  All coefficients are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import labels as lb
@@ -207,58 +206,22 @@ def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
     return ExtendedNewSteinAlgebra(f"newstein-ext:{cls.case}", labs, constants, cls)
 
 
-@dataclass
-class CentralCocycle:
-    """Antisymmetric bilinear form on an algebra, sparse over pairs i < j."""
-
-    algebra: LieAlgebra
-    entries: dict[tuple[int, int], Fraction]
-
-    def value(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return _F(0)
-        if i < j:
-            return self.entries.get((i, j), _F(0))
-        return -self.entries.get((j, i), _F(0))
-
-    def pair(self, x: SparseVec, y: SparseVec) -> Fraction:
-        total = _F(0)
-        for i, xi in x.items():
-            for j, yj in y.items():
-                total += xi * yj * self.value(i, j)
-        return total
-
-    def cocycle_violations(self) -> list[tuple[int, int, int]]:
-        """Triples where w([x,y],z) + w([y,z],x) + w([z,x],y) != 0."""
-        alg = self.algebra
-        bad = []
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                for k in range(j + 1, alg.dim):
-                    total = _F(0)
-                    for inner, outer, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
-                        for m, c in alg.bracket_basis(*inner).items():
-                            total += sign * c * self.value(m, outer)
-                    if total:
-                        bad.append((i, j, k))
-        return bad
-
-
-def beta_cocycle(alg: NewSteinAlgebra | None = None) -> CentralCocycle:
+def beta_cocycle(alg: NewSteinAlgebra | None = None) -> dict:
     """Infinitesimal central 2-cocycle of the t/t' pairing exponent.
 
     w(T_mu, T'_nu) = g_{mu nu} and zero on every other basis pair; the values
     come from differentiating the group exponent <t_1, Lambda_1 t'_2> minus
-    its transpose at the identity.
+    its transpose at the identity.  Returned as a trivial-coefficient
+    2-cochain {((i, j), 0): w(e_i, e_j)} with i < j, the coordinates of
+    ``cohomology.CochainComplex``.
     """
     alg = alg if alg is not None else build_newstein()
-    entries: dict[tuple[int, int], Fraction] = {}
+    w: dict = {}
     for m in range(1, 5):
         i, j = alg.index[lb.T(m)], alg.index[lb.Tp(m)]
-        lo, hi = min(i, j), max(i, j)
         sign = 1 if i < j else -1
-        entries[(lo, hi)] = _F(sign * metric(m, m))
-    return CentralCocycle(alg, entries)
+        w[((min(i, j), max(i, j)), 0)] = _F(sign * metric(m, m))
+    return w
 
 
 # -- small reference algebras -------------------------------------------

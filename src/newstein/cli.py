@@ -109,6 +109,9 @@ def cmd_cohomology(args) -> int:
         raise ValueError(f"--via-reduction computes --degree 1 or 2, not {args.degree}")
     if args.via_reduction and args.method != "exact":
         raise ValueError("--via-reduction is exact only; drop --method modular")
+    if args.via_reduction and args.coeffs != "adjoint":
+        raise ValueError("--via-reduction computes adjoint cohomology; "
+                         "give --coeffs adjoint")
     alg = load_algebra(args.algebra)
     if args.via_reduction:
         if not isinstance(alg, NewSteinAlgebra):

@@ -35,7 +35,7 @@ from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
 from .exactla import Echelon, SparseExactMatrix, _bump, _normalize, kernel_basis, random_primes
-from .liealg import LieAlgebra, SparseVec
+from .liealg import LieAlgebra
 
 
 class InternalCheckError(ArithmeticError):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .labels import A, C, Q
+from .labels import A, Q
 from .liealg import LieAlgebra, SparseVec
 
 
@@ -145,36 +145,6 @@ def derivation_from_matrix(L: ExtensionMatrix, alg: LieAlgebra) -> dict[int, Spa
         if vec:
             cols[pos] = vec
     return cols
-
-
-def leibniz_violations(alg: LieAlgebra, phi: dict[int, SparseVec]) -> list[tuple[int, int]]:
-    """Basis pairs where Phi[x,y] != [Phi x, y] + [x, Phi y] (exact)."""
-
-    def apply(vec: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for k, c in vec.items():
-            for m, d in phi.get(k, {}).items():
-                new = out.get(m, 0) + c * d
-                if new:
-                    out[m] = new
-                else:
-                    out.pop(m, None)
-        return out
-
-    bad = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = apply(alg.bracket_basis(i, j))
-            rhs = alg.bracket_vec(apply({i: Fraction(1)}), {j: Fraction(1)})
-            for k, v in alg.bracket_vec({i: Fraction(1)}, apply({j: Fraction(1)})).items():
-                new = rhs.get(k, 0) + v
-                if new:
-                    rhs[k] = new
-                else:
-                    rhs.pop(k, None)
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
 
 
 _EPS = 1e-10

@@ -12,8 +12,7 @@ and theta^{mn} = 1/2 for m = n, else 1.
 
 Internally c is stored as the symmetric matrix w with w[m][n] = theta^{mn}
 c^{mn}; in that chart S(Lambda) is plain congruence by the vector matrix and
-beta becomes (a^T q + q^T a) / 2.  Serialized records carry the plain
-coordinates c^{mn}, m <= n.
+beta becomes (a^T q + q^T a) / 2.
 
 Everything in this module is binary64; exact arithmetic lives in the
 algebra-side modules.
@@ -179,29 +178,6 @@ class GroupElement:
     q: np.ndarray = field(default_factory=lambda: np.zeros((3, 4)))
     Lam: np.ndarray = field(default_factory=lambda: _ID2.copy())
     R: np.ndarray = field(default_factory=lambda: _ID2.copy())
-
-    def to_record(self) -> dict:
-        return {
-            "t": self.t.tolist(),
-            "tp": self.tp.tolist(),
-            "c": sym_coords(self.c).tolist(),
-            "a": self.a.tolist(),
-            "q": self.q.tolist(),
-            "Lam": {"re": self.Lam.real.tolist(), "im": self.Lam.imag.tolist()},
-            "R": {"re": self.R.real.tolist(), "im": self.R.imag.tolist()},
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "GroupElement":
-        return cls(
-            t=np.array(rec["t"], dtype=float),
-            tp=np.array(rec["tp"], dtype=float),
-            c=sym_from_coords(rec["c"]),
-            a=np.array(rec["a"], dtype=float),
-            q=np.array(rec["q"], dtype=float),
-            Lam=np.array(rec["Lam"]["re"]) + 1j * np.array(rec["Lam"]["im"]),
-            R=np.array(rec["R"]["re"]) + 1j * np.array(rec["R"]["im"]),
-        )
 
 
 def identity() -> GroupElement:
@@ -447,7 +423,7 @@ def random_element(rng: np.random.Generator, scale: float = 0.5) -> GroupElement
 # -- derivative at the identity -------------------------------------------
 
 
-def log_coords(alg, g: GroupElement) -> dict:
+def log_coords(g: GroupElement) -> dict:
     """First-order coordinates of an element near the identity.
 
     Returns a map basis-label -> float; the Lambda and R parts are projected
@@ -490,6 +466,7 @@ def commutator_coords(alg, x_label, y_label, *, extended_case7: bool = False) ->
 
     Central finite differences (step 1e-3) of g_s h_t g_s^-1 h_t^-1 at
     second order; the result approximates the coordinates of [X, Y].
+    ``alg`` is unused; it stays first because callers pass it positionally.
     """
     from . import labels as lb
 
@@ -512,6 +489,6 @@ def commutator_coords(alg, x_label, y_label, *, extended_case7: bool = False) ->
         if extended_case7:
             acc["#k"] = acc.get("#k", 0.0) + sign * com.k
             com = com.g
-        for key, val in log_coords(alg, com).items():
+        for key, val in log_coords(com).items():
             acc[key] = acc.get(key, 0.0) + sign * val
     return {k: v / (4 * eps * eps) for k, v in acc.items()}

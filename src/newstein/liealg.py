@@ -134,16 +134,6 @@ class LieAlgebra:
 
     # -- derived maps ----------------------------------------------------
 
-    def adjoint(self, x: "AlgebraElement | SparseVec") -> list[list[Fraction]]:
-        """Matrix of ad(x) = [x, .] in the fixed basis (rows index outputs)."""
-        vec = x.coeffs if isinstance(x, AlgebraElement) else x
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in vec.items():
-            for j, col in self._ad[i].items():
-                for k, c in col.items():
-                    mat[k][j] += xi * c
-        return mat
-
     def ad_columns(self, i: int) -> dict[int, SparseVec]:
         """Sparse columns of ad(e_i): maps j -> [e_i, e_j] (nonzero only).
 

@@ -585,19 +585,6 @@ def spin_generator(X: np.ndarray, j) -> np.ndarray:
     return out
 
 
-def external_vector_fields(params: RepParams, *, variant: str = "printed"):
-    """Evaluators for every L_{mu nu} and J_{ij} generator.
-
-    Returns a map label -> callable(SamplePoint) -> GeneratorAction.
-    """
-    from . import labels as lb
-
-    labels = ([lb.L(m, n) for m in range(1, 4) for n in range(m + 1, 5)]
-              + [lb.J(i, jx) for i in range(1, 3) for jx in range(i + 1, 4)])
-    return {lab: (lambda pt, lab=lab: external_generator(lab, pt, params, variant=variant))
-            for lab in labels}
-
-
 def generator_oracle(X: BasisLabel, params: RepParams, *, points=None,
                      functions=None, seed: int = 5) -> dict:
     """Compare d/ds U(exp(sX)) F against the displayed generator formulas.

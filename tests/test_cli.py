@@ -152,14 +152,21 @@ def test_reduction_with_modular_method_is_invalid(tmp_path, capsys):
                        "--method", "modular"], tmp_path)
     assert rc == EXIT_BAD_PARAMS and doc is None
     assert "exact only" in capsys.readouterr().err
-    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction",
-                       "--method", "exact"], tmp_path)
+    rc, doc = run_cli(["cohomology", "--coeffs", "adjoint", "--degree", "1",
+                       "--via-reduction", "--method", "exact"], tmp_path)
     assert rc == EXIT_OK and doc["method"] == "invariant-reduction-exact"
 
 
+@pytest.mark.parametrize("coeffs", [[], ["--coeffs", "trivial"]], ids=["default", "trivial"])
+def test_reduction_without_adjoint_coefficients_is_invalid(tmp_path, capsys, coeffs):
+    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction"] + coeffs, tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    assert "--coeffs adjoint" in capsys.readouterr().err
+
+
 def test_cohomology_note_names_the_computed_module_and_degree(tmp_path, capsys):
-    rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--degree", "1",
-                       "--via-reduction"], tmp_path)
+    rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
+                       "--degree", "1", "--via-reduction"], tmp_path)
     assert rc == EXIT_OK and (doc["module"], doc["degree"]) == ("adjoint", 1)
     assert "H^1(newstein, adjoint) = 8" in capsys.readouterr().err
 

@@ -283,10 +283,3 @@ def test_one_parameter_c_slot():
     coords = sym_coords(g.c)
     assert coords[1] == pytest.approx(0.3)
     assert np.abs(np.delete(coords, 1)).max() == 0
-
-
-def test_group_element_record_roundtrip():
-    rng = np.random.default_rng(17)
-    g = random_element(rng)
-    back = GroupElement.from_record(g.to_record())
-    assert element_distance(g, back) < 1e-15

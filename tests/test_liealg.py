@@ -78,19 +78,41 @@ def test_jacobi_detects_corruption(G):
     assert bad.jacobi_check() != []
 
 
+def _ad(G, x: dict) -> dict:
+    """Sparse columns j -> [x, e_j] of ad(x), summed from the shared table."""
+    cols: dict = {}
+    for i, xi in x.items():
+        for j, col in G.ad_columns(i).items():
+            out = cols.setdefault(j, {})
+            for k, c in col.items():
+                out[k] = out.get(k, 0) + xi * c
+    return {j: v for j, col in cols.items() if (v := {k: c for k, c in col.items() if c})}
+
+
+def _apply(cols: dict, vec: dict) -> dict:
+    out: dict = {}
+    for j, vj in vec.items():
+        for k, c in cols.get(j, {}).items():
+            out[k] = out.get(k, 0) + vj * c
+    return out
+
+
 def test_adjoint_zero_and_center(G):
-    zero = G.element({})
-    assert all(all(v == 0 for v in row) for row in G.adjoint(zero))
-    assert all(all(v == 0 for v in row) for row in G.adjoint(G.trace_c()))
+    assert _ad(G, {}) == {}
+    assert _ad(G, G.trace_c().coeffs) == {}
 
 
 def test_adjoint_trace_of_rotation_is_zero(G):
-    mat = G.adjoint(G.basis_element(lb.J(1, 2)))
-    assert sum(mat[i][i] for i in range(G.dim)) == 0
+    cols = G.ad_columns(G.index[lb.J(1, 2)])
+    assert sum(cols.get(i, {}).get(i, 0) for i in range(G.dim)) == 0
 
 
 def test_adjoint_is_bracket_homomorphism(G):
+    """ad[x, y] = ad x ad y - ad y ad x, column by column; [x, y] comes from
+    the brute-force bracket, the three ad matrices from the shared table."""
     import random
+
+    from oracles import brute_bracket
 
     rng = random.Random(7)
     for _ in range(5):
@@ -98,12 +120,13 @@ def test_adjoint_is_bracket_homomorphism(G):
                        for _ in range(4)})
         y = G.element({rng.randrange(G.dim): F(rng.randint(-3, 3), rng.randint(1, 4))
                        for _ in range(4)})
-        ad_xy = G.adjoint(G.bracket(x, y))
-        ax, ay = G.adjoint(x), G.adjoint(y)
-        n = G.dim
-        comm = [[sum(ax[i][t] * ay[t][j] - ay[i][t] * ax[t][j] for t in range(n))
-                 for j in range(n)] for i in range(n)]
-        assert comm == ad_xy
+        ad_xy = _ad(G, brute_bracket(G, x.coeffs, y.coeffs))
+        ax, ay = _ad(G, x.coeffs), _ad(G, y.coeffs)
+        for j in range(G.dim):
+            comm = _apply(ax, ay.get(j, {}))
+            for k, c in _apply(ay, ax.get(j, {})).items():
+                comm[k] = comm.get(k, 0) - c
+            assert {k: c for k, c in comm.items() if c} == ad_xy.get(j, {})
 
 
 def test_centralizer_of_levi_is_trace_c(G):
