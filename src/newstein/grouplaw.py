@@ -58,35 +58,45 @@ def expm2(M: np.ndarray) -> np.ndarray:
     return np.exp(mu) * (np.cosh(delta) * _ID2 + np.sinh(delta) / delta * B)
 
 
-def vector_rep(Lam: np.ndarray) -> np.ndarray:
-    """The 4x4 Lorentz matrix of a unit-determinant 2x2 complex matrix.
+def _spinor_map(M: np.ndarray) -> tuple[complex, list[list[float]]]:
+    """det M and the rows of (1/2) Re tr(s_mu M s_nu M^dagger), s = (sigma, 1):
+    fixed Pauli sums and differences of the products M_ij conj(M_kl)."""
+    (a, b), (c, d) = M.tolist()
+    ab, cd, ad, bc = a * b.conjugate(), c * d.conjugate(), a * d.conjugate(), b * c.conjugate()
+    ac, bd = a * c.conjugate(), b * d.conjugate()
+    u, v = ac + bd, ac - bd
+    na, nb = (a * a.conjugate()).real, (b * b.conjugate()).real
+    nc, nd = (c * c.conjugate()).real, (d * d.conjugate()).real
+    return a * d - b * c, [
+        [ad.real + bc.real, ad.imag - bc.imag, v.real, u.real],
+        [-ad.imag - bc.imag, ad.real - bc.real, -v.imag, -u.imag],
+        [ab.real - cd.real, ab.imag - cd.imag, (na - nb - nc + nd) / 2, (na + nb - nc - nd) / 2],
+        [ab.real + cd.real, ab.imag + cd.imag, (na - nb + nc - nd) / 2, (na + nb + nc + nd) / 2]]
 
-    Both signs of Lambda give the same matrix (2-to-1 covering); the result
-    preserves the metric diag(1,1,1,-1).
+
+def vector_rep(Lam: np.ndarray) -> np.ndarray:
+    """The 4x4 Lorentz matrix of X -> Lam X Lam^dagger, det Lam = 1, in closed
+    form from Lam (x) conj(Lam): entry (mu, nu) is (1/2) Re tr(s_mu Lam s_nu
+    Lam^dagger), s = (sigma, 1).  Both signs of Lambda give the same matrix
+    (2-to-1 covering); the result preserves the metric diag(1,1,1,-1).
     """
-    det = Lam[0, 0] * Lam[1, 1] - Lam[0, 1] * Lam[1, 0]
+    det, rows = _spinor_map(Lam)
     if abs(det - 1.0) > 1e-8:
         raise ValueError(f"matrix determinant {det} is not 1")
-    out = np.empty((4, 4))
-    basis = (*_SIGMA, _ID2)
-    Lh = Lam.conj().T
-    for nu, s in enumerate(basis):
-        X = Lam @ s @ Lh
-        for mu in range(3):
-            out[mu, nu] = 0.5 * np.trace(_SIGMA[mu] @ X).real
-        out[3, nu] = 0.5 * np.trace(X).real
-    return out
+    return np.array(rows)
 
 
 def so3_rep(R: np.ndarray) -> np.ndarray:
-    """The 3x3 rotation matrix of an SU(2) element (adjoint covering map)."""
-    out = np.empty((3, 3))
-    Rh = R.conj().T
-    for j in range(3):
-        X = R @ _SIGMA[j] @ Rh
-        for i in range(3):
-            out[i, j] = 0.5 * np.trace(_SIGMA[i] @ X).real
-    return out
+    """The 3x3 rotation of an SU(2) element: the spatial block of ``vector_rep``.
+
+    Raises unless det R = 1 and R R^dagger = 1 to 1e-8; the latter says that
+    the time column (x, y, z, t) is (0, 0, 0, 1), off by max(|t-1| + |z|, |x+iy|).
+    """
+    det, rows = _spinor_map(R)
+    x, y, z, t = [row[3] for row in rows]
+    if abs(det - 1.0) > 1e-8 or max(abs(t - 1.0) + abs(z), math.hypot(x, y)) > 1e-8:
+        raise ValueError(f"matrix {R.tolist()} is not in SU(2)")
+    return np.array([row[:3] for row in rows[:3]])
 
 
 def spin_rep(R: np.ndarray, j) -> np.ndarray:
@@ -119,20 +129,7 @@ def spin_rep(R: np.ndarray, j) -> np.ndarray:
     return out
 
 
-def _weight(c: np.ndarray) -> np.ndarray:
-    w = c.copy()
-    off = ~np.eye(4, dtype=bool)
-    w[off] *= 0.5
-    return w
-
-
-def _unweight(w: np.ndarray) -> np.ndarray:
-    c = w.copy()
-    off = ~np.eye(4, dtype=bool)
-    c[off] *= 2.0
-    return c
-
-
+_THETA = np.where(np.eye(4, dtype=bool), 1.0, 0.5)   # w = _THETA * c entrywise
 _SYM_PAIRS = [(m, n) for m in range(4) for n in range(m, 4)]
 
 
@@ -143,15 +140,15 @@ def sym_rep(Lam: np.ndarray) -> np.ndarray:
     for col, (m, n) in enumerate(_SYM_PAIRS):
         c = np.zeros((4, 4))
         c[m, n] = c[n, m] = 1.0
-        w2 = Lv @ _weight(c) @ Lv.T
-        c2 = _unweight(w2)
+        w2 = Lv @ (_THETA * c) @ Lv.T
+        c2 = w2 / _THETA
         out[:, col] = [c2[p, q] for (p, q) in _SYM_PAIRS]
     return out
 
 
 def sym_coords(w: np.ndarray) -> np.ndarray:
     """Ten independent coordinates c^{mn} (m <= n) of a stored w matrix."""
-    c = _unweight(w)
+    c = w / _THETA
     return np.array([c[m, n] for (m, n) in _SYM_PAIRS])
 
 
@@ -159,7 +156,7 @@ def sym_from_coords(coords) -> np.ndarray:
     c = np.zeros((4, 4))
     for val, (m, n) in zip(coords, _SYM_PAIRS):
         c[m, n] = c[n, m] = float(val)
-    return _weight(c)
+    return _THETA * c
 
 
 def beta_w(a: np.ndarray, q: np.ndarray) -> np.ndarray:

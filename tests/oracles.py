@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes results from first principles with dense exact
-arithmetic and the textbook differential formula, deliberately sharing no
-code path with the package's sparse engines.  The exception is the last
+arithmetic and the textbook differential formula, or (for the covering
+maps) with 2x2 matrix products and traces, deliberately sharing no code
+path with the package's engines.  The exception is the last
 section: ``coboundary_matrix``, ``integer_matrix`` and
 ``full_coboundary_classes``, thin wrappers over those engines that only
 tests call.
@@ -13,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+
+import numpy as np
 
 from newstein.cohomology import CochainComplex, CoefficientModule, invariant_cocycles
 from newstein.exactla import Echelon, SparseExactMatrix
@@ -195,6 +198,42 @@ def newton_algebra() -> LieAlgebra:
                 sign = F(1) if (a, b) in ((0, 1), (1, 2), (2, 0)) else F(-1)
                 add(a, base + b, base + c, sign)
     return LieAlgebra("newton", labels, constants)
+
+
+# -- covering maps by the trace formula -----------------------------------
+
+_SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+_ID2 = np.eye(2, dtype=complex)
+
+
+def trace_vector_rep(Lam: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix of X -> Lam X Lam^dagger on (sigma_1, sigma_2, sigma_3, 1),
+    one trace per entry; the reference for ``grouplaw.vector_rep``."""
+    out = np.empty((4, 4))
+    basis = (*_SIGMA, _ID2)
+    Lh = Lam.conj().T
+    for nu, s in enumerate(basis):
+        X = Lam @ s @ Lh
+        for mu in range(3):
+            out[mu, nu] = 0.5 * np.trace(_SIGMA[mu] @ X).real
+        out[3, nu] = 0.5 * np.trace(X).real
+    return out
+
+
+def trace_so3_rep(R: np.ndarray) -> np.ndarray:
+    """The 3x3 matrix of X -> R X R^dagger on the Pauli matrices, one trace per
+    entry; the reference for ``grouplaw.so3_rep``."""
+    out = np.empty((3, 3))
+    Rh = R.conj().T
+    for j in range(3):
+        X = R @ _SIGMA[j] @ Rh
+        for i in range(3):
+            out[i, j] = 0.5 * np.trace(_SIGMA[i] @ X).real
+    return out
 
 
 # -- wrappers over the package engines, for tests only ---------------------

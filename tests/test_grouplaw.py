@@ -15,6 +15,8 @@ from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError
                                sphere_point, spin_rep, sym_coords, sym_rep, vector_rep,
                                wigner_phase)
 
+from oracles import trace_so3_rep, trace_vector_rep
+
 G4 = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
@@ -53,6 +55,45 @@ def test_vector_rep_homomorphism():
 def test_vector_rep_rejects_bad_determinant():
     with pytest.raises(ValueError):
         vector_rep(2 * np.eye(2, dtype=complex))
+
+
+def _covering_samples():
+    """SL(2,C) elements at two scales, SU(2) elements and the boost-rotation
+    products of the external momentum, each with both signs."""
+    rng = np.random.default_rng(17)
+    lorentz, rotations = [], []
+    for scale in (0.5, 1.5):
+        for _ in range(100):
+            g = random_element(rng, scale)
+            lorentz.append(g.Lam)
+            rotations.append(g.R)
+    m0, lam = 1.3, 0.8
+    for _ in range(100):
+        v = rng.normal(0, 1, 3)
+        if v[2] / np.linalg.norm(v) < -0.9:
+            continue
+        xi = shell_point(rng.normal(0, 2, 3), m0)
+        lorentz.append(boost_section(xi, m0) @ rotation_section(sphere_point(v, lam), lam))
+    return ([s * M for M in lorentz for s in (1, -1)],
+            [s * R for R in rotations for s in (1, -1)])
+
+
+def test_covering_maps_match_trace_oracle():
+    lorentz, rotations = _covering_samples()
+    for M in lorentz + rotations:
+        want = trace_vector_rep(M)
+        assert np.abs(vector_rep(M) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for R in rotations:
+        want = trace_so3_rep(R)
+        assert np.abs(so3_rep(R) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("R", [2 * np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                               np.diag([1.0, -1.0])],
+                         ids=["det-4", "det-1-non-unitary", "unitary-det-minus-1"])
+def test_so3_rep_rejects_non_su2(R):
+    with pytest.raises(ValueError, match="not in SU"):
+        so3_rep(R.astype(complex))
 
 
 def test_sym_rep_identity_and_homomorphism():
