@@ -129,29 +129,30 @@ def ladder_matrices(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray
             [_quadrature(basis, mode, "p") for mode in range(3)])
 
 
+def _second_order(basis: FockBasis, mode: int, sign: float) -> np.ndarray:
+    """Exactly projected u^2 (sign +1) or p^2 (sign -1) of one mode.
+
+    n + 1/2 on the diagonal and sign * sqrt(n (n - 1))/2 between a state with
+    n >= 2 quanta in the mode and its double lowering, read off ``lowered``.
+    """
+    n = basis.occupation[:, mode]
+    out = np.diag(n + 0.5)
+    top = np.flatnonzero(n >= 2)
+    low = basis.lowered[mode, basis.lowered[mode, top]]
+    val = sign * np.sqrt(n[top] * (n[top] - 1)) / 2
+    out[top, low] = val
+    out[low, top] = val
+    return out
+
+
 def second_order_exact(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exactly projected u_j^2 and p_j^2 matrices (no truncated products).
 
     u^2 = n + 1/2 + (raising^2 + lowering^2)/2 per mode; p^2 flips the sign
     of the off-diagonal part.
     """
-    u2s, p2s = [], []
-    for mode in range(3):
-        diag = np.zeros((basis.dim, basis.dim))
-        off = np.zeros((basis.dim, basis.dim))
-        for i, s in enumerate(basis.states):
-            n = s[mode]
-            diag[i, i] = n + 0.5
-            t = list(s)
-            t[mode] += 2
-            tt = tuple(t)
-            if tt in basis.index:
-                val = math.sqrt((n + 1) * (n + 2)) / 2
-                off[basis.index[tt], i] = val
-                off[i, basis.index[tt]] = val
-        u2s.append(diag + off)
-        p2s.append(diag - off)
-    return u2s, p2s
+    return ([_second_order(basis, mode, 1.0) for mode in range(3)],
+            [_second_order(basis, mode, -1.0) for mode in range(3)])
 
 
 @dataclass
@@ -183,13 +184,12 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
     gl.check_on_shell(xi, params.m0)
     xl = lower(xi)
     scale = math.sqrt(params.alpha) / params.m0
-    eye = np.eye(basis.dim)
     kind = X.kind
     if kind == "Tp":
-        mat = xl[X.indices[0] - 1] * eye
+        mat = xl[X.indices[0] - 1] * np.eye(basis.dim)
     elif kind == "C":
         mu, nu = X.indices
-        mat = (params.alpha / params.m0**2) * xl[mu - 1] * xl[nu - 1] * eye
+        mat = (params.alpha / params.m0**2) * xl[mu - 1] * xl[nu - 1] * np.eye(basis.dim)
     elif kind == "A":
         i, mu = X.indices
         mat = scale * xl[mu - 1] * _quadrature(basis, i - 1, "u")
@@ -198,7 +198,7 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
         mat = -scale * xl[mu - 1] * _quadrature(basis, i - 1, "p")
     else:
         raise ValueError(f"label {X} is not in the internal sector")
-    return OscillatorOperator(mat.astype(complex), basis, hermitian=True)
+    return OscillatorOperator(mat.astype(complex, copy=False), basis, hermitian=True)
 
 
 def _energies(params: RepParams, basis: FockBasis) -> np.ndarray:
@@ -232,15 +232,29 @@ def _casimir(kind: str, params: RepParams, xi: np.ndarray,
              basis: FockBasis) -> OscillatorOperator:
     """-g^{mu nu} delta^{ij} X_{i mu} X_{j nu} for X = A or Q, from generators.
 
-    The metric is diagonal, so only the mu = nu terms survive.
+    Each generator is one fixed matrix per mode times a coefficient per
+    index: X_{i mu} = c_mu M_i with M_i = u_i for A and p_i for Q, and
+    c_mu = +-(sqrt(alpha)/m0) xi_mu (see ``internal_generator``).  The metric
+    is diagonal, so only mu = nu survives and the sum over mu factors out:
+
+        -sum_{i mu} g^{mu mu} X_{i mu}^2 = -(alpha/m0^2) <xi, xi> sum_i M_i M_i,
+
+    which is alpha sum_i M_i M_i on the shell.  The result is still the
+    product of the truncated generators, one dense product per mode, so it
+    differs from the exactly projected ``minus_laplacian`` and
+    ``z_squared_scaled`` on the top two degrees.  With r = a + a^dag or
+    a^dag - a, u = r/sqrt(2) and p = i r/sqrt(2), so M M = +-r r/2 is real.
     """
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(1, 4):
-        for mu in range(1, 5):
-            x = internal_generator(BasisLabel(kind, (i, mu)), xi, params, basis).matrix
-            gmn = 1.0 if mu < 4 else -1.0
-            mat -= gmn * x @ x
-    return OscillatorOperator(mat, basis, hermitian=True)
+    gl.check_on_shell(xi, params.m0)
+    xl = lower(xi)
+    sign = 1.0 if kind == "A" else -1.0
+    total = np.zeros((basis.dim, basis.dim))
+    for mode in range(3):
+        a = lowering_matrix(basis, mode)
+        r = a.T + sign * a
+        total += r @ r
+    total *= -(params.alpha / params.m0**2) * mink(xl, xl) * sign / 2
+    return OscillatorOperator(total.astype(complex), basis, hermitian=True)
 
 
 def casimir_MN(params: RepParams, xi: np.ndarray, basis: FockBasis) -> OscillatorOperator:
@@ -255,14 +269,14 @@ def casimir_MA(params: RepParams, xi: np.ndarray, basis: FockBasis) -> Oscillato
 
 def minus_laplacian(params: RepParams, basis: FockBasis) -> np.ndarray:
     """-m0^2 Laplacian_z as an exactly projected matrix (= alpha sum p_u^2)."""
-    _, p2s = second_order_exact(basis)
-    return params.alpha * sum(p2s).astype(complex)
+    total = sum(_second_order(basis, mode, -1.0) for mode in range(3))
+    return params.alpha * total.astype(complex)
 
 
 def z_squared_scaled(params: RepParams, basis: FockBasis) -> np.ndarray:
     """(alpha^2/m0^2) z^(2) as an exactly projected matrix (= alpha sum u^2)."""
-    u2s, _ = second_order_exact(basis)
-    return params.alpha * sum(u2s).astype(complex)
+    total = sum(_second_order(basis, mode, 1.0) for mode in range(3))
+    return params.alpha * total.astype(complex)
 
 
 def W_operator(k: float, params: RepParams, basis: FockBasis) -> OscillatorOperator:

@@ -4,9 +4,9 @@ Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, or (for the covering
 maps) with 2x2 matrix products and traces, deliberately sharing no code
 path with the package's engines.  The exception is the last
-section: ``coboundary_matrix``, ``integer_matrix`` and
-``full_coboundary_classes``, thin wrappers over those engines that only
-tests call.
+section: ``coboundary_matrix``, ``integer_matrix``,
+``full_coboundary_classes`` and ``generator_casimir``, thin wrappers over
+those engines that only tests call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import numpy as np
 
 from newstein.cohomology import CochainComplex, CoefficientModule, invariant_cocycles
 from newstein.exactla import Echelon, SparseExactMatrix
+from newstein.labels import BasisLabel
 from newstein.liealg import LieAlgebra
+from newstein.oscillator import FockBasis, OscillatorOperator, RepParams, internal_generator
 
 F = Fraction
 
@@ -269,3 +271,20 @@ def full_coboundary_classes(alg, k: int) -> list[dict]:
     for S, m in product(cx.wedges(k - 1), range(alg.dim)):
         full.insert(cx.d_basis(S, m))
     return [z for z in cocycles if full.insert(z) is not None]
+
+
+def generator_casimir(kind: str, params: RepParams, xi: np.ndarray,
+                      basis: FockBasis) -> OscillatorOperator:
+    """-g^{mu nu} delta^{ij} X_{i mu} X_{j nu} for X = A or Q as the sum of
+    the twelve products of ``internal_generator`` matrices; the reference for
+    ``oscillator.casimir_MN`` and ``casimir_MA``.
+
+    The metric is diagonal, so only the mu = nu terms survive.
+    """
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(1, 4):
+        for mu in range(1, 5):
+            x = internal_generator(BasisLabel(kind, (i, mu)), xi, params, basis).matrix
+            gmn = 1.0 if mu < 4 else -1.0
+            mat -= gmn * x @ x
+    return OscillatorOperator(mat, basis, hermitian=True)

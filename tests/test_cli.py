@@ -310,7 +310,9 @@ def test_verify_conditional_not_counted_as_failure(tmp_path):
     ("group-law", True, "seeded-numerical", "match"),
     ("master-oracle", True, "numerical", "match"),
     ("l24-generator", 0.0, "finite-difference", "conditional"),
-], ids=["group-law", "master-oracle", "l24-generator"])
+    ("operator-identities", True, "numerical", "match"),
+    ("w-operator", True, "numerical", "match"),
+], ids=["group-law", "master-oracle", "l24-generator", "operator-identities", "w-operator"])
 def test_numerical_claim_statuses(tmp_path, name, claimed, method, status):
     # the notes and computed floats move at rounding level; the verdicts may not
     rc, doc = run_cli(["verify-all", "--only", name], tmp_path)

@@ -16,6 +16,7 @@ from newstein.oscillator import (FockBasis, RepParams, W_operator, WaveFunction,
                                  ladder_matrices, minus_laplacian, random_sample_points,
                                  second_order_exact, spectrum, spin_generator,
                                  z_squared_scaled)
+from oracles import generator_casimir
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,33 @@ def test_casimir_ground_expectation(basis):
     xi = gl.shell_point([0.0, 0.0, 0.0], p.m0)
     MN = casimir_MN(p, xi, basis).matrix
     assert MN[0, 0].real == pytest.approx(1.5 * p.alpha)
+
+
+@pytest.mark.parametrize("cutoff", [4, 12])
+@pytest.mark.parametrize("kind,casimir", [("Q", casimir_MN), ("A", casimir_MA)],
+                         ids=["MN", "MA"])
+def test_casimir_matches_generator_oracle(kind, casimir, cutoff):
+    # the whole truncated matrix, top degrees included: both sides are
+    # products of the same truncated generators
+    b = FockBasis(cutoff)
+    rng = np.random.default_rng(17)
+    for p in (RepParams(m0=1.2, alpha=0.9, ell=-1.0), RepParams(m0=0.4, alpha=2.5)):
+        dirs = rng.normal(size=(3, 3))
+        norms = (rng.uniform(0.0, 1.0), rng.uniform(1.0, 2.0), 2.0)
+        for v in [np.zeros(3)] + [r * p.m0 * d / np.linalg.norm(d) for r, d in zip(norms, dirs)]:
+            xi = gl.shell_point(v, p.m0)
+            want = generator_casimir(kind, p, xi, b).matrix
+            got = casimir(p, xi, b).matrix
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("casimir", [casimir_MN, casimir_MA], ids=["MN", "MA"])
+@pytest.mark.parametrize("xi", [np.array([0.3, -0.2, 0.5, 2.0]),
+                                -gl.shell_point([0.3, -0.2, 0.5], 1.2)],
+                         ids=["off-shell", "backward-cone"])
+def test_casimir_rejects_off_shell(casimir, xi, params):
+    with pytest.raises(gl.OffShellError):
+        casimir(params, xi, FockBasis(2))
 
 
 def test_case7_dynamics_at_operator_level(basis, params):
