@@ -167,6 +167,8 @@ def group_law_deviations(seed: int, count: int) -> tuple[float, float, float]:
 
 
 def cmd_grouplaw(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     assoc, inv, worst_ext = group_law_deviations(args.seed, args.count)
     worst_plain = max(assoc, inv)
     ok = worst_plain <= 1e-9 and worst_ext <= 1e-9
@@ -204,9 +206,11 @@ def read_state(path: str, dim: int) -> np.ndarray:
     """Coefficients from a state file of ``index re im`` lines.
 
     Blank lines are skipped; any other line must hold exactly an integer
-    index in [0, dim) and two floats, or ``ValueError`` names its number.
+    index in [0, dim) that no earlier line holds and two finite floats, or
+    ``ValueError`` names its number.
     """
     coeffs = np.zeros(dim, dtype=complex)
+    seen: set[int] = set()
     with open(path) as fh:
         for num, line in enumerate(fh, 1):
             parts = line.split()
@@ -214,12 +218,14 @@ def read_state(path: str, dim: int) -> np.ndarray:
                 continue
             try:
                 i, real, imag = int(parts[0]), float(parts[1]), float(parts[2])
-                ok = len(parts) == 3 and 0 <= i < dim
+                ok = (len(parts) == 3 and 0 <= i < dim and i not in seen
+                      and math.isfinite(real) and math.isfinite(imag))
             except (ValueError, IndexError):
                 ok = False
             if not ok:
-                raise ValueError(f"state file line {num}: expected 'index re im' with "
-                                 f"0 <= index < {dim}, got {line.strip()!r}")
+                raise ValueError(f"state file line {num}: expected 'index re im' with a new index "
+                                 f"0 <= index < {dim} and finite re, im, got {line.strip()!r}")
+            seen.add(i)
             coeffs[i] = real + 1j * imag
     return coeffs
 

@@ -281,7 +281,9 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
 
     Degrees are capped at 3 for large algebras: the next cochain space runs
     past desk scale there (about 10^6 dimensions at degree four for the
-    51-dimensional algebra).  The d o d check always runs.
+    51-dimensional algebra).  Both differentials are built along the
+    smaller side of d_k, and the d o d check, which always runs, composes
+    those rows.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
@@ -298,21 +300,17 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
     elif method != "exact":
         raise ValueError(f"unknown method {method!r}")
 
-    def by_domain(deg):
-        # rank is orientation-free; eliminate along the smaller side
-        return cx.dim_c(deg + 1) > cx.dim_c(deg)
-
-    def matrix(deg):
-        return cx.d_matrix_by_domain(deg) if by_domain(deg) else cx.d_matrix(deg)
-
-    d_here = matrix(k)
-    d_prev = matrix(k - 1) if k >= 1 else None
-    if k >= 1:
-        # d_k o d_{k-1}, or its transpose, from the rows just built; a pair of
-        # mixed orientation is checked column by column instead
-        first, second = (d_prev, d_here) if by_domain(k) else (d_here, d_prev)
-        if bad := (_dd_defects(first.rows.items(), lambda c: second.rows.get(c, {}))
-                   if by_domain(k - 1) == by_domain(k) else cx.dd_violations(k - 1)):
+    # rank is orientation-free; the codomain of d_k is no larger than its
+    # domain only for k >= (n - 1) / 2, which the degree cap keeps to small
+    # algebras
+    by_domain = cx.dim_c(k + 1) > cx.dim_c(k)
+    build = cx.d_matrix_by_domain if by_domain else cx.d_matrix
+    d_here = build(k)
+    d_prev = build(k - 1) if k >= 1 else None
+    if d_prev is not None:
+        # d_k o d_{k-1}, or its transpose, from the rows just built
+        first, second = (d_prev, d_here) if by_domain else (d_here, d_prev)
+        if bad := _dd_defects(first.rows.items(), lambda c: second.rows.get(c, {})):
             raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
     notes = ""
     if method == "exact":
@@ -361,10 +359,11 @@ class _UnionFind:
 def _intersect_kernel(basis: list[dict], image_of):
     """Restrict a spanning set to the kernel of one linear operator.
 
-    ``image_of(vec)`` maps a sparse vector to its sparse image.  The basis is
-    partitioned into connected components through shared image coordinates;
-    each component is an independent exact null-space problem, and a lone
-    vector with a nonzero image has no kernel.  Combinations come out primitive.
+    ``image_of(vec)`` maps a sparse vector to its sparse image, which is only
+    read.  The basis is partitioned into connected components through shared
+    image coordinates; each component is an independent exact null-space
+    problem, and a lone vector with a nonzero image has no kernel.
+    Combinations come out primitive.
     """
     images = [image_of(vec) for vec in basis]
     uf = _UnionFind(len(basis))
@@ -395,11 +394,13 @@ def _intersect_kernel(basis: list[dict], image_of):
 
 @dataclass
 class InvariantCochainSpace:
-    """Exact basis of invariant cochains of the ideal complex, keyed (wedge, target)."""
+    """Exact bases of invariant cochains of the ideal complex, keyed (wedge, target):
+    ``basis`` in degree ``degree``, ``below`` in degree ``degree - 1``."""
 
     complex: CochainComplex
     degree: int
     basis: list[dict]
+    below: list[dict]
 
     @property
     def dim(self) -> int:
@@ -416,7 +417,8 @@ def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
 
 
 def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
-    """Basis of the Levi-invariant cochains Hom(Lambda^k ideal, algebra), exact.
+    """Bases of the Levi-invariant cochains Hom(Lambda^k ideal, algebra) and
+    Hom(Lambda^(k-1) ideal, algebra), exact.
 
     Invariance of f under a Levi generator g is the vanishing of the Lie
     derivative
@@ -424,16 +426,20 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
         (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
 
     solved as an intersection of operator kernels, one per L and J
-    generator.  At k = 0 the cochains are the algebra itself and the basis
-    spans the centralizer of the Levi factor.
+    generator, over the unit cochains of both degrees at once.  g . f keeps
+    the degree, so no kernel component mixes degrees and each degree's
+    basis is the one a run on that degree alone gives.  At k = 0 the
+    cochains are the algebra itself and the basis spans the centralizer of
+    the Levi factor.
 
     It runs on integers: each operator is scaled by its own common
-    denominator, and the basis holds primitive integer cochains.
+    denominator, and the bases hold primitive integer cochains.
     """
     if k not in (0, 1, 2):
         raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
     cx = _ideal_complex(alg)
-    basis: list[dict] = [{(S, m): 1} for S in cx.wedges(k) for m in range(alg.dim)]
+    basis: list[dict] = [{(S, m): 1} for j in range(max(k - 1, 0), k + 1)
+                         for S in cx.wedges(j) for m in range(alg.dim)]
 
     idealset = set(cx.args)
     for g in _generator_order(alg):
@@ -469,6 +475,8 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
             return img
 
         def image_of(vec):
+            if len(vec) == 1 and 1 in vec.values():  # unit cochain: share the cached image
+                return image_of_coord(next(iter(vec)))
             out: dict = {}
             for key, coeff in vec.items():
                 for okey, v in image_of_coord(key).items():
@@ -476,14 +484,10 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
             return out
 
         basis = _intersect_kernel(basis, image_of)
-    return InvariantCochainSpace(cx, k, basis)
-
-
-def invariant_cocycles(alg: NewSteinAlgebra,
-                       k: int) -> tuple[InvariantCochainSpace, list[dict]]:
-    """Levi-invariant cochains plus a basis of the cocycles among them."""
-    inv = invariant_cochains(alg, k)
-    return inv, _intersect_kernel(inv.basis, inv.complex.d_apply)
+    # every key of a nonzero cochain has the same wedge length
+    degree = [len(next(iter(vec))[0]) for vec in basis]
+    return InvariantCochainSpace(cx, k, [v for v, j in zip(basis, degree) if j == k],
+                                 [v for v, j in zip(basis, degree) if j < k])
 
 
 @dataclass
@@ -507,12 +511,14 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     invariant (k-1)-cochains: the Levi factor acts completely reducibly, so
     taking invariants commutes with cohomology.  Those images seed one
     echelon; each cocycle it still accepts is a class, so the count does
-    not depend on the cocycle basis.
+    not depend on the cocycle basis.  One ``invariant_cochains`` call
+    solves both degrees on one ideal complex.
     """
-    inv, cocycles = invariant_cocycles(alg, k)
+    inv = invariant_cochains(alg, k)
     cx = inv.complex
+    cocycles = _intersect_kernel(inv.basis, cx.d_apply)
     ech = Echelon()
-    for phi in invariant_cochains(alg, k - 1).basis:
+    for phi in inv.below:
         ech.insert(cx.d_apply(phi))
     residual = [z for z in cocycles if ech.insert(z) is not None]
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)

@@ -17,7 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from newstein.cohomology import CochainComplex, CoefficientModule, invariant_cocycles
+from newstein.cohomology import CochainComplex, CoefficientModule, reduction_data
 from newstein.exactla import Echelon, SparseExactMatrix
 from newstein.labels import BasisLabel
 from newstein.liealg import LieAlgebra
@@ -258,19 +258,20 @@ def integer_matrix(rows: list[list]) -> SparseExactMatrix:
 
 
 def full_coboundary_classes(alg, k: int) -> list[dict]:
-    """Invariant k-cocycles independent modulo d of all of C^{k-1}(ideal,
-    algebra) and of the classes before them, in the order of the cocycle basis.
+    """The invariant k-cocycles of ``reduction_data`` that are independent
+    modulo d of all of C^{k-1}(ideal, algebra) and of the classes before
+    them, in the order of the cocycle basis.
 
     The reference for the invariant reduction, which reduces modulo d of
     the invariant (k-1)-cochains only: for the 51-dim algebra at k = 2, 10
     of the 2142 one-cochains.
     """
-    inv, cocycles = invariant_cocycles(alg, k)
-    cx = inv.complex
+    data = reduction_data(alg, k)
+    cx = data.invariant.complex
     full = Echelon()
     for S, m in product(cx.wedges(k - 1), range(alg.dim)):
         full.insert(cx.d_basis(S, m))
-    return [z for z in cocycles if full.insert(z) is not None]
+    return [z for z in data.cocycles if full.insert(z) is not None]
 
 
 def generator_casimir(kind: str, params: RepParams, xi: np.ndarray,

@@ -248,6 +248,33 @@ def test_evolve_malformed_line_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("0 nan 0.0\n", 1),
+    ("0 1.0 0.0\n1 0.5 -inf\n", 2),
+    ("0 1.0 0.0\n1 0.5 0.0\n\n0 2.0 0.0\n", 4),
+], ids=["nan", "infinite", "repeated-index"])
+def test_evolve_rejects_non_finite_and_repeated_entries(tmp_path, capsys, text, line):
+    state = tmp_path / "state.txt"
+    state.write_text(text)
+    out = tmp_path / "o.txt"
+    assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "4",
+                 "--out", str(out)]) == EXIT_BAD_PARAMS
+    assert f"line {line}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_grouplaw_count_below_one_is_invalid(tmp_path, capsys, count):
+    """A check over no triples would pass having checked nothing."""
+    out = tmp_path / "o.json"
+    assert main(["grouplaw", "check", "--count", str(count), "--out", str(out)]) == EXIT_BAD_PARAMS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": count}))
+    assert main(["--config", str(cfg), "grouplaw", "check", "--out", str(out)]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err.count("--count must be at least 1") == 2
+    assert not out.exists()
+
+
 def test_grouplaw_check_pinned_values(tmp_path):
     # values of numpy 2.4 on x86-64; the claim and the command share one loop.
     # The covering maps are closed-form scalar arithmetic and no longer depend

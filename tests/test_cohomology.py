@@ -164,13 +164,13 @@ def test_main_algebra_complexes_are_integral(G):
 
 
 @pytest.mark.parametrize("module,k", [("adjoint", 1), ("trivial", 2), ("trivial", 3)],
-                         ids=["both-by-domain", "mixed-orientation", "both-by-codomain"])
+                         ids=["adjoint-degree-1", "trivial-degree-2", "trivial-degree-3"])
 def test_betti_rejects_a_non_jacobi_bracket(module, k):
     """[a, b] = b and [b, c] = a break Jacobi, so d o d != 0 at degree k - 1.
 
-    The three cases cover each orientation pair of the two matrices betti
-    builds: composed by domain, composed by codomain, and the mixed pair,
-    which is checked column by column.
+    betti composes the two differentials it builds, both along the smaller
+    side of d_k: the domain in the adjoint case, the codomain in the two
+    trivial ones.  The cases put the defect at degrees 0, 1 and 2.
     """
     bad = LieAlgebra("non-jacobi", ["a", "b", "c", "z"], {(0, 1): {1: F(1)}, (1, 2): {0: F(1)}})
     assert bad.jacobi_check() == [(0, 1, 2)]
@@ -292,7 +292,11 @@ def test_h2_adjoint_reduction_value_and_classes(G, h2_data):
 
 
 def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch):
-    """A coboundary b replaced by b + c (c a class) still leaves two classes."""
+    """A coboundary b replaced by b + c (c a class) still leaves two classes.
+
+    The invariant cochains are the ones already solved, and the cocycle
+    step returns the mixed basis.
+    """
     from newstein import cohomology
 
     inv, cocycles = h2_data.invariant, h2_data.cocycles
@@ -302,10 +306,43 @@ def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch
     for key, v in classes[0].items():
         mixed_vec[key] = mixed_vec.get(key, 0) + v
     mixed = [{k: v for k, v in mixed_vec.items() if v} if z is b else z for z in cocycles]
-    monkeypatch.setattr(cohomology, "invariant_cocycles", lambda alg, k: (inv, mixed))
+    monkeypatch.setattr(cohomology, "invariant_cochains", lambda alg, k: inv)
+    monkeypatch.setattr(cohomology, "_intersect_kernel", lambda basis, image_of: mixed)
     data = reduction_data(G, 2)
     assert data.betti == 2 and data.boundary_dim == 2
+    assert data.cocycles is mixed
     assert all(any(z is m for m in mixed) for z in data.residual_classes)
+
+
+def test_reduction_builds_one_ideal_complex(G, monkeypatch):
+    """Both degrees of one reduction share one complex and one ladder."""
+    from newstein import cohomology
+
+    built, ladders = [], []
+
+    class Counting(CochainComplex):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counted(alg, k):
+        ladders.append(k)
+        return invariant_cochains(alg, k)
+
+    monkeypatch.setattr(cohomology, "CochainComplex", Counting)
+    monkeypatch.setattr(cohomology, "invariant_cochains", counted)
+    assert reduction_data(G, 2).betti == 2
+    assert len(built) == 1 and ladders == [2]
+
+
+def test_one_ladder_gives_each_degree_its_own_basis(G):
+    """The Lie derivative keeps the degree, so the degree k - 1 basis of the
+    ladder over degrees k - 1 and k is the basis of the ladder that stops at
+    k - 1, and the one at degree 0 runs over degree 0 alone."""
+    spaces = [invariant_cochains(G, j) for j in (0, 1, 2)]
+    assert [space.dim for space in spaces[:2]] == [1, 10] and spaces[0].below == []
+    for lower, upper in zip(spaces, spaces[1:]):
+        assert upper.below == lower.basis
 
 
 def test_invariant_reduction_runs_on_integers(G, h2_data):
