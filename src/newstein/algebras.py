@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import labels as lb
+from .exactla import _bump
 from .extensions import ExtensionClass, case_matrix, derivation_from_matrix, sample_class
 from .labels import BasisLabel, metric
 from .liealg import LieAlgebra, SparseVec
@@ -39,14 +40,9 @@ def _antisym(kind: str, a: int, b: int):
 
 
 def _add(acc: dict[BasisLabel, Fraction], label_sign, coeff) -> None:
-    if label_sign is None or coeff == 0:
-        return
-    label, sign = label_sign
-    new = acc.get(label, 0) + sign * _F(coeff)
-    if new:
-        acc[label] = new
-    else:
-        acc.pop(label, None)
+    if label_sign is not None:
+        label, sign = label_sign
+        _bump(acc, label, sign * _F(coeff))
 
 
 def bracket_of_labels(x: BasisLabel, y: BasisLabel) -> dict[BasisLabel, Fraction]:

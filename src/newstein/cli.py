@@ -7,8 +7,8 @@ byte-identical reports.
 
 Exit codes: 0 success (verify-all: every non-conditional claim matches),
 1 claim mismatch or failed internal check, 2 unknown algebra selector,
-3 invalid parameters (a malformed config, definition or state file and an
-unknown verify-all claim included), 4 I/O failure.
+3 invalid parameters (a usage error, a malformed config, definition or state
+file and an unknown verify-all claim included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -593,8 +593,15 @@ def cmd_verify_all(args) -> int:
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ValueError``, which ``main`` maps to exit 3."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="newstein",
         description="Workbench for the New-Stein algebra, group, and representation.",
     )
@@ -668,33 +675,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, args, argv):
-    """Re-parse with the ``--config`` JSON object as defaults; explicit flags win.
+def _option_tokens(action, value) -> list[str]:
+    """One ``--config`` entry as the tokens of the flag it names."""
+    opt = action.option_strings[-1]
+    def scalar(v):
+        return isinstance(v, (str, int, float)) and not isinstance(v, bool)
+    if action.nargs == 0:
+        if value is True:
+            return [opt]
+    elif action.nargs is None:
+        if scalar(value):
+            return [f"{opt}={value}"]
+    elif isinstance(value, list) and all(map(scalar, value)):
+        return [opt, *map(str, value)]
+    raise ValueError(f"config value {value!r} does not fit the option {opt}")
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with its ``--config`` JSON object rendered as option tokens
+    right after the subcommand name, ahead of the typed flags, which win.
 
     Raises ``ValueError`` for a file that is not a JSON object and for keys
     that name no option of the subcommand.
     """
-    with open(args.config) as fh:
+    pre = _Parser(prog="newstein", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None or not known.rest or known.rest[0] not in _SUBPARSERS:
+        return argv
+    command = known.rest[0]
+    with open(known.config) as fh:
         try:
-            defaults = json.load(fh)
+            values = json.load(fh)
         except ValueError as err:
-            raise ValueError(f"config {args.config} is not valid JSON: {err}") from None
-    if not isinstance(defaults, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(set(defaults) - (set(vars(args)) - {"config", "command", "func"}))
-    if unknown:
-        raise ValueError(f"config keys that are not options of {args.command!r}: "
+            raise ValueError(f"config {known.config} is not valid JSON: {err}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config {known.config} must hold a JSON object")
+    options = {a.dest: a for a in _SUBPARSERS[command]._actions
+               if a.option_strings and a.dest != "help"}
+    if unknown := sorted(set(values) - set(options)):
+        raise ValueError(f"config keys that are not options of {command!r}: "
                          + ", ".join(map(repr, unknown)))
-    _SUBPARSERS[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    tokens = [t for key, value in values.items() for t in _option_tokens(options[key], value)]
+    head = len(argv) - len(known.rest) + 1
+    return argv[:head] + tokens + argv[head:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = _apply_config(parser, args, argv)
+        args = parser.parse_args(_with_config(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except UnknownAlgebraError as err:
         _note(f"unknown algebra selector: {err}")

@@ -34,7 +34,8 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
-from .exactla import Echelon, SparseExactMatrix, _bump, _normalize, kernel_basis, random_primes
+from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _normalize, kernel_basis,
+                      random_primes)
 from .liealg import LieAlgebra
 
 
@@ -126,7 +127,7 @@ class CochainComplex:
             T = S[:q] + (t,) + S[q:]
             for mp, c in col.items():
                 out[T, mp] = -c if q & 1 else c
-        # bracket part
+        # bracket part, inline: a _bump call per term slows the d_3(trivial) build
         n -= 1
         for p, c_idx in enumerate(S):
             pairs = self._by_target.get(c_idx)
@@ -150,11 +151,7 @@ class CochainComplex:
 
     def d_apply(self, vec: dict) -> dict:
         """D * d of a cochain given as {(wedge, module index): coefficient}."""
-        out: dict = {}
-        for (S, m), c in vec.items():
-            for key, v in self.d_basis(S, m).items():
-                _bump(out, key, c * v)
-        return out
+        return _combine(lambda key: self.d_basis(*key), vec)
 
     def _columns(self, k: int) -> dict[int, dict[int, int]]:
         """Nonzero columns of D * d_k: domain position -> {codomain position: value}.
@@ -194,22 +191,8 @@ class CochainComplex:
         Each degree-(k+1) column is built once, however many images hold it.
         """
         next_column = cache(lambda key: self.d_basis(*key))
-        return _dd_defects((((S, m), self.d_basis(S, m)) for S, m in
-                            product(self.wedges(k), range(self.coeffs.dim))), next_column)
-
-
-def _dd_defects(columns, next_column) -> list:
-    """Keys of the (key, column) pairs of one differential whose column the
-    next one, read through ``next_column(index)``, maps to nonzero."""
-    bad = []
-    for key, col in columns:
-        acc: dict = {}
-        for mid, v in col.items():
-            for out, w in next_column(mid).items():
-                _bump(acc, out, v * w)
-        if acc:
-            bad.append(key)
-    return bad
+        return [(S, m) for S, m in product(self.wedges(k), range(self.coeffs.dim))
+                if _combine(next_column, self.d_basis(S, m))]
 
 
 @dataclass
@@ -310,7 +293,8 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
     if d_prev is not None:
         # d_k o d_{k-1}, or its transpose, from the rows just built
         first, second = (d_prev, d_here) if by_domain else (d_here, d_prev)
-        if bad := _dd_defects(first.rows.items(), lambda c: second.rows.get(c, {})):
+        if bad := [c for c, row in first.rows.items()
+                   if _combine(lambda j: second.rows.get(j, {}), row)]:
             raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
     notes = ""
     if method == "exact":
@@ -383,11 +367,7 @@ def _intersect_kernel(basis: list[dict], image_of):
             out.extend(basis[i] for i in members)
             continue
         for combo in kernel_basis([images[i] for i in members]) if len(members) > 1 else ():
-            vec: dict = {}
-            for local, coeff in combo.items():
-                for key, v in basis[members[local]].items():
-                    _bump(vec, key, coeff * v)
-            if vec:
+            if vec := _combine(lambda local: basis[members[local]], combo):
                 out.append(_normalize(vec))
     return out
 
@@ -477,11 +457,7 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
         def image_of(vec):
             if len(vec) == 1 and 1 in vec.values():  # unit cochain: share the cached image
                 return image_of_coord(next(iter(vec)))
-            out: dict = {}
-            for key, coeff in vec.items():
-                for okey, v in image_of_coord(key).items():
-                    _bump(out, okey, coeff * v)
-            return out
+            return _combine(image_of_coord, vec)
 
         basis = _intersect_kernel(basis, image_of)
     # every key of a nonzero cochain has the same wedge length

@@ -42,6 +42,15 @@ def _bump(d: dict, key, value) -> None:
         del d[key]
 
 
+def _combine(image_of, vec: dict) -> dict:
+    """sum_k vec[k] * image_of(k) without zeros; the images are only read."""
+    out: dict = {}
+    for key, c in vec.items():
+        for k, v in image_of(key).items():
+            _bump(out, k, c * v)
+    return out
+
+
 def _integral(vec: dict) -> tuple[dict, int]:
     """(s * vec as int entries without zeros, s) for s the common denominator."""
     s = lcm(*(v.denominator for v in vec.values()))
@@ -65,6 +74,7 @@ def _reduce(pivots: dict, row: dict) -> dict:
             row = {k: v * fa for k, v in row.items()}
         elif not owned:
             row = dict(row)
+        # inline, not _bump: a call per entry slows rank_exact by about a third
         for k, v in p.items():
             if w := row.get(k, 0) - v * fb:
                 row[k] = w
@@ -117,6 +127,7 @@ class SparseExactMatrix:
                     pivots[c] = {k: v * inv % p for k, v in row.items()}
                     break
                 f = row[c]
+                # not _bump: each update is reduced mod p
                 for k, v in piv.items():
                     if w := (row.get(k, 0) - f * v) % p:
                         row[k] = w

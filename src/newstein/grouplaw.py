@@ -317,30 +317,22 @@ def rotation_section(eta: np.ndarray, lam: float) -> np.ndarray:
     return math.cos(theta / 2) * _ID2 - 1j * math.sin(theta / 2) * sig
 
 
-def wigner_rotation(Lam: np.ndarray, xi: np.ndarray, m0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(V, xi') with V = A_xi^-1 Lam A_{Lam^-1 xi} in SU(2), xi' = Lam^-1 xi."""
-    LamInv = np.linalg.inv(Lam)
-    xi2 = vector_rep(LamInv) @ xi
-    check_on_shell(xi2, m0)
-    A1 = boost_section(xi, m0)
-    A2 = boost_section(xi2, m0)
-    V = np.linalg.inv(A1) @ Lam @ A2
-    if np.abs(V @ V.conj().T - _ID2).max() > 1e-8:
-        raise StabilizerError("Wigner element is not unitary; sections inconsistent")
-    return V, xi2
-
-
 def wigner_phase(Lam: np.ndarray, xi: np.ndarray, eta: np.ndarray,
                  m0: float, lam: float) -> tuple[float, np.ndarray, np.ndarray]:
     """The U(1) angle of the little-group element at (xi, eta), with the
     transported point (xi', eta').
 
-    Assembles W = R_eta^-1 (A_xi^-1 Lam A_{Lam^-1 xi}) R_eta' with
-    xi' = Lam^-1 xi and eta' = D(1)(V^-1) eta, and returns phi in
-    (-2pi, 2pi] with W = diag(e^{i phi/2}, e^{-i phi/2}); raises if W fails
-    to commute with the pole rotation generator.
+    Assembles W = R_eta^-1 V R_eta' from the Wigner rotation
+    V = A_xi^-1 Lam A_xi' in SU(2), with xi' = Lam^-1 xi and
+    eta' = D(1)(V^-1) eta, and returns phi in (-2pi, 2pi] with
+    W = diag(e^{i phi/2}, e^{-i phi/2}); raises if V is not unitary or W
+    fails to commute with the pole rotation generator.
     """
-    V, xi2 = wigner_rotation(Lam, xi, m0)
+    xi2 = vector_rep(np.linalg.inv(Lam)) @ xi
+    check_on_shell(xi2, m0)
+    V = np.linalg.inv(boost_section(xi, m0)) @ Lam @ boost_section(xi2, m0)
+    if np.abs(V @ V.conj().T - _ID2).max() > 1e-8:
+        raise StabilizerError("Wigner element is not unitary; sections inconsistent")
     eta2 = so3_rep(V.conj().T) @ eta
     W = rotation_section(eta, lam).conj().T @ V @ rotation_section(eta2, lam)
     if max(abs(W[0, 1]), abs(W[1, 0])) > 1e-8:
@@ -423,8 +415,9 @@ def random_element(rng: np.random.Generator, scale: float = 0.5) -> GroupElement
 def log_coords(g: GroupElement) -> dict:
     """First-order coordinates of an element near the identity.
 
-    Returns a map basis-label -> float; the Lambda and R parts are projected
-    onto the generator bases by real least squares.
+    Returns a map basis-label -> float.  The generators X are orthogonal for
+    Re tr(X^dagger Y) with |X|^2 = 1/2, so the coordinate of Lambda - 1 (or
+    R - 1) on X is 2 Re tr(X^dagger (Lambda - 1)), its least-squares projection.
     """
     from . import labels as lb
 
@@ -439,23 +432,12 @@ def log_coords(g: GroupElement) -> dict:
         for m in range(1, 5):
             out[lb.A(i, m)] = g.a[i - 1, m - 1]
             out[lb.Q(i, m)] = g.q[i - 1, m - 1]
-    lpairs = [(m, n) for m in range(1, 4) for n in range(m + 1, 5)]
-    basis = [sl2_generator(*p) for p in lpairs]
-    coeffs = _project_real(g.Lam - _ID2, basis)
-    for p, val in zip(lpairs, coeffs):
-        out[lb.L(*p)] = val
-    jpairs = [(1, 2), (1, 3), (2, 3)]
-    coeffs = _project_real(g.R - _ID2, [su2_generator(*p) for p in jpairs])
-    for p, val in zip(jpairs, coeffs):
-        out[lb.J(*p)] = val
+    dLam, dR = g.Lam - _ID2, g.R - _ID2
+    for p in [(m, n) for m in range(1, 4) for n in range(m + 1, 5)]:
+        out[lb.L(*p)] = 2.0 * np.vdot(sl2_generator(*p), dLam).real
+    for p in [(1, 2), (1, 3), (2, 3)]:
+        out[lb.J(*p)] = 2.0 * np.vdot(su2_generator(*p), dR).real
     return out
-
-
-def _project_real(M: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    cols = [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis]
-    target = np.concatenate([M.real.ravel(), M.imag.ravel()])
-    sol, *_ = np.linalg.lstsq(np.array(cols).T, target, rcond=None)
-    return sol
 
 
 def commutator_coords(alg, x_label, y_label, *, extended_case7: bool = False) -> dict:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .exactla import kernel_basis
+from .exactla import _bump, kernel_basis
 from .labels import BasisLabel, parse_label
 
 
@@ -105,15 +105,10 @@ class LieAlgebra:
         for i, xi in x.items():
             cols = self._ad[i]
             for j, yj in y.items():
-                coeff = xi * yj
-                if j not in cols or coeff == 0:
-                    continue
-                for k, c in cols[j].items():
-                    new = out.get(k, 0) + coeff * c
-                    if new:
-                        out[k] = new
-                    else:
-                        out.pop(k, None)
+                if j in cols:
+                    coeff = xi * yj
+                    for k, c in cols[j].items():
+                        _bump(out, k, coeff * c)
         return out
 
     def bracket(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
@@ -124,10 +119,8 @@ class LieAlgebra:
     def element(self, coeffs: dict[BasisLabel | int, Fraction | int]) -> "AlgebraElement":
         vec: SparseVec = {}
         for key, v in coeffs.items():
-            i = key if isinstance(key, int) else self.index[key]
-            if v != 0:
-                vec[i] = vec.get(i, Fraction(0)) + Fraction(v)
-        return AlgebraElement(self, {k: v for k, v in vec.items() if v != 0})
+            _bump(vec, key if isinstance(key, int) else self.index[key], Fraction(v))
+        return AlgebraElement(self, vec)
 
     def basis_element(self, label: BasisLabel) -> "AlgebraElement":
         return AlgebraElement(self, {self.index[label]: Fraction(1)})
@@ -181,11 +174,7 @@ class LieAlgebra:
                             continue
                         for m, c in inner.items():
                             for t, d in self._ad[m].get(outer, {}).items():
-                                new = acc.get(t, 0) + sign * c * d
-                                if new:
-                                    acc[t] = new
-                                else:
-                                    acc.pop(t, None)
+                                _bump(acc, t, sign * c * d)
                     if acc:
                         violations.append((i, j, k))
         return violations
@@ -245,24 +234,21 @@ class LieAlgebra:
 
 
 class AlgebraElement:
-    """Sparse vector over an algebra's basis."""
+    """Sparse vector over an algebra's basis.  The constructor keeps the given
+    entries, zeros too, as Fractions; ``element``, ``+`` and ``bracket`` drop zeros."""
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: LieAlgebra, coeffs: SparseVec):
         self.algebra = algebra
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        self.coeffs = {k: Fraction(v) for k, v in coeffs.items()}
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.algebra is not other.algebra:
             raise MismatchedAlgebraError("elements index different bases")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            new = out.get(k, 0) + v
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
+            _bump(out, k, v)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -273,7 +259,7 @@ class AlgebraElement:
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         s = Fraction(scalar)
-        return AlgebraElement(self.algebra, {k: s * v for k, v in self.coeffs.items()})
+        return AlgebraElement(self.algebra, {k: s * v for k, v in self.coeffs.items()} if s else {})
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)

@@ -238,6 +238,15 @@ def trace_so3_rep(R: np.ndarray) -> np.ndarray:
     return out
 
 
+def lstsq_project_real(M: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """Real coefficients c minimizing |M - sum_i c_i basis[i]| by least squares
+    on the real and imaginary parts; the reference for ``grouplaw.log_coords``."""
+    cols = [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis]
+    target = np.concatenate([M.real.ravel(), M.imag.ravel()])
+    sol, *_ = np.linalg.lstsq(np.array(cols).T, target, rcond=None)
+    return sol
+
+
 # -- wrappers over the package engines, for tests only ---------------------
 
 

@@ -359,21 +359,63 @@ def test_config_file_defaults(tmp_path):
     assert doc["seed"] == 7 and doc["triples"] == 25
 
 
-@pytest.mark.parametrize("text,code,needle", [
-    ("{bad", EXIT_BAD_PARAMS, "not valid JSON"),
-    ('{"nosuch": 1, "seed": 3}', EXIT_BAD_PARAMS, "'nosuch'"),
-    ("[1]", EXIT_BAD_PARAMS, "JSON object"),
-    (None, EXIT_IO, "none.json"),
-], ids=["invalid-json", "unknown-key", "not-an-object", "missing-file"])
-def test_config_file_errors(tmp_path, capsys, text, code, needle):
+GROUPLAW = ["grouplaw", "check", "--count", "1"]
+H3 = ["cohomology", "--algebra", "h3"]
+
+
+@pytest.mark.parametrize("text,argv,code,needle", [
+    ("{bad", GROUPLAW, EXIT_BAD_PARAMS, "not valid JSON"),
+    ('{"nosuch": 1, "seed": 3}', GROUPLAW, EXIT_BAD_PARAMS, "'nosuch'"),
+    ("[1]", GROUPLAW, EXIT_BAD_PARAMS, "JSON object"),
+    (None, GROUPLAW, EXIT_IO, "none.json"),
+    ('{"coeffs": "bogus"}', H3, EXIT_BAD_PARAMS, "invalid choice: 'bogus'"),
+    ('{"via_reduction": "no"}', H3, EXIT_BAD_PARAMS, "--via-reduction"),
+    ('{"via_reduction": false}', H3, EXIT_BAD_PARAMS, "--via-reduction"),
+    ('{"count": 2.5}', ["grouplaw", "check"], EXIT_BAD_PARAMS, "invalid int value: '2.5'"),
+    ('{"degree": 2.5}', H3, EXIT_BAD_PARAMS, "invalid int value: '2.5'"),
+    ('{"count": true}', ["grouplaw", "check"], EXIT_BAD_PARAMS, "True"),
+], ids=["invalid-json", "unknown-key", "not-an-object", "missing-file", "wrong-choice",
+        "flag-not-boolean", "flag-false", "float-count", "float-degree", "boolean-count"])
+def test_config_file_errors(tmp_path, capsys, text, argv, code, needle):
     cfg = tmp_path / "none.json"
     if text is not None:
         cfg.write_text(text)
     out = tmp_path / "o.json"
-    assert main(["--config", str(cfg), "grouplaw", "check", "--count", "1",
-                 "--out", str(out)]) == code
+    assert main(["--config", str(cfg), *argv, "--out", str(out)]) == code
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_supplies_required_options_and_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff": 4}))
+    rc, doc = run_cli(["--config", str(cfg), "spectrum", "--ell", "0.5"], tmp_path)
+    assert rc == EXIT_OK and doc["cutoff"] == 4
+    rc, doc = run_cli(["--config", str(cfg), "spectrum", "--ell", "0.5", "--cutoff", "3"], tmp_path)
+    assert rc == EXIT_OK and doc["cutoff"] == 3
+    # a flag key takes true; the reduction then refuses h3, as with the typed flag
+    cfg.write_text(json.dumps({"via_reduction": True, "coeffs": "adjoint", "degree": 1}))
+    assert main(["--config", str(cfg), *H3]) == EXIT_BAD_PARAMS
+    assert "structured algebra family" in capsys.readouterr().err
+    # a multi-value option takes a list
+    cfg.write_text(json.dumps({"matrix": ["1", "0", 0, -1]}))
+    rc, doc = run_cli(["--config", str(cfg), "extensions", "classify"], tmp_path)
+    assert rc == EXIT_OK and doc["matrix"] == ["1", "0", "0", "-1"] and doc["case"] == 2
+
+
+@pytest.mark.parametrize("argv", [["cohomology", "--degree", "x"], [],
+                                  ["jacobi", "--nosuch"], ["nosuch"]],
+                         ids=["malformed-value", "no-subcommand", "unknown-option",
+                              "unknown-subcommand"])
+def test_usage_errors_are_invalid_parameters(argv):
+    assert main(argv) == EXIT_BAD_PARAMS
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "verify-all" in capsys.readouterr().out
 
 
 def test_golden_fixtures_match_builders():

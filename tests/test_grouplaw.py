@@ -10,12 +10,12 @@ from newstein.algebras import build_extended, build_newstein
 from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError,
                                SectionSingularityError, boost_section, commutator_coords,
                                compose, compose_extended, element_distance,
-                               identity, inverse, inverse_extended, one_parameter,
-                               random_element, rotation_section, shell_point, so3_rep,
-                               sphere_point, spin_rep, sym_coords, sym_rep, vector_rep,
-                               wigner_phase)
+                               identity, inverse, inverse_extended, log_coords,
+                               one_parameter, random_element, rotation_section, shell_point,
+                               sl2_generator, so3_rep, sphere_point, spin_rep, su2_generator,
+                               sym_coords, sym_rep, vector_rep, wigner_phase)
 
-from oracles import trace_so3_rep, trace_vector_rep
+from oracles import lstsq_project_real, trace_so3_rep, trace_vector_rep
 
 G4 = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -250,6 +250,19 @@ def test_derivative_at_identity_extended_case7():
         for key in set(k for k in got if k != "#k") | set(want):
             assert abs(got.get(key, 0.0) - want.get(key, 0.0)) < 1e-5, (x, y, key)
         assert abs(got.get("#k", 0.0)) < 1e-5
+
+
+def test_log_coords_match_least_squares_projection():
+    lpairs = [(m, n) for m in range(1, 4) for n in range(m + 1, 5)]
+    jpairs = [(1, 2), (1, 3), (2, 3)]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = random_element(rng, scale=0.05)
+        got = log_coords(g)
+        want_l = lstsq_project_real(g.Lam - np.eye(2), [sl2_generator(*p) for p in lpairs])
+        want_j = lstsq_project_real(g.R - np.eye(2), [su2_generator(*p) for p in jpairs])
+        assert max(abs(got[lb.L(*p)] - w) for p, w in zip(lpairs, want_l)) <= 1e-15
+        assert max(abs(got[lb.J(*p)] - w) for p, w in zip(jpairs, want_j)) <= 1e-15
 
 
 def test_boost_section_examples_and_postcondition():

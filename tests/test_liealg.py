@@ -2,14 +2,17 @@
 
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newstein import labels as lb
 from newstein.algebras import build_extended, build_newstein, heisenberg3, sl2
 from newstein.liealg import AlgebraElement, LieAlgebra, MismatchedAlgebraError
+
+from oracles import brute_bracket
 
 F = Fraction
 
@@ -78,6 +81,55 @@ def test_jacobi_detects_corruption(G):
     assert bad.jacobi_check() != []
 
 
+coefficients = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
+
+
+@st.composite
+def small_algebras(draw):
+    """3-6-dim tables of random rational constants; half of them carry a scaled
+    sl(2) on e_0, e_1, e_2, whose Jacobi terms cancel to zero."""
+    n = draw(st.integers(3, 6))
+    constants = {(i, j): draw(st.dictionaries(st.integers(0, n - 1), coefficients, max_size=2))
+                 for i in range(n) for j in range(i + 1, n)}
+    if draw(st.booleans()):
+        s = draw(coefficients)
+        constants.update({(0, 1): {1: 2 * s}, (0, 2): {2: -2 * s}, (1, 2): {0: s}})
+    return LieAlgebra("random", list(range(n)), constants)
+
+
+def brute_jacobiator(alg, i, j, k) -> dict:
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] by brute force."""
+    out: dict = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for t, v in brute_bracket(alg, brute_bracket(alg, {a: 1}, {b: 1}), {c: 1}).items():
+            out[t] = out.get(t, 0) + v
+    return {t: v for t, v in out.items() if v}
+
+
+@given(alg=small_algebras())
+@example(alg=sl2())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_check_matches_brute_force_jacobiator(alg):
+    assert alg.jacobi_check() == [t for t in combinations(range(alg.dim), 3)
+                                  if brute_jacobiator(alg, *t)]
+
+
+def test_element_and_sum_drop_cancelled_terms(G):
+    lab = lb.T(1)
+    assert G.element({lab: 1, G.index[lab]: -1}).coeffs == {}
+    x = G.element({lab: F(1, 2), lb.C(1, 2): -3})
+    assert (x + (-x)).coeffs == {} and (x - x).coeffs == {}
+
+
+def test_bracket_vec_with_zero_coefficient_matches_brute_force(G):
+    alg = sl2()
+    x, y = {0: F(0), 1: F(1)}, {2: F(1)}        # 0 h + e and f
+    assert alg.bracket_vec(x, y) == brute_bracket(alg, x, y) == {0: 1}
+    x = {G.index[lb.L(1, 2)]: F(0), G.index[lb.A(1, 2)]: F(3)}
+    y = {G.index[lb.T(2)]: F(1), G.index[lb.Q(1, 3)]: F(-1)}
+    assert G.bracket_vec(x, y) == brute_bracket(G, x, y) == {G.index[lb.C(2, 3)]: -3}
+
+
 def _ad(G, x: dict) -> dict:
     """Sparse columns j -> [x, e_j] of ad(x), summed from the shared table."""
     cols: dict = {}
@@ -111,8 +163,6 @@ def test_adjoint_is_bracket_homomorphism(G):
     """ad[x, y] = ad x ad y - ad y ad x, column by column; [x, y] comes from
     the brute-force bracket, the three ad matrices from the shared table."""
     import random
-
-    from oracles import brute_bracket
 
     rng = random.Random(7)
     for _ in range(5):
