@@ -16,12 +16,12 @@ undershoot the rational rank, so the modular Betti number is reported as a
 high-confidence upper bound, not a proof.  A prime dividing D is refused.
 
 The module also implements the invariant-cochain reduction: cohomology of
-the nilpotent ideal with coefficients in the full algebra, restricted to
-the Levi-invariant subcomplex.  By Hochschild-Serre (1953), with the Levi
-factor acting completely reducibly and its first and second cohomology
-vanishing, that is H^k of the whole algebra for k = 1, 2.  It shrinks the
-second-degree computation from tens of thousands of unknowns to a handful
-and keeps it exact.
+the radical with coefficients in the full algebra, restricted to the
+Levi-invariant subcomplex.  By Hochschild-Serre (1953), with the Levi
+factor semisimple (acting completely reducibly, its first and second
+cohomology vanishing), that is H^k of the whole algebra for k = 1, 2.  It
+shrinks the second-degree computation from tens of thousands of unknowns to
+a handful and keeps it exact.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from math import comb, lcm
 from .algebras import NewSteinAlgebra
 from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _normalize, kernel_basis,
                       random_primes)
+from .labels import BasisLabel
 from .liealg import LieAlgebra
 
 
@@ -397,16 +398,16 @@ def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
 
 
 def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
-    """Bases of the Levi-invariant cochains Hom(Lambda^k ideal, algebra) and
-    Hom(Lambda^(k-1) ideal, algebra), exact.
+    """Bases of the Levi-invariant cochains Hom(Lambda^k r, algebra) and
+    Hom(Lambda^(k-1) r, algebra) of the radical r, exact.
 
     Invariance of f under a Levi generator g is the vanishing of the Lie
     derivative
 
         (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
 
-    solved as an intersection of operator kernels, one per L and J
-    generator, over the unit cochains of both degrees at once.  g . f keeps
+    solved as an intersection of operator kernels, one per generator of the
+    Levi factor, over the unit cochains of both degrees at once.  g . f keeps
     the degree, so no kernel component mixes degrees and each degree's
     basis is the one a run on that degree alone gives.  At k = 0 the
     cochains are the algebra itself and the basis spans the centralizer of
@@ -534,9 +535,7 @@ def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:
         kinds.setdefault(alg.labels[pos].kind, []).append(pos)
 
     def partner(pos, kind):
-        lab = alg.labels[pos]
-        from .labels import BasisLabel
-        return alg.index[BasisLabel(kind, lab.indices)]
+        return alg.index[BasisLabel(kind, alg.labels[pos].indices)]
 
     fam = []
     fam.append({((p,), p): 1 for p in kinds["T"]})                       # alpha

@@ -15,7 +15,8 @@ c^{mn}; in that chart S(Lambda) is plain congruence by the vector matrix and
 beta becomes (a^T q + q^T a) / 2.
 
 Everything in this module is binary64; exact arithmetic lives in the
-algebra-side modules.
+algebra-side modules.  It is the one home of the Lorentz and spin conventions
+the induced action reads: the metric, eps_ijk, the generators and the spin-j basis.
 """
 
 from __future__ import annotations
@@ -25,13 +26,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import labels as lb
+
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 _ID2 = np.eye(2, dtype=complex)
-_METRIC = np.diag([1.0, 1.0, 1.0, -1.0])
+_METRIC_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def lower(x: np.ndarray) -> np.ndarray:
+    """Index lowering x_mu = g_{mu nu} x^nu (flips the fourth component)."""
+    return x * _METRIC_DIAG
+
+
+def mink(x: np.ndarray, y: np.ndarray) -> float:
+    """The Minkowski product g_{mu nu} x^mu y^nu, signature (+,+,+,-)."""
+    return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
 
 
 class OffShellError(ValueError):
@@ -129,6 +142,21 @@ def spin_rep(R: np.ndarray, j) -> np.ndarray:
     return out
 
 
+def spin_generator(X: np.ndarray, j) -> np.ndarray:
+    """Derivative of spin_rep at the identity in the direction X (2x2)."""
+    twoj = int(round(2 * j))
+    n = twoj + 1
+    out = np.zeros((n, n), dtype=complex)
+    for col in range(n):
+        p, q = twoj - col, col
+        out[col, col] = p * X[0, 0] + q * X[1, 1]
+        if col + 1 < n:   # u -> v lowering: (p-1, q+1)
+            out[col + 1, col] = X[1, 0] * math.sqrt(p * (q + 1))
+        if col - 1 >= 0:  # v -> u raising: (p+1, q-1)
+            out[col - 1, col] = X[0, 1] * math.sqrt(q * (p + 1))
+    return out
+
+
 _THETA = np.where(np.eye(4, dtype=bool), 1.0, 0.5)   # w = _THETA * c entrywise
 _SYM_PAIRS = [(m, n) for m in range(4) for n in range(m, 4)]
 
@@ -150,13 +178,6 @@ def sym_coords(w: np.ndarray) -> np.ndarray:
     """Ten independent coordinates c^{mn} (m <= n) of a stored w matrix."""
     c = w / _THETA
     return np.array([c[m, n] for (m, n) in _SYM_PAIRS])
-
-
-def sym_from_coords(coords) -> np.ndarray:
-    c = np.zeros((4, 4))
-    for val, (m, n) in zip(coords, _SYM_PAIRS):
-        c[m, n] = c[n, m] = float(val)
-    return _THETA * c
 
 
 def beta_w(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -275,8 +296,7 @@ def shell_point(xi_spatial, m0: float) -> np.ndarray:
 
 def check_on_shell(xi: np.ndarray, m0: float) -> None:
     """Raise unless xi is on the forward shell of mass m0, to relative 1e-8."""
-    norm = xi[:3] @ xi[:3] - xi[3] * xi[3]
-    if abs(norm + m0 * m0) > 1e-8 * max(1.0, m0 * m0) or xi[3] <= 0:
+    if abs(mink(xi, xi) + m0 * m0) > 1e-8 * max(1.0, m0 * m0) or xi[3] <= 0:
         raise OffShellError(f"xi = {xi} is not on the forward shell of mass {m0}")
 
 
@@ -346,7 +366,8 @@ _EPS3 = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
 
 
 def sl2_generator(mu: int, nu: int) -> np.ndarray:
-    """Generator with vector_rep-derivative equal to ad(L_{mu nu}) on vectors."""
+    """Generator with vector_rep-derivative equal to ad(L_{mu nu}) on vectors;
+    for mu < nu <= 3 also the J_{mu nu} generator, by its so3_rep-derivative."""
     if nu == 4:
         return -0.5 * _SIGMA[mu - 1]
     code = _EPS3[(mu, nu)]
@@ -354,38 +375,25 @@ def sl2_generator(mu: int, nu: int) -> np.ndarray:
     return 0.5j * sign * _SIGMA[abs(code) - 1]
 
 
-def su2_generator(i: int, j: int) -> np.ndarray:
-    """Generator with so3_rep-derivative equal to ad(J_{ij}) on vectors.
-
-    For i < j <= 3 this is the rotation generator of ``sl2_generator``.
-    """
-    return sl2_generator(i, j)
-
-
 def one_parameter(label, s: float) -> GroupElement:
     """exp(s X) as a group element, for a structured basis label X."""
     g = identity()
     kind, ix = label.kind, label.indices
     if kind == "T":
-        g.t = np.zeros(4)
         g.t[ix[0] - 1] = s
     elif kind == "Tp":
-        g.tp = np.zeros(4)
         g.tp[ix[0] - 1] = s
     elif kind == "C":
-        coords = np.zeros(10)
-        coords[_SYM_PAIRS.index((ix[0] - 1, ix[1] - 1))] = s
-        g.c = sym_from_coords(coords)
+        m, n = ix[0] - 1, ix[1] - 1
+        g.c[m, n] = g.c[n, m] = _THETA[m, n] * s
     elif kind == "A":
-        g.a = np.zeros((3, 4))
         g.a[ix[0] - 1, ix[1] - 1] = s
     elif kind == "Q":
-        g.q = np.zeros((3, 4))
         g.q[ix[0] - 1, ix[1] - 1] = s
     elif kind == "L":
         g.Lam = expm2(s * sl2_generator(*ix))
     elif kind == "J":
-        g.R = expm2(s * su2_generator(*ix))
+        g.R = expm2(s * sl2_generator(*ix))
     else:
         raise ValueError(f"no one-parameter subgroup for label kind {kind!r}")
     return g
@@ -395,7 +403,7 @@ def random_element(rng: np.random.Generator, scale: float = 0.5) -> GroupElement
     """Seeded pseudo-random element with moderate parameters."""
     sl2 = sum(rng.normal(0.0, scale) * sl2_generator(m, n)
               for m in range(1, 4) for n in range(m + 1, 5))
-    su2 = sum(rng.normal(0.0, scale) * su2_generator(i, j)
+    su2 = sum(rng.normal(0.0, scale) * sl2_generator(i, j)
               for i in range(1, 3) for j in range(i + 1, 4))
     csym = rng.normal(0.0, scale, (4, 4))
     return GroupElement(
@@ -419,8 +427,6 @@ def log_coords(g: GroupElement) -> dict:
     Re tr(X^dagger Y) with |X|^2 = 1/2, so the coordinate of Lambda - 1 (or
     R - 1) on X is 2 Re tr(X^dagger (Lambda - 1)), its least-squares projection.
     """
-    from . import labels as lb
-
     out = {}
     for m in range(1, 5):
         out[lb.T(m)] = g.t[m - 1]
@@ -436,7 +442,7 @@ def log_coords(g: GroupElement) -> dict:
     for p in [(m, n) for m in range(1, 4) for n in range(m + 1, 5)]:
         out[lb.L(*p)] = 2.0 * np.vdot(sl2_generator(*p), dLam).real
     for p in [(1, 2), (1, 3), (2, 3)]:
-        out[lb.J(*p)] = 2.0 * np.vdot(su2_generator(*p), dR).real
+        out[lb.J(*p)] = 2.0 * np.vdot(sl2_generator(*p), dR).real
     return out
 
 
@@ -447,8 +453,6 @@ def commutator_coords(alg, x_label, y_label, *, extended_case7: bool = False) ->
     second order; the result approximates the coordinates of [X, Y].
     ``alg`` is unused; it stays first because callers pass it positionally.
     """
-    from . import labels as lb
-
     eps = 1e-3
     def make(label, s):
         if extended_case7:

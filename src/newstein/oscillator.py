@@ -39,18 +39,6 @@ import numpy as np
 from . import grouplaw as gl
 from .labels import BasisLabel
 
-_METRIC_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
-
-
-def lower(x: np.ndarray) -> np.ndarray:
-    """Index lowering x_mu = g_{mu nu} x^nu (flips the fourth component)."""
-    return x * _METRIC_DIAG
-
-
-def mink(x: np.ndarray, y: np.ndarray) -> float:
-    return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
-
-
 @dataclass(frozen=True)
 class RepParams:
     """Orbit and character data of one induced representation."""
@@ -182,7 +170,7 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
     z = (m0/sqrt(alpha)) u and i d/dz = -(sqrt(alpha)/m0) p.
     """
     gl.check_on_shell(xi, params.m0)
-    xl = lower(xi)
+    xl = gl.lower(xi)
     scale = math.sqrt(params.alpha) / params.m0
     kind = X.kind
     if kind == "Tp":
@@ -246,14 +234,14 @@ def _casimir(kind: str, params: RepParams, xi: np.ndarray,
     a^dag - a, u = r/sqrt(2) and p = i r/sqrt(2), so M M = +-r r/2 is real.
     """
     gl.check_on_shell(xi, params.m0)
-    xl = lower(xi)
+    xl = gl.lower(xi)
     sign = 1.0 if kind == "A" else -1.0
     total = np.zeros((basis.dim, basis.dim))
     for mode in range(3):
         a = lowering_matrix(basis, mode)
         r = a.T + sign * a
         total += r @ r
-    total *= -(params.alpha / params.m0**2) * mink(xl, xl) * sign / 2
+    total *= -(params.alpha / params.m0**2) * gl.mink(xl, xl) * sign / 2
     return OscillatorOperator(total.astype(complex), basis, hermitian=True)
 
 
@@ -341,7 +329,7 @@ def free_mass_check(xi: np.ndarray, eta: np.ndarray, params: RepParams) -> dict:
     the fourth component must stay positive.
     """
     p = _external_momentum(xi, eta, params.m0, params.lam)
-    return {"p": p, "mass_squared": mink(p, p), "p4": float(p[3])}
+    return {"p": p, "mass_squared": gl.mink(p, p), "p4": float(p[3])}
 
 
 # -- sample points and test functions --------------------------------------
@@ -438,8 +426,8 @@ def iur_apply(g: gl.GroupElement, F, params: RepParams):
 
     def UF(xi, eta, z):
         p = _external_momentum(xi, eta, m0, lam)
-        phase = mink(p, g.t) + mink(xi, g.tp)
-        xl = lower(xi)
+        phase = gl.mink(p, g.t) + gl.mink(xi, g.tp)
+        xl = gl.lower(xi)
         # <b, a>_1 with b^{j mu} = (alpha/m0^2) z^j xi^mu
         phase += (params.alpha / m0**2) * float(z @ (g.a @ xl))
         # <D, c>_2 = sum_{mu nu} D_{mu nu} w^{mu nu} in the stored chart,
@@ -459,16 +447,12 @@ def iur_apply(g: gl.GroupElement, F, params: RepParams):
 # -- external generators as first-order operators ---------------------------
 
 
-_EPS_JK = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-
-
 def _wedge_flow(v: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients of the rotation flow about the given axis applied to v."""
+    """The rotation flow e_axis x v: -v_j on slot i and v_i on slot j, where
+    (axis, i, j) is cyclic."""
+    i, j = axis % 3, (axis + 1) % 3
     out = np.zeros(3)
-    for (i, j), k in _EPS_JK.items():
-        if k == axis:
-            out[j - 1] += v[i - 1]
-            out[i - 1] -= v[j - 1]
+    out[i], out[j] = -v[j], v[i]
     return out
 
 
@@ -507,49 +491,43 @@ def external_generator(X: BasisLabel, pt: SamplePoint, params: RepParams,
     eye = np.eye(d, dtype=complex)
 
     if kind == "Tp":
-        return GeneratorAction(lower(xi)[ix[0] - 1] * eye, zero3, zero3, zero3)
+        return GeneratorAction(gl.lower(xi)[ix[0] - 1] * eye, zero3, zero3, zero3)
     if kind == "T":
         p = _external_momentum(xi, eta, m0, lam)
-        return GeneratorAction(lower(p)[ix[0] - 1] * eye, zero3, zero3, zero3)
+        return GeneratorAction(gl.lower(p)[ix[0] - 1] * eye, zero3, zero3, zero3)
     if kind == "C":
         mu, nu = ix
-        xl = lower(xi)
+        xl = gl.lower(xi)
         val = (params.alpha / m0**2) * xl[mu - 1] * xl[nu - 1]
         return GeneratorAction(val * eye, zero3, zero3, zero3)
     if kind == "A":
         i, mu = ix
-        val = (params.alpha / m0**2) * z[i - 1] * lower(xi)[mu - 1]
+        val = (params.alpha / m0**2) * z[i - 1] * gl.lower(xi)[mu - 1]
         return GeneratorAction(val * eye, zero3, zero3, zero3)
     if kind == "Q":
         i, mu = ix
         flow = np.zeros(3)
-        flow[i - 1] = -lower(xi)[mu - 1]
+        flow[i - 1] = -gl.lower(xi)[mu - 1]
         return GeneratorAction(mult0, zero3, zero3, flow)
-    if kind == "J":
-        i, jx = ix
-        gen = gl.su2_generator(i, jx)
-        mult = spin_generator(gen, j) / 1j
-        flow = np.zeros(3)
-        flow[i - 1] = -z[jx - 1]
-        flow[jx - 1] = z[i - 1]
-        return GeneratorAction(mult, zero3, zero3, flow)
-    if kind == "L":
-        mu, nu = ix
-        if nu != 4:
-            # displayed s terms: eta^1/(lam+eta^3) on the 23 plane,
-            # eta^2/(lam+eta^3) on the 31 plane, the constant s on 12
-            axis = _EPS_JK[(mu, nu)] if (mu, nu) in _EPS_JK else -_EPS_JK[(nu, mu)]
-            sign = 1.0 if axis > 0 else -1.0
-            axis = abs(axis)
-            if axis == 3:
-                smult = s
-            else:
-                smult = s * eta[axis - 1] / (lam + eta[2])
-            return GeneratorAction(sign * smult * eye,
-                                   sign * _wedge_flow(xi[:3], axis),
-                                   sign * _wedge_flow(eta, axis),
-                                   zero3)
-        return _boost_generator(mu, pt, params, d, variant)
+    if kind == "L" and ix[1] == 4:
+        return _boost_generator(ix[0], pt, params, d, variant)
+    if kind in ("J", "L"):
+        # rotation in the (m, n) plane: about the axis of eps_{mn axis}, with its sign
+        code = gl._EPS3[ix]
+        sign, axis = (1.0 if code > 0 else -1.0), abs(code)
+        if kind == "J":
+            mult = gl.spin_generator(gl.sl2_generator(*ix), j) / 1j
+            return GeneratorAction(mult, zero3, zero3, sign * _wedge_flow(z, axis))
+        # displayed s terms: eta^1/(lam+eta^3) on the 23 plane,
+        # eta^2/(lam+eta^3) on the 31 plane, the constant s on 12
+        if axis == 3:
+            smult = s
+        else:
+            smult = s * eta[axis - 1] / (lam + eta[2])
+        return GeneratorAction(sign * smult * eye,
+                               sign * _wedge_flow(xi[:3], axis),
+                               sign * _wedge_flow(eta, axis),
+                               zero3)
     raise ValueError(f"no external generator for label {X}")
 
 
@@ -582,21 +560,6 @@ def _boost_generator(i: int, pt: SamplePoint, params: RepParams, d: int,
     flow_xi = np.zeros(3)
     flow_xi[i - 1] = x4
     return GeneratorAction(smult * eye, flow_xi, flow_eta, np.zeros(3))
-
-
-def spin_generator(X: np.ndarray, j) -> np.ndarray:
-    """Derivative of spin_rep at the identity in the direction X (2x2)."""
-    twoj = int(round(2 * j))
-    n = twoj + 1
-    out = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        p, q = twoj - col, col
-        out[col, col] = p * X[0, 0] + q * X[1, 1]
-        if col + 1 < n:   # u -> v lowering: (p-1, q+1)
-            out[col + 1, col] = X[1, 0] * math.sqrt(p * (q + 1))
-        if col - 1 >= 0:  # v -> u raising: (p+1, q-1)
-            out[col - 1, col] = X[0, 1] * math.sqrt(q * (p + 1))
-    return out
 
 
 def generator_oracle(X: BasisLabel, params: RepParams, *, points=None,

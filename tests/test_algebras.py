@@ -62,6 +62,23 @@ def test_levi_part_closes_and_factors_commute(G):
                 assert not G.bracket_basis(i, j)
 
 
+@pytest.mark.parametrize("build,levi_kinds,extra", [
+    (build_newstein, {"L", "J"}, set()),
+    (build_newstein2, {"L"}, {"J"}),
+    (lambda: build_extended(7), {"L", "J"}, {"K"}),
+], ids=["newstein", "newstein2", "newstein-ext:7"])
+def test_levi_factor_is_perfect_and_radical_is_its_ideal_complement(build, levi_kinds, extra):
+    """The Levi factor is [s, s] of the L/J span s; the planar J_12 and K
+    land in the radical, which is an ideal complementing it."""
+    alg = build()
+    levi, ideal = set(alg.levi_indices), set(alg.ideal_indices)
+    assert {alg.labels[i].kind for i in levi} == levi_kinds
+    assert {alg.labels[i].kind for i in ideal} == {"T", "Tp", "C", "A", "Q"} | extra
+    assert levi | ideal == set(range(alg.dim)) and not levi & ideal
+    assert {k for i in levi for j in levi for k in alg.bracket_basis(i, j)} == levi
+    assert all(k in ideal for i in range(alg.dim) for j in ideal for k in alg.bracket_basis(i, j))
+
+
 def test_aq_bracket_is_delta_c(G):
     for i in range(1, 4):
         for j in range(1, 4):

@@ -17,6 +17,7 @@ import pytest
 from newstein import labels as lb
 from newstein.algebras import (NewSteinAlgebra, beta_cocycle, build_extended,
                                build_newstein, build_newstein2, heisenberg3, sl2)
+from newstein.cli import load_algebra
 from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyReport,
                                  betti, h1_via_reduction,
                                  h2_via_reduction, invariant_cochains,
@@ -229,6 +230,20 @@ def test_h1_adjoint_reduction_and_direct_agree(G):
     assert len(direct.primes) >= 3
 
 
+@pytest.mark.parametrize("selector", ["newstein", "newstein2"]
+                         + [f"newstein-ext:{case}" for case in range(1, 10)])
+def test_h1_reduction_matches_direct_on_every_family_selector(selector):
+    """The reduction runs over the radical: J_12 of the planar variant and K
+    of the extensions are not in the Levi factor, so they are arguments."""
+    alg = load_algebra(selector)
+    assert h1_via_reduction(alg).betti == betti(alg, CoefficientModule.adjoint(alg), 1).betti
+
+
+def test_h2_reduction_matches_direct_on_planar_variant():
+    G2 = build_newstein2()
+    assert h2_via_reduction(G2).betti == betti(G2, CoefficientModule.adjoint(G2), 2).betti == 13
+
+
 def test_h1_adjoint_exceeds_printed_family_by_translation_mixers(G):
     """The printed six-parameter family misses f(T) = T' and f(T') = T."""
     data = reduction_data(G, 1)
@@ -396,9 +411,10 @@ def test_h1_reduction_with_rational_invariance_operators(case, scale):
     """Scaling each invariance operator by its denominator keeps every count."""
     ext = build_extended(case)
     assert CochainComplex(ext, CoefficientModule.adjoint(ext)).scale == scale
+    assert _ideal_complex(ext).scale == scale
     red = h1_via_reduction(ext)
-    assert red.notes == "invariant cochains 11, invariant cocycles 8, of which coboundaries 1"
-    assert red.betti == 7
+    assert red.notes == "invariant cochains 13, invariant cocycles 7, of which coboundaries 2"
+    assert red.betti == betti(ext, CoefficientModule.adjoint(ext), 1).betti
 
 
 def test_reduction_survives_rational_levi_operators(G):

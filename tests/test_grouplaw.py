@@ -12,7 +12,7 @@ from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError
                                compose, compose_extended, element_distance,
                                identity, inverse, inverse_extended, log_coords,
                                one_parameter, random_element, rotation_section, shell_point,
-                               sl2_generator, so3_rep, sphere_point, spin_rep, su2_generator,
+                               sl2_generator, so3_rep, sphere_point, spin_rep,
                                sym_coords, sym_rep, vector_rep, wigner_phase)
 
 from oracles import lstsq_project_real, trace_so3_rep, trace_vector_rep
@@ -260,7 +260,7 @@ def test_log_coords_match_least_squares_projection():
         g = random_element(rng, scale=0.05)
         got = log_coords(g)
         want_l = lstsq_project_real(g.Lam - np.eye(2), [sl2_generator(*p) for p in lpairs])
-        want_j = lstsq_project_real(g.R - np.eye(2), [su2_generator(*p) for p in jpairs])
+        want_j = lstsq_project_real(g.R - np.eye(2), [sl2_generator(*p) for p in jpairs])
         assert max(abs(got[lb.L(*p)] - w) for p, w in zip(lpairs, want_l)) <= 1e-15
         assert max(abs(got[lb.J(*p)] - w) for p, w in zip(jpairs, want_j)) <= 1e-15
 
@@ -332,8 +332,14 @@ def test_wigner_phase_additive_on_stabilizer():
     assert p1 + p2 == pytest.approx(p12)
 
 
-def test_one_parameter_c_slot():
-    g = one_parameter(lb.C(1, 2), 0.3)
-    coords = sym_coords(g.c)
-    assert coords[1] == pytest.approx(0.3)
-    assert np.abs(np.delete(coords, 1)).max() == 0
+def test_one_parameter_c_slot(G):
+    """exp(0.3 X) of every abelian label X, the C slots through the theta-weighted
+    chart included, has log coordinate exactly 0.3 at X and exactly 0 elsewhere."""
+    abelian = [lab for lab in G.labels if lab.kind in ("T", "Tp", "C", "A", "Q")]
+    assert len(abelian) == 42
+    for X in abelian:
+        g = one_parameter(X, 0.3)
+        assert (g.c == g.c.T).all()
+        coords = log_coords(g)
+        assert len(coords) == 51
+        assert {lab: v for lab, v in coords.items() if v != 0} == {X: 0.3}
