@@ -1,16 +1,22 @@
 """Constructors for the New-Stein algebra family and small reference algebras.
 
 The 51-dimensional algebra is the semidirect sum of sl(2,C) + su(2) (spanned
-by L and J) acting on the nilpotent ideal spanned by T, T', A, Q, C.  The
-non-null brackets, with X running over T, T', A_{i.}, Q_{i.} and Y over
-A_{.rho}, Q_{.rho}:
+by L and J) acting on the nilpotent ideal spanned by T, T', A, Q, C.  L and J
+act by one slot rule: for X = L with eta = g, or X = J with eta = delta,
+
+    [X_{ab}, Y_{..r..}] = eta_{br} Y_{..a..} - eta_{ar} Y_{..b..}
+
+summed over the index slots of Y of X's type (Greek for L, Roman for J; see
+``labels.SLOTS``).  With X running over T, T', A_{i.}, Q_{i.} and Y over
+A_{.rho}, Q_{.rho}, it gives the displayed rotation brackets
 
     [L_{mn}, L_{rs}] = -g_{mr} L_{ns} - g_{ns} L_{mr} + g_{ms} L_{nr} + g_{nr} L_{ms}
     [L_{mn}, X_r]    =  g_{nr} X_m - g_{mr} X_n
-    [A_{im}, Q_{jn}] =  delta_{ij} C_{mn}
     [L_{mn}, C_{rs}] = -g_{mr} C_{ns} - g_{ms} C_{nr} + g_{ns} C_{mr} + g_{nr} C_{ms}
     [J_{ij}, J_{kl}] = -delta_{ik} J_{jl} - delta_{jl} J_{ik} + delta_{il} J_{jk} + delta_{jk} J_{il}
     [J_{ij}, Y_k]    =  delta_{jk} Y_i - delta_{ik} Y_j
+
+and the one other non-null bracket is [A_{im}, Q_{jn}] = delta_{ij} C_{mn}.
 
 Basis order is fixed and documented: L (6), T (4), T' (4), C (10), A (12),
 Q (12), J (3), then K when present; blocks are ordered lexicographically in
@@ -20,6 +26,7 @@ their indices.  All coefficients are exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import labels as lb
 from .exactla import _bump
@@ -30,86 +37,48 @@ from .liealg import LieAlgebra, SparseVec
 _F = Fraction
 
 
-def _antisym(kind: str, a: int, b: int):
-    """Resolve an antisymmetric label (L or J): returns (label, sign) or None."""
-    if a == b:
+# The index type each rotation kind turns, and its eta: g for L, delta for J
+_ETA = {"L": ("g", metric), "J": ("d", lambda i, j: int(i == j))}
+
+
+def _oriented(kind: str, ix: tuple[int, ...]) -> tuple[BasisLabel, int] | None:
+    """Y_ix as (basis label, sign): a swapped L or J pair takes a minus sign,
+    a repeated one vanishes (None), and C is sorted."""
+    if lb.in_order(kind, ix):
+        return BasisLabel(kind, ix), 1
+    if ix[0] == ix[1]:
         return None
-    if a < b:
-        return BasisLabel(kind, (a, b)), 1
-    return BasisLabel(kind, (b, a)), -1
-
-
-def _add(acc: dict[BasisLabel, Fraction], label_sign, coeff) -> None:
-    if label_sign is not None:
-        label, sign = label_sign
-        _bump(acc, label, sign * _F(coeff))
+    return BasisLabel(kind, ix[::-1]), lb.SWAP_SIGN[kind]
 
 
 def bracket_of_labels(x: BasisLabel, y: BasisLabel) -> dict[BasisLabel, Fraction]:
-    """[x, y] for two structured basis labels, by the displayed rules."""
-    if x.kind not in ("L", "J") and y.kind in ("L", "J"):
-        return {k: -v for k, v in bracket_of_labels(y, x).items()}
-
+    """[x, y] for two structured basis labels: the slot rule when x or y is
+    an L or J, else [A_im, Q_jn] = delta_ij C_mn or zero."""
+    if x.kind not in _ETA:
+        if y.kind in _ETA or (x.kind, y.kind) == ("Q", "A"):
+            return {k: -v for k, v in bracket_of_labels(y, x).items()}
+        if (x.kind, y.kind) == ("A", "Q") and x.indices[0] == y.indices[0]:
+            return {lb.C(x.indices[1], y.indices[1]): _F(1)}
+        return {}
+    typ, eta = _ETA[x.kind]
+    a, b = x.indices
     acc: dict[BasisLabel, Fraction] = {}
-    if x.kind == "L":
-        mu, nu = x.indices
-        if y.kind == "L":
-            rho, sig = y.indices
-            _add(acc, _antisym("L", nu, sig), -metric(mu, rho))
-            _add(acc, _antisym("L", mu, rho), -metric(nu, sig))
-            _add(acc, _antisym("L", nu, rho), metric(mu, sig))
-            _add(acc, _antisym("L", mu, sig), metric(nu, rho))
-        elif y.kind in ("T", "Tp"):
-            (rho,) = y.indices
-            _add(acc, (BasisLabel(y.kind, (mu,)), 1), metric(nu, rho))
-            _add(acc, (BasisLabel(y.kind, (nu,)), 1), -metric(mu, rho))
-        elif y.kind in ("A", "Q"):
-            i, rho = y.indices
-            _add(acc, (BasisLabel(y.kind, (i, mu)), 1), metric(nu, rho))
-            _add(acc, (BasisLabel(y.kind, (i, nu)), 1), -metric(mu, rho))
-        elif y.kind == "C":
-            rho, sig = y.indices
-            _add(acc, (lb.C(nu, sig), 1), -metric(mu, rho))
-            _add(acc, (lb.C(nu, rho), 1), -metric(mu, sig))
-            _add(acc, (lb.C(mu, rho), 1), metric(nu, sig))
-            _add(acc, (lb.C(mu, sig), 1), metric(nu, rho))
-        return acc
-
-    if x.kind == "J":
-        i, j = x.indices
-        if y.kind == "J":
-            k, l = y.indices
-            _add(acc, _antisym("J", j, l), -int(i == k))
-            _add(acc, _antisym("J", i, k), -int(j == l))
-            _add(acc, _antisym("J", j, k), int(i == l))
-            _add(acc, _antisym("J", i, l), int(j == k))
-        elif y.kind in ("A", "Q"):
-            k, rho = y.indices
-            _add(acc, (BasisLabel(y.kind, (i, rho)), 1), int(j == k))
-            _add(acc, (BasisLabel(y.kind, (j, rho)), 1), -int(i == k))
-        return acc
-
-    if x.kind == "A" and y.kind == "Q":
-        i, mu = x.indices
-        j, nu = y.indices
-        if i == j:
-            _add(acc, (lb.C(mu, nu), 1), 1)
-        return acc
-    if x.kind == "Q" and y.kind == "A":
-        return {k: -v for k, v in bracket_of_labels(y, x).items()}
+    for pos, (t, r) in enumerate(zip(lb.SLOTS[y.kind], y.indices)):
+        if t != typ:
+            continue
+        for new, coeff in ((a, eta(b, r)), (b, -eta(a, r))):
+            term = coeff and _oriented(y.kind, y.indices[:pos] + (new,) + y.indices[pos + 1:])
+            if term:
+                _bump(acc, term[0], _F(term[1] * coeff))
     return acc
 
 
 def _standard_labels(internal: tuple[int, ...] = (1, 2, 3)) -> list[BasisLabel]:
-    out: list[BasisLabel] = []
-    out += [lb.L(m, n) for m in range(1, 5) for n in range(m + 1, 5)]
-    out += [lb.T(m) for m in range(1, 5)]
-    out += [lb.Tp(m) for m in range(1, 5)]
-    out += [lb.C(m, n) for m in range(1, 5) for n in range(m, 5)]
-    out += [lb.A(i, m) for i in internal for m in range(1, 5)]
-    out += [lb.Q(i, m) for i in internal for m in range(1, 5)]
-    out += [lb.J(i, j) for i in internal for j in internal if i < j]
-    return out
+    """The basis without K in basis order, each kind's index tuples in
+    lexicographic order; Roman indices run over ``internal``."""
+    ranges = {"g": lb.INDEX_RANGE["g"], "d": internal}
+    return [BasisLabel(kind, ix) for kind, slots in lb.SLOTS.items() if kind != "K"
+            for ix in product(*(ranges[t] for t in slots)) if lb.in_order(kind, ix)]
 
 
 class NewSteinAlgebra(LieAlgebra):
@@ -133,8 +102,7 @@ class NewSteinAlgebra(LieAlgebra):
 
     def trace_c(self):
         """The element g^{mu nu} C_{mu nu} = C_11 + C_22 + C_33 - C_44."""
-        return self.element({lb.C(1, 1): 1, lb.C(2, 2): 1, lb.C(3, 3): 1,
-                             lb.C(4, 4): -1})
+        return self.element({lb.C(m, m): metric(m, m) for m in range(1, 5)})
 
 
 def _build_from_labels(name: str, labs: list[BasisLabel]) -> NewSteinAlgebra:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import grouplaw as gl
 from . import labels as lb
-from .algebras import (NewSteinAlgebra, build_extended, build_newstein, build_newstein2,
-                       heisenberg3, sl2)
+from .algebras import (NewSteinAlgebra, _standard_labels, build_extended, build_newstein,
+                       build_newstein2, heisenberg3, sl2)
 from .cohomology import (CoefficientModule, InternalCheckError, betti, h1_via_reduction,
                          h2_via_reduction, reduction_data)
 from .extensions import ExtensionMatrix, canonical_matrices, classify
@@ -253,12 +253,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = RepParams(m0=args.m0, alpha=args.alpha, lam=args.lam, s=args.s, j=args.j)
-    labels = ([lb.T(m) for m in range(1, 5)] + [lb.Tp(m) for m in range(1, 5)]
-              + [lb.C(m, n) for m in range(1, 5) for n in range(m, 5)]
-              + [lb.A(i, m) for i in range(1, 4) for m in range(1, 5)]
-              + [lb.Q(i, m) for i in range(1, 4) for m in range(1, 5)]
-              + [lb.J(i, j) for i in range(1, 3) for j in range(i + 1, 4)]
-              + [lb.L(m, n) for m in range(1, 4) for n in range(m + 1, 5)])
+    # the standard basis with L moved last: T, T', C, A, Q, J, L
+    labels = sorted(_standard_labels(), key=lambda lab: lab.kind == "L")
     rows = []
     for X in labels:
         rep = generator_oracle(X, params, seed=args.seed)

@@ -15,8 +15,9 @@ c^{mn}; in that chart S(Lambda) is plain congruence by the vector matrix and
 beta becomes (a^T q + q^T a) / 2.
 
 Everything in this module is binary64; exact arithmetic lives in the
-algebra-side modules.  It is the one home of the Lorentz and spin conventions
-the induced action reads: the metric, eps_ijk, the generators and the spin-j basis.
+algebra-side modules.  It owns the Lorentz and spin conventions the induced
+action reads: eps_ijk, the generators and the spin-j basis, and the binary64
+form of the metric, whose one definition is ``labels.metric``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 _ID2 = np.eye(2, dtype=complex)
-_METRIC_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
+_METRIC_DIAG = np.array([float(lb.metric(m, m)) for m in range(1, 5)])
 
 
 def lower(x: np.ndarray) -> np.ndarray:
@@ -43,7 +44,8 @@ def lower(x: np.ndarray) -> np.ndarray:
 
 
 def mink(x: np.ndarray, y: np.ndarray) -> float:
-    """The Minkowski product g_{mu nu} x^mu y^nu, signature (+,+,+,-)."""
+    """The Minkowski product g_{mu nu} x^mu y^nu, signature (+,+,+,-);
+    ``labels.metric`` unrolled, as this is on the hot path."""
     return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
 
 

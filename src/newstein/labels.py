@@ -9,9 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Label kinds, in the canonical basis order used by every constructed algebra:
-# L (6), T (4), Tp (4), C (10), A (12), Q (12), J (3), then K if present.
-KINDS = ("L", "T", "Tp", "C", "A", "Q", "J", "K")
+# The index slots of each label kind, kinds in the canonical basis order used
+# by every constructed algebra: L (6), T (4), Tp (4), C (10), A (12), Q (12),
+# J (3), then K if present.  A slot "g" holds a Greek index, "d" a Roman one.
+SLOTS = {"L": "gg", "T": "g", "Tp": "g", "C": "gg", "A": "dg", "Q": "dg", "J": "dd", "K": ""}
+KINDS = tuple(SLOTS)
+INDEX_RANGE = {"g": range(1, 5), "d": range(1, 4)}
+# The sign a swap of the two indices costs: L and J are antisymmetric, C
+# symmetric.  These kinds store their indices increasing, strictly for L, J.
+SWAP_SIGN = {"L": -1, "C": 1, "J": -1}
 
 
 def metric(mu: int, nu: int) -> int:
@@ -21,36 +27,28 @@ def metric(mu: int, nu: int) -> int:
     return -1 if mu == 4 else 1
 
 
+def in_order(kind: str, ix: tuple[int, ...]) -> bool:
+    """Whether the indices of a kind are in its stored order (see SWAP_SIGN)."""
+    swap = SWAP_SIGN.get(kind)
+    return swap is None or ix[0] < ix[1] or (swap > 0 and ix[0] == ix[1])
+
+
 @dataclass(frozen=True, order=True)
 class BasisLabel:
-    """A named basis element: kind plus index tuple.
-
-    Index conventions: L(mu,nu) with mu < nu; C(mu,nu) with mu <= nu;
-    J(i,j) with i < j; A(i,mu) and Q(i,mu) with i Roman, mu Greek;
-    T(mu), Tp(mu); K has no indices.
-    """
+    """A named basis element: kind plus index tuple, one index per slot of
+    SLOTS[kind] in its INDEX_RANGE, in stored order: L(mu,nu) with mu < nu,
+    C(mu,nu) with mu <= nu, J(i,j) with i < j; A(i,mu) and Q(i,mu)."""
 
     kind: str
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        slots = SLOTS.get(self.kind)
+        if slots is None:
             raise ValueError(f"unknown label kind {self.kind!r}")
         ix = self.indices
-        ok = True
-        if self.kind == "L":
-            ok = len(ix) == 2 and 1 <= ix[0] < ix[1] <= 4
-        elif self.kind in ("T", "Tp"):
-            ok = len(ix) == 1 and 1 <= ix[0] <= 4
-        elif self.kind == "C":
-            ok = len(ix) == 2 and 1 <= ix[0] <= ix[1] <= 4
-        elif self.kind in ("A", "Q"):
-            ok = len(ix) == 2 and 1 <= ix[0] <= 3 and 1 <= ix[1] <= 4
-        elif self.kind == "J":
-            ok = len(ix) == 2 and 1 <= ix[0] < ix[1] <= 3
-        elif self.kind == "K":
-            ok = len(ix) == 0
-        if not ok:
+        if not (len(ix) == len(slots) and in_order(self.kind, ix)
+                and all(i in INDEX_RANGE[t] for t, i in zip(slots, ix))):
             raise ValueError(f"invalid indices {ix} for kind {self.kind!r}")
 
     def __str__(self):

@@ -142,13 +142,10 @@ class LieAlgebra:
         for g in generators:
             if g.algebra is not self:
                 raise MismatchedAlgebraError("generator from a different algebra")
-        columns = []
-        for j in range(self.dim):
-            img: dict = {}
-            for gi, g in enumerate(generators):
-                for k, c in self.bracket_vec(g.coeffs, {j: Fraction(1)}).items():
-                    img[(gi, k)] = img.get((gi, k), 0) + c
-            columns.append({k: v for k, v in img.items() if v != 0})
+        # bracket_vec drops zeros, and each (gi, k) comes up once
+        columns = [{(gi, k): c for gi, g in enumerate(generators)
+                    for k, c in self.bracket_vec(g.coeffs, {j: Fraction(1)}).items()}
+                   for j in range(self.dim)]
         return [AlgebraElement(self, vec) for vec in kernel_basis(columns)]
 
     def jacobi_check(self) -> list[tuple[int, int, int]]:

@@ -273,7 +273,9 @@ def full_coboundary_classes(alg, k: int) -> list[dict]:
 
     The reference for the invariant reduction, which reduces modulo d of
     the invariant (k-1)-cochains only: for the 51-dim algebra at k = 2, 10
-    of the 2142 one-cochains.
+    of the 2142 one-cochains.  It shares ``reduction_data``'s Levi/radical
+    split, so it checks the coboundary step only; the split is checked by
+    ``test_h1_reduction_matches_direct_on_every_family_selector``.
     """
     data = reduction_data(alg, k)
     cx = data.invariant.complex

@@ -1,13 +1,16 @@
 """Constructors: the 51-dim algebra, its extensions, the planar variant."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from newstein import labels as lb
-from newstein.algebras import beta_cocycle, build_extended, build_newstein, build_newstein2
+from newstein.algebras import (_standard_labels, beta_cocycle, bracket_of_labels, build_extended,
+                               build_newstein, build_newstein2)
 from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.extensions import ExtensionClass, InvalidExtensionParameter
+from newstein.liealg import LieAlgebra
 
 F = Fraction
 
@@ -89,6 +92,37 @@ def test_aq_bracket_is_delta_c(G):
                         assert out == G.basis_element(lb.C(m, n))
                     else:
                         assert out.is_zero()
+
+
+def test_accepted_labels_are_exactly_the_basis():
+    """Every kind with every index tuple of length 0..3 over 0..5: the
+    labels the constructor accepts are the basis labels and K, each of
+    which survives printing and parsing; out-of-range or unsorted
+    indices stay raw strings in a definition file."""
+    accepted = set()
+    for kind in lb.KINDS:
+        for n in range(4):
+            for ix in product(range(6), repeat=n):
+                try:
+                    accepted.add(lb.BasisLabel(kind, ix))
+                except ValueError:
+                    pass
+    assert accepted == set(_standard_labels()) | {lb.K}
+    assert all(lb.parse_label(str(lab)) == lab for lab in accepted)
+    raw = ["T5", "J21", "C21"]
+    doc = {"name": "raw", "dimension": 3, "labels": raw, "constants": []}
+    assert list(LieAlgebra.from_definition(doc).labels) == raw
+
+
+@pytest.mark.parametrize("internal", [(1, 2, 3), (1, 2)], ids=["newstein", "newstein2"])
+def test_bracket_of_labels_is_antisymmetric(internal):
+    """[x, y] = -[y, x] and [x, x] = 0 over all ordered pairs, including
+    the (Q, A) and (X, L/J) orders no builder asks for."""
+    labs = _standard_labels(internal)
+    for x in labs:
+        assert bracket_of_labels(x, x) == {}
+        for y in labs:
+            assert bracket_of_labels(x, y) == {k: -v for k, v in bracket_of_labels(y, x).items()}
 
 
 def test_hand_evaluated_examples(G):

@@ -397,7 +397,11 @@ def _levi_rescaled(G):
                                     ("ext8", 1), ("levi-rescaled", 1)])
 def test_reduction_matches_full_coboundary_elimination(G, h2_data, name, k):
     """Reducing modulo d of the invariant (k-1)-cochains finds the same
-    classes as reducing modulo d of every (k-1)-cochain of the ideal."""
+    classes as reducing modulo d of every (k-1)-cochain of the ideal.
+
+    Both sides share ``reduction_data``'s Levi/radical split, so this checks
+    the coboundary step only; the split is checked against the direct
+    complex by ``test_h1_reduction_matches_direct_on_every_family_selector``."""
     alg = {"newstein": G, "ext3": build_extended(3), "ext8": build_extended(8),
            "levi-rescaled": _levi_rescaled(G)}[name]
     data = h2_data if (name, k) == ("newstein", 2) else reduction_data(alg, k)
