@@ -26,7 +26,6 @@ their indices.  All coefficients are exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from . import labels as lb
 from .exactla import _bump
@@ -73,14 +72,6 @@ def bracket_of_labels(x: BasisLabel, y: BasisLabel) -> dict[BasisLabel, Fraction
     return acc
 
 
-def _standard_labels(internal: tuple[int, ...] = (1, 2, 3)) -> list[BasisLabel]:
-    """The basis without K in basis order, each kind's index tuples in
-    lexicographic order; Roman indices run over ``internal``."""
-    ranges = {"g": lb.INDEX_RANGE["g"], "d": internal}
-    return [BasisLabel(kind, ix) for kind, slots in lb.SLOTS.items() if kind != "K"
-            for ix in product(*(ranges[t] for t in slots)) if lb.in_order(kind, ix)]
-
-
 class NewSteinAlgebra(LieAlgebra):
     """The 51-dimensional algebra (or its 41-dimensional planar variant)."""
 
@@ -118,7 +109,7 @@ def _build_from_labels(name: str, labs: list[BasisLabel]) -> NewSteinAlgebra:
 
 def build_newstein() -> NewSteinAlgebra:
     """The 51-dimensional algebra with the brackets listed above."""
-    return _build_from_labels("newstein", _standard_labels())
+    return _build_from_labels("newstein", lb.basis_labels())
 
 
 def build_newstein2() -> NewSteinAlgebra:
@@ -129,7 +120,7 @@ def build_newstein2() -> NewSteinAlgebra:
     [J, Y_2] = Y_1, mirroring how the J_{ij} act on three internal indices.
     The choice of the planar action is a documented convention.
     """
-    return _build_from_labels("newstein2", _standard_labels(internal=(1, 2)))
+    return _build_from_labels("newstein2", lb.basis_labels(internal=(1, 2)))
 
 
 class ExtendedNewSteinAlgebra(NewSteinAlgebra):

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import grouplaw as gl
 from . import labels as lb
-from .algebras import (NewSteinAlgebra, _standard_labels, build_extended, build_newstein,
-                       build_newstein2, heisenberg3, sl2)
+from .algebras import (NewSteinAlgebra, build_extended, build_newstein, build_newstein2,
+                       heisenberg3, sl2)
 from .cohomology import (CoefficientModule, InternalCheckError, betti, h1_via_reduction,
                          h2_via_reduction, reduction_data)
 from .extensions import ExtensionMatrix, canonical_matrices, classify
@@ -113,6 +113,8 @@ def cmd_cohomology(args) -> int:
         raise ValueError("--via-reduction computes adjoint cohomology; "
                          "give --coeffs adjoint")
     alg = load_algebra(args.algebra)
+    if violations := alg.jacobi_check():
+        raise ValueError(f"{alg.name!r} breaks the Jacobi identity on basis triple {violations[0]}")
     if args.via_reduction:
         if not isinstance(alg, NewSteinAlgebra):
             raise ValueError("--via-reduction needs the structured algebra family")
@@ -254,7 +256,7 @@ def cmd_evolve(args) -> int:
 def cmd_oracle(args) -> int:
     params = RepParams(m0=args.m0, alpha=args.alpha, lam=args.lam, s=args.s, j=args.j)
     # the standard basis with L moved last: T, T', C, A, Q, J, L
-    labels = sorted(_standard_labels(), key=lambda lab: lab.kind == "L")
+    labels = sorted(lb.basis_labels(), key=lambda lab: lab.kind == "L")
     rows = []
     for X in labels:
         rep = generator_oracle(X, params, seed=args.seed)

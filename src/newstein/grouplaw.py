@@ -1,8 +1,8 @@
 """The group law, covering representations, sections, and the Wigner phase.
 
 Elements are tuples (t, t', c, a, q, Lambda, R) with Lambda in SL(2,C) and
-R in SU(2) kept as 2x2 complex matrices; the 4x4, 10x10 and 3x3 actions are
-derived views.  The law reads
+R in SU(2) kept as 2x2 complex matrices; the 4x4 and 3x3 actions are derived
+views.  The law reads
 
     g1 g2 = (t1 + L1 t2, t1' + L1 t2', c1 + S(L1) c2 + beta(a1, L1xR1 q2),
              a1 + L1xR1 a2, q1 + L1xR1 q2, Lam1 Lam2, R1 R2)
@@ -10,9 +10,9 @@ derived views.  The law reads
 with beta^{mn}(a, q) = theta^{mn} delta_ij (a^{im} q^{jn} + a^{in} q^{jm})
 and theta^{mn} = 1/2 for m = n, else 1.
 
-Internally c is stored as the symmetric matrix w with w[m][n] = theta^{mn}
-c^{mn}; in that chart S(Lambda) is plain congruence by the vector matrix and
-beta becomes (a^T q + q^T a) / 2.
+Internally c is stored as the symmetric matrix w = _THETA * c, w[m][m] = c^{mm}
+and w[m][n] = c^{mn} / 2 for m != n; in that chart S(Lambda) is plain
+congruence by the vector matrix and beta becomes (a^T q + q^T a) / 2.
 
 Everything in this module is binary64; exact arithmetic lives in the
 algebra-side modules.  It owns the Lorentz and spin conventions the induced
@@ -114,15 +114,20 @@ def so3_rep(R: np.ndarray) -> np.ndarray:
     return np.array([row[:3] for row in rows[:3]])
 
 
+def _twice_spin(j) -> int:
+    """2j for a spin j; raises ``ValueError`` unless j is a non-negative half-integer."""
+    if (twoj := int(round(2 * j))) < 0 or abs(2 * j - twoj) > 1e-12:
+        raise ValueError(f"spin {j} is not a non-negative half-integer")
+    return twoj
+
+
 def spin_rep(R: np.ndarray, j) -> np.ndarray:
     """The spin-j matrix of R on the standard |j m> basis, m = j..-j.
 
     Realized on homogeneous polynomials of degree 2j in two variables; for
     j = 1/2 this returns R itself.
     """
-    twoj = int(round(2 * j))
-    if twoj < 0 or abs(2 * j - twoj) > 1e-12:
-        raise ValueError(f"spin {j} is not a non-negative half-integer")
+    twoj = _twice_spin(j)
     n = twoj + 1
     alpha, beta = R[0, 0], R[0, 1]
     gamma, delta = R[1, 0], R[1, 1]
@@ -146,7 +151,7 @@ def spin_rep(R: np.ndarray, j) -> np.ndarray:
 
 def spin_generator(X: np.ndarray, j) -> np.ndarray:
     """Derivative of spin_rep at the identity in the direction X (2x2)."""
-    twoj = int(round(2 * j))
+    twoj = _twice_spin(j)
     n = twoj + 1
     out = np.zeros((n, n), dtype=complex)
     for col in range(n):
@@ -160,26 +165,6 @@ def spin_generator(X: np.ndarray, j) -> np.ndarray:
 
 
 _THETA = np.where(np.eye(4, dtype=bool), 1.0, 0.5)   # w = _THETA * c entrywise
-_SYM_PAIRS = [(m, n) for m in range(4) for n in range(m, 4)]
-
-
-def sym_rep(Lam: np.ndarray) -> np.ndarray:
-    """The 10x10 action of Lambda on the coordinates c^{mn}, m <= n."""
-    Lv = vector_rep(Lam)
-    out = np.empty((10, 10))
-    for col, (m, n) in enumerate(_SYM_PAIRS):
-        c = np.zeros((4, 4))
-        c[m, n] = c[n, m] = 1.0
-        w2 = Lv @ (_THETA * c) @ Lv.T
-        c2 = w2 / _THETA
-        out[:, col] = [c2[p, q] for (p, q) in _SYM_PAIRS]
-    return out
-
-
-def sym_coords(w: np.ndarray) -> np.ndarray:
-    """Ten independent coordinates c^{mn} (m <= n) of a stored w matrix."""
-    c = w / _THETA
-    return np.array([c[m, n] for (m, n) in _SYM_PAIRS])
 
 
 def beta_w(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -362,9 +347,16 @@ def wigner_phase(Lam: np.ndarray, xi: np.ndarray, eta: np.ndarray,
     return 2.0 * math.atan2(W[0, 0].imag, W[0, 0].real), xi2, eta2
 
 
-# -- one-parameter subgroups ----------------------------------------------
+# -- one-parameter subgroups and the first-order chart ---------------------
 
 _EPS3 = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
+
+
+def rotation_axis(i: int, j: int) -> tuple[float, int]:
+    """The rotation in the (i, j) plane, i != j in 1..3, as (sign, axis) with
+    eps_{ij axis} = sign."""
+    code = _EPS3[(i, j)]
+    return (1.0 if code > 0 else -1.0), abs(code)
 
 
 def sl2_generator(mu: int, nu: int) -> np.ndarray:
@@ -372,41 +364,40 @@ def sl2_generator(mu: int, nu: int) -> np.ndarray:
     for mu < nu <= 3 also the J_{mu nu} generator, by its so3_rep-derivative."""
     if nu == 4:
         return -0.5 * _SIGMA[mu - 1]
-    code = _EPS3[(mu, nu)]
-    sign = 1.0 if code > 0 else -1.0
-    return 0.5j * sign * _SIGMA[abs(code) - 1]
+    sign, axis = rotation_axis(mu, nu)
+    return 0.5j * sign * _SIGMA[axis - 1]
+
+
+# The GroupElement field of each label kind's coordinate, and per basis label
+# (field, zero-based indices, unit): the unit is the generator sl2_generator
+# of an L or J, else the weight of the entry (_THETA in the w chart for C).
+_FIELD = {"T": "t", "Tp": "tp", "C": "c", "A": "a", "Q": "q", "L": "Lam", "J": "R"}
+_ROTATIONS = ("Lam", "R")
+_CHART = {X: (f, ix, sl2_generator(*X.indices) if f in _ROTATIONS
+              else _THETA[ix] if f == "c" else 1.0)
+          for X in lb.basis_labels()
+          for f, ix in [(_FIELD[X.kind], tuple(i - 1 for i in X.indices))]}
+_GENERATORS = {f: [u for field, _, u in _CHART.values() if field == f] for f in _ROTATIONS}
 
 
 def one_parameter(label, s: float) -> GroupElement:
     """exp(s X) as a group element, for a structured basis label X."""
+    if label not in _CHART:
+        raise ValueError(f"no one-parameter subgroup for label {label}")
+    field, ix, unit = _CHART[label]
     g = identity()
-    kind, ix = label.kind, label.indices
-    if kind == "T":
-        g.t[ix[0] - 1] = s
-    elif kind == "Tp":
-        g.tp[ix[0] - 1] = s
-    elif kind == "C":
-        m, n = ix[0] - 1, ix[1] - 1
-        g.c[m, n] = g.c[n, m] = _THETA[m, n] * s
-    elif kind == "A":
-        g.a[ix[0] - 1, ix[1] - 1] = s
-    elif kind == "Q":
-        g.q[ix[0] - 1, ix[1] - 1] = s
-    elif kind == "L":
-        g.Lam = expm2(s * sl2_generator(*ix))
-    elif kind == "J":
-        g.R = expm2(s * sl2_generator(*ix))
+    if field in _ROTATIONS:
+        setattr(g, field, expm2(s * unit))
+    elif field == "c":
+        g.c[ix] = g.c[ix[::-1]] = unit * s
     else:
-        raise ValueError(f"no one-parameter subgroup for label kind {kind!r}")
+        getattr(g, field)[ix] = s
     return g
 
 
 def random_element(rng: np.random.Generator, scale: float = 0.5) -> GroupElement:
     """Seeded pseudo-random element with moderate parameters."""
-    sl2 = sum(rng.normal(0.0, scale) * sl2_generator(m, n)
-              for m in range(1, 4) for n in range(m + 1, 5))
-    su2 = sum(rng.normal(0.0, scale) * sl2_generator(i, j)
-              for i in range(1, 3) for j in range(i + 1, 4))
+    sl2, su2 = (sum(rng.normal(0.0, scale) * u for u in _GENERATORS[f]) for f in _ROTATIONS)
     csym = rng.normal(0.0, scale, (4, 4))
     return GroupElement(
         t=rng.normal(0.0, scale, 4),
@@ -425,26 +416,15 @@ def random_element(rng: np.random.Generator, scale: float = 0.5) -> GroupElement
 def log_coords(g: GroupElement) -> dict:
     """First-order coordinates of an element near the identity.
 
-    Returns a map basis-label -> float.  The generators X are orthogonal for
-    Re tr(X^dagger Y) with |X|^2 = 1/2, so the coordinate of Lambda - 1 (or
-    R - 1) on X is 2 Re tr(X^dagger (Lambda - 1)), its least-squares projection.
+    Returns a map basis-label -> float, c^{mn} = w[m, n] / _THETA[m, n].  The
+    generators X are orthogonal for Re tr(X^dagger Y) with |X|^2 = 1/2, so the
+    coordinate of Lambda - 1 (or R - 1) on X is 2 Re tr(X^dagger (Lambda - 1)),
+    its least-squares projection.
     """
     out = {}
-    for m in range(1, 5):
-        out[lb.T(m)] = g.t[m - 1]
-        out[lb.Tp(m)] = g.tp[m - 1]
-    coords = sym_coords(g.c)
-    for val, (p, q_) in zip(coords, _SYM_PAIRS):
-        out[lb.C(p + 1, q_ + 1)] = val
-    for i in range(1, 4):
-        for m in range(1, 5):
-            out[lb.A(i, m)] = g.a[i - 1, m - 1]
-            out[lb.Q(i, m)] = g.q[i - 1, m - 1]
-    dLam, dR = g.Lam - _ID2, g.R - _ID2
-    for p in [(m, n) for m in range(1, 4) for n in range(m + 1, 5)]:
-        out[lb.L(*p)] = 2.0 * np.vdot(sl2_generator(*p), dLam).real
-    for p in [(1, 2), (1, 3), (2, 3)]:
-        out[lb.J(*p)] = 2.0 * np.vdot(sl2_generator(*p), dR).real
+    for X, (field, ix, unit) in _CHART.items():
+        v = getattr(g, field)
+        out[X] = 2.0 * np.vdot(unit, v - _ID2).real if field in _ROTATIONS else v[ix] / unit
     return out
 
 

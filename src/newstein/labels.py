@@ -8,6 +8,7 @@ the fourth component only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 # The index slots of each label kind, kinds in the canonical basis order used
 # by every constructed algebra: L (6), T (4), Tp (4), C (10), A (12), Q (12),
@@ -88,6 +89,14 @@ def J(i: int, j: int) -> BasisLabel:
 
 
 K = BasisLabel("K")
+
+
+def basis_labels(internal: tuple[int, ...] = (1, 2, 3)) -> list[BasisLabel]:
+    """The basis without K in basis order, each kind's index tuples in
+    lexicographic order; Roman indices run over ``internal``."""
+    ranges = {"g": INDEX_RANGE["g"], "d": internal}
+    return [BasisLabel(kind, ix) for kind, slots in SLOTS.items() if kind != "K"
+            for ix in product(*(ranges[t] for t in slots)) if in_order(kind, ix)]
 
 
 def parse_label(text: str) -> BasisLabel:

@@ -190,27 +190,19 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
 
 
 def _energies(params: RepParams, basis: FockBasis) -> np.ndarray:
-    """Diagonal of H: (1/2) sum_j (|row_i a_j|^2 + |col_i a_j|^2) + ell/2.
-
-    For the truncated ladders u_j^2 + p_j^2 = a_j a_j^dag + a_j^dag a_j, and
-    both products are diagonal because a_j has at most one entry per row and
-    per column (its lowering map is injective).  Column i holds sqrt(n_j);
-    row i holds sqrt(n_j + 1) unless raising leaves the truncated space.
-    """
-    twice = basis.degrees.copy()
-    for mode in range(3):
-        src = np.flatnonzero(basis.lowered[mode] >= 0)
-        twice[basis.lowered[mode, src]] += basis.occupation[src, mode]
-    return twice / 2.0 + params.ell / 2.0
+    """Diagonal of H, the values that ``hamiltonian_K`` states."""
+    n = basis.degrees
+    return np.where(n < basis.cutoff, n + 1.5, basis.cutoff / 2) + params.ell / 2
 
 
 def hamiltonian_K(params: RepParams, basis: FockBasis) -> OscillatorOperator:
     """Matrix of the evolution generator (1/2)(-(m0^2/a)Lap + (a/m0^2)z^2 + ell).
 
     In dimensionless variables this is (1/2)(sum_j p_j^2 + u_j^2 + ell), which
-    is diagonal in the Fock basis (see ``_energies``): n + 3/2 + ell/2 on total
-    degree n < N, independent of (m0, alpha), and N/2 + ell/2 on the top
-    degree N, where the truncated raising operators vanish.
+    is diagonal in the Fock basis: u_j^2 + p_j^2 = a_j a_j^dag + a_j^dag a_j
+    gives n + 3/2 + ell/2 on total degree n < N, independent of (m0, alpha),
+    and N/2 + ell/2 on the top degree N, where the truncated raising
+    operators vanish.
     """
     return OscillatorOperator(np.diag(_energies(params, basis)).astype(complex), basis,
                               hermitian=True)
@@ -513,8 +505,7 @@ def external_generator(X: BasisLabel, pt: SamplePoint, params: RepParams,
         return _boost_generator(ix[0], pt, params, d, variant)
     if kind in ("J", "L"):
         # rotation in the (m, n) plane: about the axis of eps_{mn axis}, with its sign
-        code = gl._EPS3[ix]
-        sign, axis = (1.0 if code > 0 else -1.0), abs(code)
+        sign, axis = gl.rotation_axis(*ix)
         if kind == "J":
             mult = gl.spin_generator(gl.sl2_generator(*ix), j) / 1j
             return GeneratorAction(mult, zero3, zero3, sign * _wedge_flow(z, axis))

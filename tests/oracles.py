@@ -238,6 +238,23 @@ def trace_so3_rep(R: np.ndarray) -> np.ndarray:
     return out
 
 
+def index_sym_rep(Lam: np.ndarray) -> np.ndarray:
+    """The 10x10 action of Lambda on the coordinates c^{mn}, m <= n in basis
+    order, index by index: w'^{mn} = Lambda^m_p Lambda^n_q w^{pq} summed over
+    p, q, with w^{mn} = theta^{mn} c^{mn} (theta 1 on the diagonal, else 1/2)
+    and Lambda = ``trace_vector_rep``; the reference for how
+    ``grouplaw.compose`` moves c."""
+    L = trace_vector_rep(Lam)
+    pairs = [(m, n) for m in range(4) for n in range(m, 4)]
+    theta = {(m, n): 1.0 if m == n else 0.5 for m in range(4) for n in range(4)}
+    out = np.empty((10, 10))
+    for col, (p, q) in enumerate(pairs):
+        w = {(p, q): theta[p, q], (q, p): theta[q, p]}      # the unit c^{pq}
+        for row, (m, n) in enumerate(pairs):
+            out[row, col] = sum(L[m, r] * L[n, s] * v for (r, s), v in w.items()) / theta[m, n]
+    return out
+
+
 def lstsq_project_real(M: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     """Real coefficients c minimizing |M - sum_i c_i basis[i]| by least squares
     on the real and imaginary parts; the reference for ``grouplaw.log_coords``."""

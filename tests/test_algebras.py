@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from newstein import labels as lb
-from newstein.algebras import (_standard_labels, beta_cocycle, bracket_of_labels, build_extended,
-                               build_newstein, build_newstein2)
+from newstein.algebras import (beta_cocycle, bracket_of_labels, build_extended, build_newstein,
+                               build_newstein2)
 from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.extensions import ExtensionClass, InvalidExtensionParameter
 from newstein.liealg import LieAlgebra
@@ -107,7 +107,7 @@ def test_accepted_labels_are_exactly_the_basis():
                     accepted.add(lb.BasisLabel(kind, ix))
                 except ValueError:
                     pass
-    assert accepted == set(_standard_labels()) | {lb.K}
+    assert accepted == set(lb.basis_labels()) | {lb.K}
     assert all(lb.parse_label(str(lab)) == lab for lab in accepted)
     raw = ["T5", "J21", "C21"]
     doc = {"name": "raw", "dimension": 3, "labels": raw, "constants": []}
@@ -118,7 +118,7 @@ def test_accepted_labels_are_exactly_the_basis():
 def test_bracket_of_labels_is_antisymmetric(internal):
     """[x, y] = -[y, x] and [x, x] = 0 over all ordered pairs, including
     the (Q, A) and (X, L/J) orders no builder asks for."""
-    labs = _standard_labels(internal)
+    labs = lb.basis_labels(internal)
     for x in labs:
         assert bracket_of_labels(x, x) == {}
         for y in labs:

@@ -69,6 +69,24 @@ def test_definition_with_repeated_pair_is_invalid_parameters(tmp_path, capsys):
     assert "(i, j) = (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--degree", "2"], ["--degree", "1", "--coeffs", "adjoint"],
+                                  ["--degree", "1"], ["--degree", "0", "--coeffs", "adjoint"]],
+                         ids=["h2-trivial", "h1-adjoint", "h1-trivial", "h0-adjoint"])
+def test_cohomology_of_a_definition_breaking_jacobi_is_invalid_parameters(tmp_path, capsys, argv):
+    """[w,x] = y, [w,y] = z, [x,y] = x, [x,z] = w is not a Lie algebra: the
+    input is at fault, so cohomology exits 3 and jacobi reports the triples."""
+    path = tmp_path / "g.json"
+    brackets = [(0, 1, 2), (0, 2, 3), (1, 2, 1), (1, 3, 0)]
+    path.write_text(json.dumps({"name": "nonlie", "dimension": 4, "labels": ["w", "x", "y", "z"],
+                                "constants": [{"i": i, "j": j, "terms": [{"k": k, "coeff": "1"}]}
+                                              for i, j, k in brackets]}))
+    rc, doc = run_cli(["cohomology", "--algebra", f"file:{path}"] + argv, tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    assert "Jacobi identity on basis triple (0, 1, 2)" in capsys.readouterr().err
+    rc, doc = run_cli(["jacobi", "--algebra", f"file:{path}"], tmp_path)
+    assert rc == EXIT_MISMATCH and doc["first_violations"] == [[0, 1, 2], [1, 2, 3]]
+
+
 def test_modular_prime_dividing_the_scale_is_invalid_parameters(tmp_path, capsys):
     from newstein.exactla import random_primes
 

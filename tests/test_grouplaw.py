@@ -12,10 +12,10 @@ from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError
                                compose, compose_extended, element_distance,
                                identity, inverse, inverse_extended, log_coords,
                                one_parameter, random_element, rotation_section, shell_point,
-                               sl2_generator, so3_rep, sphere_point, spin_rep,
-                               sym_coords, sym_rep, vector_rep, wigner_phase)
+                               sl2_generator, so3_rep, sphere_point, spin_generator, spin_rep,
+                               vector_rep, wigner_phase)
 
-from oracles import lstsq_project_real, trace_so3_rep, trace_vector_rep
+from oracles import index_sym_rep, lstsq_project_real, trace_so3_rep, trace_vector_rep
 
 G4 = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -96,20 +96,37 @@ def test_so3_rep_rejects_non_su2(R):
         so3_rep(R.astype(complex))
 
 
+def c_coords(g):
+    """The ten coordinates c^{mn}, m <= n, of an element, in basis order."""
+    coords = log_coords(g)
+    return np.array([coords[X] for X in lb.basis_labels() if X.kind == "C"])
+
+
 def test_sym_rep_identity_and_homomorphism():
-    assert np.abs(sym_rep(np.eye(2, dtype=complex)) - np.eye(10)).max() < 1e-14
+    """The oracle is a representation: the identity at Lambda = 1, and multiplicative."""
+    assert np.abs(index_sym_rep(np.eye(2, dtype=complex)) - np.eye(10)).max() < 1e-14
     rng = np.random.default_rng(7)
     for _ in range(100):
         L1, L2 = random_element(rng).Lam, random_element(rng).Lam
-        assert np.abs(sym_rep(L1 @ L2) - sym_rep(L1) @ sym_rep(L2)).max() < 1e-9
+        assert np.abs(index_sym_rep(L1 @ L2) - index_sym_rep(L1) @ index_sym_rep(L2)).max() < 1e-9
 
 
 def test_sym_rep_matches_composition_path():
+    """compose moves c by congruence in the w chart; the oracle, index by index."""
     rng = np.random.default_rng(8)
     g1, g2 = random_element(rng), random_element(rng)
     g1 = GroupElement(Lam=g1.Lam)           # pure Lorentz
-    out = compose(g1, GroupElement(c=g2.c))
-    assert np.abs(sym_coords(out.c) - sym_rep(g1.Lam) @ sym_coords(g2.c)).max() < 1e-10
+    g2 = GroupElement(c=g2.c)
+    out = compose(g1, g2)
+    assert np.abs(c_coords(out) - index_sym_rep(g1.Lam) @ c_coords(g2)).max() < 1e-10
+
+
+@pytest.mark.parametrize("j", [0.3, -0.5])
+def test_spin_generator_rejects_the_spins_spin_rep_rejects(j):
+    with pytest.raises(ValueError, match="half-integer"):
+        spin_rep(np.eye(2, dtype=complex), j)
+    with pytest.raises(ValueError, match="half-integer"):
+        spin_generator(sl2_generator(1, 2), j)
 
 
 def test_so3_rep_covering_and_spin_basics():
@@ -158,12 +175,11 @@ def test_compose_beta_example():
     ga.a[0, 0] = 1.0
     gq.q = np.zeros((3, 4))
     gq.q[0, 0] = 1.0
-    out = compose(ga, gq)
-    coords = sym_coords(out.c)
+    coords = c_coords(compose(ga, gq))
     assert coords[0] == 1.0
     assert np.abs(coords[1:]).max() == 0.0
     # opposite order picks up no c term
-    assert np.abs(sym_coords(compose(gq, ga).c)).max() == 0.0
+    assert np.abs(c_coords(compose(gq, ga))).max() == 0.0
 
 
 def test_compose_associativity_seeded_thousand():
@@ -343,3 +359,15 @@ def test_one_parameter_c_slot(G):
         coords = log_coords(g)
         assert len(coords) == 51
         assert {lab: v for lab, v in coords.items() if v != 0} == {X: 0.3}
+
+
+def test_log_coords_invert_one_parameter_on_every_label():
+    """log_coords(exp(s X)) is s on X and 0 on every other basis label: exactly
+    for T, T', C, A and Q, and within s^2 for L and J."""
+    s = 1e-4
+    basis = lb.basis_labels()
+    for X in basis:
+        coords = log_coords(one_parameter(X, s))
+        assert coords.keys() == set(basis)
+        tol = s * s if X.kind in ("L", "J") else 0.0
+        assert all(abs(v - (s if Y == X else 0.0)) <= tol for Y, v in coords.items()), X
