@@ -123,20 +123,8 @@ def build_newstein2() -> NewSteinAlgebra:
     return _build_from_labels("newstein2", lb.basis_labels(internal=(1, 2)))
 
 
-class ExtendedNewSteinAlgebra(NewSteinAlgebra):
-    """The 52-dimensional extension: one extra generator K."""
-
-    def __init__(self, name, labs, constants, extension_class: ExtensionClass):
-        super().__init__(name, labs, constants)
-        self.extension_class = extension_class
-
-    @property
-    def k_index(self) -> int:
-        return self.index[lb.K]
-
-
 def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
-                   base: NewSteinAlgebra | None = None) -> ExtendedNewSteinAlgebra:
+                   base: NewSteinAlgebra | None = None) -> NewSteinAlgebra:
     """Adjoin K acting on the (A, Q, C) span per the chosen canonical case.
 
     An integer case takes the parameters of ``extensions.sample_class``.
@@ -149,21 +137,13 @@ def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
     if isinstance(cls, int):
         cls = sample_class(cls)
     base = base if base is not None else build_newstein()
-    matrix = case_matrix(cls)
-    phi = derivation_from_matrix(matrix, base)
+    phi = derivation_from_matrix(case_matrix(cls), base)
     if as_printed and cls.case == 8:
-        c_coeff = _F(2)
-        phi = dict(phi)
-        for pos, lab in enumerate(base.labels):
-            if getattr(lab, "kind", None) == "C":
-                phi[pos] = {pos: c_coeff}
-    labs = list(base.labels) + [lb.K]
-    k = len(base.labels)
-    constants = {key: dict(vec) for key, vec in base.constants.items()}
-    for pos, img in phi.items():
-        # stored pair is (pos, k) with pos < k, i.e. [e_pos, K] = -[K, e_pos]
-        constants[(pos, k)] = {m: -c for m, c in img.items()}
-    return ExtendedNewSteinAlgebra(f"newstein-ext:{cls.case}", labs, constants, cls)
+        phi.update({pos: {pos: _F(2)} for pos, lab in enumerate(base.labels) if lab.kind == "C"})
+    # stored pair is (pos, K) with pos < K, i.e. [e_pos, K] = -[K, e_pos]
+    k_column = {(pos, base.dim): {m: -c for m, c in img.items()} for pos, img in phi.items()}
+    return NewSteinAlgebra(f"newstein-ext:{cls.case}", [*base.labels, lb.K],
+                           {**base.constants, **k_column})
 
 
 def beta_cocycle(alg: NewSteinAlgebra | None = None) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -592,7 +593,12 @@ _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ``ValueError``, which ``main`` maps to exit 3."""
+    """Usage errors raise ``ValueError``, which ``main`` maps to exit 3; a
+    token of ``-`` or ``-.`` and a digit (-1/2, -1e-3) is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

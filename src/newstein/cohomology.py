@@ -34,8 +34,8 @@ from itertools import combinations, product
 from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
-from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _normalize, kernel_basis,
-                      random_primes)
+from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _is_prime, _normalize,
+                      kernel_basis, random_primes)
 from .labels import BasisLabel
 from .liealg import LieAlgebra
 
@@ -278,6 +278,8 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
         used = primes if primes is not None else random_primes(3, seed=k + alg.dim)
         if len(used) < 3 or len(set(used)) != len(used):
             raise ValueError("modular method needs at least 3 distinct primes")
+        if composite := [p for p in used if not _is_prime(p)]:
+            raise ValueError(f"moduli {composite} are not prime")
         if dividing := [p for p in used if cx.scale % p == 0]:
             raise ValueError(f"primes {dividing} divide the common denominator {cx.scale} "
                              "of the constants; modular rank needs primes that do not")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .labels import A, Q
+from .labels import BasisLabel
 from .liealg import LieAlgebra, SparseVec
 
 
@@ -80,45 +80,41 @@ class ExtensionClass:
     def __post_init__(self):
         if self.case not in range(1, 10):
             raise InvalidExtensionParameter(f"case {self.case} not in 1..9")
-        if self.case == 3 and self.zeta2 in (0, 1):
-            raise InvalidExtensionParameter("case 3 requires zeta^2 not in {0, 1}")
+        c, s = self.cos_sin or (1, 0)
+        # a float is the classifier's rounding of a valid value, which may
+        # land on an excluded one, so only the circle is checked for it
+        tol = 1e-12 if any(isinstance(v, float) for v in (self.zeta2, c, s)) else 0
+        if abs(c * c + s * s - 1) > tol:
+            raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
+        if tol:
+            return
+        if self.case == 3 and self.zeta2 in (0, 1, -1):
+            raise InvalidExtensionParameter("case 3 requires zeta^2 not in {0, 1, -1}")
         if self.case in (4, 5) and self.zeta2 == 0:
             raise InvalidExtensionParameter("cases 4 and 5 require zeta^2 != 0")
-        if self.cos_sin is not None:
-            c, s = self.cos_sin
-            if isinstance(c, float) or isinstance(s, float):
-                if abs(c * c + s * s - 1) > 1e-12:
-                    raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-            elif Fraction(c) ** 2 + Fraction(s) ** 2 != 1:
-                raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-            if self.case == 9 and c == 0:
-                raise InvalidExtensionParameter("case 9 excludes cos phi = 0")
+        if self.case == 9 and self.cos_sin and 0 in self.cos_sin:
+            raise InvalidExtensionParameter("case 9 excludes cos phi = 0 and sin phi = 0")
+
+
+# Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
+_CASE_ROWS = {
+    1: lambda z, c, s: ((0, 0), (0, 0)),
+    2: lambda z, c, s: ((1, 0), (0, -1)),
+    3: lambda z, c, s: ((z, 0), (0, -1 / z)),
+    4: lambda z, c, s: ((z, 0), (0, 1 / z)),
+    5: lambda z, c, s: ((z, 0), (0, 0)),
+    6: lambda z, c, s: ((0, 0), (-1, 0)),
+    7: lambda z, c, s: ((0, 1), (-1, 0)),
+    8: lambda z, c, s: ((c, 0), (-s, 1)),
+    9: lambda z, c, s: ((c, s), (-s, c)),
+}
 
 
 def case_matrix(cls: ExtensionClass) -> ExtensionMatrix:
     """Canonical matrix read off the bracket list of the given case."""
-    z = Fraction(cls.zeta2) if cls.zeta2 is not None else None
-    if cls.cos_sin is not None:
-        c, s = (Fraction(x) for x in cls.cos_sin)
-    table = {
-        1: ((0, 0), (0, 0)),
-        2: ((1, 0), (0, -1)),
-        6: ((0, 0), (-1, 0)),
-        7: ((0, 1), (-1, 0)),
-    }
-    if cls.case in table:
-        return ExtensionMatrix.from_rows(table[cls.case])
-    if cls.case == 3:
-        return ExtensionMatrix.from_rows(((z, 0), (0, -1 / z)))
-    if cls.case == 4:
-        return ExtensionMatrix.from_rows(((z, 0), (0, 1 / z)))
-    if cls.case == 5:
-        return ExtensionMatrix.from_rows(((z, 0), (0, 0)))
-    if cls.case == 8:
-        return ExtensionMatrix.from_rows(((c, 0), (-s, 1)))
-    if cls.case == 9:
-        return ExtensionMatrix.from_rows(((c, s), (-s, c)))
-    raise InvalidExtensionParameter(f"case {cls.case}")
+    z = None if cls.zeta2 is None else Fraction(cls.zeta2)
+    c, s = (None, None) if cls.cos_sin is None else map(Fraction, cls.cos_sin)
+    return ExtensionMatrix.from_rows(_CASE_ROWS[cls.case](z, c, s))
 
 
 def derivation_from_matrix(L: ExtensionMatrix, alg: LieAlgebra) -> dict[int, SparseVec]:
@@ -127,22 +123,12 @@ def derivation_from_matrix(L: ExtensionMatrix, alg: LieAlgebra) -> dict[int, Spa
     Phi sends A_{i rho} -> beta A + gamma Q, Q_{i rho} -> beta' A + gamma' Q,
     C_{mu nu} -> (beta + gamma') C_{mu nu}, and annihilates L, T, T', J.
     """
+    image = {"A": {"A": L.beta, "Q": L.gamma}, "Q": {"A": L.beta_p, "Q": L.gamma_p},
+             "C": {"C": L.trace}}
     cols: dict[int, SparseVec] = {}
-    trace = L.trace
     for pos, lab in enumerate(alg.labels):
-        kind = getattr(lab, "kind", None)
-        if kind == "A":
-            i, rho = lab.indices
-            vec = {alg.index[A(i, rho)]: L.beta, alg.index[Q(i, rho)]: L.gamma}
-        elif kind == "Q":
-            i, rho = lab.indices
-            vec = {alg.index[A(i, rho)]: L.beta_p, alg.index[Q(i, rho)]: L.gamma_p}
-        elif kind == "C":
-            vec = {pos: trace}
-        else:
-            continue
-        vec = {k: v for k, v in vec.items() if v != 0}
-        if vec:
+        if vec := {alg.index[BasisLabel(kind, lab.indices)]: v
+                   for kind, v in image.get(getattr(lab, "kind", None), {}).items() if v}:
             cols[pos] = vec
     return cols
 

@@ -202,6 +202,16 @@ def newton_algebra() -> LieAlgebra:
     return LieAlgebra("newton", labels, constants)
 
 
+def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
+    """g1 + g2: g2's basis follows g1's, its indices offset by dim g1, and
+    the factors never bracket each other."""
+    n = g1.dim
+    shifted = {(i + n, j + n): {k + n: c for k, c in vec.items()}
+               for (i, j), vec in g2.constants.items()}
+    labels = [f"{lab}.1" for lab in g1.labels] + [f"{lab}.2" for lab in g2.labels]
+    return LieAlgebra(f"{g1.name}+{g2.name}", labels, {**g1.constants, **shifted})
+
+
 # -- covering maps by the trace formula -----------------------------------
 
 _SIGMA = (

@@ -9,7 +9,7 @@ from newstein import labels as lb
 from newstein.algebras import (beta_cocycle, bracket_of_labels, build_extended, build_newstein,
                                build_newstein2)
 from newstein.cohomology import CochainComplex, CoefficientModule
-from newstein.extensions import ExtensionClass, InvalidExtensionParameter
+from newstein.extensions import ExtensionClass, InvalidExtensionParameter, case_matrix, sample_class
 from newstein.liealg import LieAlgebra
 
 F = Fraction
@@ -152,7 +152,7 @@ def test_extended_passes_jacobi(case):
 
 def test_extended_case1_k_is_central():
     ext = build_extended(1)
-    k = ext.k_index
+    k = ext.index[lb.K]
     for j in range(ext.dim):
         assert not ext.bracket_basis(k, j)
 
@@ -172,25 +172,27 @@ def test_extended_case7_brackets():
 def test_k_commutes_with_external_and_internal(G):
     for case in range(1, 10):
         ext = build_extended(_sample_class(case))
-        k = ext.k_index
+        k = ext.index[lb.K]
         for j, lab in enumerate(ext.labels):
             if getattr(lab, "kind", None) in ("L", "J", "T", "Tp"):
                 assert not ext.bracket_basis(k, j)
 
 
-def test_ad_k_is_same_two_by_two_on_every_plane():
-    ext = build_extended(_sample_class(9))
+@pytest.mark.parametrize("case", range(1, 10))
+def test_ad_k_is_same_two_by_two_on_every_plane(case):
+    """ad K acts on each (A_{i rho}, Q_{i rho}) plane by the case's matrix."""
+    ext = build_extended(case)
     e = ext.basis_element
-    ref = None
+    want = case_matrix(sample_class(case)).rows()
     for i in range(1, 4):
         for m in range(1, 5):
             ka = ext.bracket(e(lb.K), e(lb.A(i, m)))
             kq = ext.bracket(e(lb.K), e(lb.Q(i, m)))
-            block = (ka.coefficient(lb.A(i, m)), ka.coefficient(lb.Q(i, m)),
-                     kq.coefficient(lb.A(i, m)), kq.coefficient(lb.Q(i, m)))
+            block = ((ka.coefficient(lb.A(i, m)), kq.coefficient(lb.A(i, m))),
+                     (ka.coefficient(lb.Q(i, m)), kq.coefficient(lb.Q(i, m))))
             assert sum(1 for v in ka.coeffs.values() if v) <= 2
-            ref = ref or block
-            assert block == ref
+            assert sum(1 for v in kq.coeffs.values() if v) <= 2
+            assert block == want
 
 
 def test_c_coefficient_is_trace_of_plane_matrix():
@@ -208,7 +210,7 @@ def test_case8_as_printed_fails_jacobi_unless_cos_is_one():
     ext = build_extended(_sample_class(8), as_printed=True)
     violations = ext.jacobi_check()
     assert violations != []
-    k = ext.k_index
+    k = ext.index[lb.K]
     assert all(k in triple for triple in violations)
     # cos phi = 1 degenerates to the identity action, and the printed
     # [K, C] = 2C becomes the trace rule again
@@ -225,6 +227,12 @@ def test_invalid_parameters_rejected():
         ExtensionClass(9, cos_sin=(F(0), F(1)))
     with pytest.raises(InvalidExtensionParameter):
         ExtensionClass(9, cos_sin=(F(1, 2), F(1, 2)))
+    # diag(-1, 1) is case 2 and +-I is case 4: neither is a case-3 or case-9 matrix
+    with pytest.raises(InvalidExtensionParameter):
+        ExtensionClass(3, zeta2=F(-1))
+    for cos in (F(1), F(-1)):
+        with pytest.raises(InvalidExtensionParameter):
+            ExtensionClass(9, cos_sin=(cos, F(0)))
 
 
 # -- planar variant ------------------------------------------------------

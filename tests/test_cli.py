@@ -203,6 +203,33 @@ def test_extensions_classify(tmp_path):
     assert rc == EXIT_OK and doc["case"] == 7
     rc, doc = run_cli(["extensions", "classify", "--matrix", "1", "0", "0", "-1"], tmp_path)
     assert doc["case"] == 2
+    # near a case boundary, where the float parameters round onto excluded values
+    rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-30", "1", "1", "0"], tmp_path)
+    assert rc == EXIT_OK and doc["case"] == 3
+    rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-400", "1", "-1", "1e-400"],
+                      tmp_path)
+    assert rc == EXIT_OK and doc["case"] == 9
+
+
+@pytest.mark.parametrize("matrix", [["-1/2", "0", "0", "1"], ["1/2", "0", "0", "-3/2"]])
+def test_negative_fractions_are_values(tmp_path, matrix):
+    rc, doc = run_cli(["extensions", "classify", "--matrix", *matrix], tmp_path)
+    assert rc == EXIT_OK and doc["matrix"] == matrix and doc["case"] == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": matrix}))
+    rc, doc = run_cli(["--config", str(cfg), "extensions", "classify"], tmp_path)
+    assert rc == EXIT_OK and doc["matrix"] == matrix and doc["case"] == 3
+
+
+def test_negative_exponents_are_values(tmp_path):
+    rc, doc = run_cli(["spectrum", "--ell", "-1e-3", "--cutoff", "3"], tmp_path)
+    assert rc == EXIT_OK and doc["ell"] == -1e-3
+    state = tmp_path / "state.txt"
+    state.write_text("0 1.0 0.0\n")
+    out = tmp_path / "evolved.txt"
+    assert main(["evolve", "--tau", "-1e-3", "--state", str(state), "--cutoff", "4",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.exists()
 
 
 def test_grouplaw_check_deterministic(tmp_path):

@@ -7,6 +7,7 @@ the CLI's verification report and the acceptance suite.
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -27,7 +28,7 @@ from newstein.exactla import Echelon, random_primes
 from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
-                     coboundary_matrix, dense_rank, einstein_algebra,
+                     coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
                      full_coboundary_classes, newton_algebra, span_contains)
 
 F = Fraction
@@ -769,6 +770,37 @@ def test_modular_rejects_repeated_primes():
     with pytest.raises(ValueError):
         betti(heisenberg3(), CoefficientModule.trivial(), 1, method="modular",
               primes=[p, 1048589])
+
+
+@pytest.mark.parametrize("moduli, named", [([15, 21, 33], [15, 21, 33]), ([1, 3, 5], [1])])
+def test_modular_rejects_moduli_that_are_not_prime(moduli, named):
+    """The upper-bound argument needs a field; 15, 21, 33 gave Betti 0 without one."""
+    with pytest.raises(ValueError, match=re.escape(f"moduli {named} are not prime")):
+        betti(sl2(), CoefficientModule.adjoint(sl2()), 1, method="modular", primes=moduli)
+
+
+def _betti_numbers(alg, module):
+    """Every Betti number of the complete complex, degrees 0..dim."""
+    coeffs = CoefficientModule.trivial() if module == "trivial" else CoefficientModule.adjoint(alg)
+    return [betti(alg, coeffs, k).betti for k in range(alg.dim + 1)]
+
+
+@pytest.mark.parametrize("factors", [(heisenberg3, sl2), (heisenberg3, heisenberg3), (sl2, sl2)],
+                         ids=["h3+sl2", "h3+h3", "sl2+sl2"])
+def test_kunneth_and_euler_on_direct_sums(factors):
+    """H(g1 + g2) = H(g1) (x) H(g2), and with adjoint coefficients
+    H(g1, ad) (x) H(g2) + H(g1) (x) H(g2, ad); every complete complex has
+    Euler characteristic 0."""
+    g1, g2 = (f() for f in factors)
+    g = direct_sum(g1, g2)
+    (t1, a1), (t2, a2), (t, a) = ((_betti_numbers(x, "trivial"), _betti_numbers(x, "adjoint"))
+                                  for x in (g1, g2, g))
+    for k in range(g.dim + 1):
+        pairs = [(p, k - p) for p in range(g1.dim + 1) if 0 <= k - p <= g2.dim]
+        assert t[k] == sum(t1[p] * t2[q] for p, q in pairs)
+        assert a[k] == sum(a1[p] * t2[q] + t1[p] * a2[q] for p, q in pairs)
+    for numbers in (t1, a1, t2, a2, t, a):
+        assert sum((-1) ** k * b for k, b in enumerate(numbers)) == 0
 
 
 def test_modular_report_carries_primes_and_note(G):

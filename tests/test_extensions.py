@@ -49,6 +49,10 @@ def test_spot_classifications():
     assert c5.case == 5 and c5.zeta2 == 1
     c5n = classify(ExtensionMatrix.from_rows(((-3, 0), (0, 0))))
     assert c5n.case == 5 and c5n.zeta2 == -1
+    # float parameters rounded onto an excluded value: zeta^2 onto 1, cos phi onto 0
+    for entries, case in ((("1e-30", 1, 1, 0), 3), (("1e-17", 1, 1, 0), 3),
+                          (("1e-400", 1, -1, "1e-400"), 9)):
+        assert classify(ExtensionMatrix(*map(F, entries))).case == case
 
 
 def test_canonical_matrices_classify_to_their_own_cases():
