@@ -391,8 +391,22 @@ class InvariantCochainSpace:
 
 
 def _generator_order(alg: NewSteinAlgebra) -> list[int]:
-    """Levi generators, J first, so early kernels have tiny blocks."""
-    return sorted(alg.levi_indices, key=lambda i: alg.labels[i].kind != "J")
+    """Levi generators, J first, so early kernels have tiny blocks, less each
+    one that lies in the subalgebra the kept ones generate: the annihilator
+    of a cochain is a subalgebra, so that generator's kernel holds them all."""
+    kept: list[int] = []
+    span, closed = Echelon(), []    # a basis of the generated subalgebra
+    for g in sorted(alg.levi_indices, key=lambda i: alg.labels[i].kind != "J"):
+        if not span.reduce({g: 1}):
+            continue
+        kept.append(g)
+        todo = [{g: 1}]
+        while todo:
+            x = todo.pop()
+            if span.insert(x) is not None:
+                todo.extend(alg.bracket_vec(x, y) for y in closed)
+                closed.append(x)
+    return kept
 
 
 def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
@@ -408,21 +422,27 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
 
         (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
 
-    solved as an intersection of operator kernels, one per generator of the
-    Levi factor, over the unit cochains of both degrees at once.  g . f keeps
-    the degree, so no kernel component mixes degrees and each degree's
-    basis is the one a run on that degree alone gives.  At k = 0 the
-    cochains are the algebra itself and the basis spans the centralizer of
-    the Levi factor.
+    solved as an intersection of operator kernels, one per generator in a
+    generating set of the Levi factor, over the unit cochains of both
+    degrees at once.  g . f keeps the degree, so no kernel component mixes
+    degrees and each degree's basis is the one a run on that degree alone
+    gives.  At k = 0 the cochains are the algebra itself and the basis spans
+    the centralizer of the Levi factor.
 
     It runs on integers: each operator is scaled by its own common
-    denominator, and the bases hold primitive integer cochains.
+    denominator, and the bases hold primitive integer cochains.  A
+    coordinate (S, m) is the integer ``widx[S] * dim + m`` over the wedges
+    of both degrees in one lexicographic order, so integers sort as the
+    pairs do; the operator is the sum of its argument part, built once per
+    wedge S, and ad g on m.
     """
     if k not in (0, 1, 2):
         raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
     cx = _ideal_complex(alg)
-    basis: list[dict] = [{(S, m): 1} for j in range(max(k - 1, 0), k + 1)
-                         for S in cx.wedges(j) for m in range(alg.dim)]
+    dim = alg.dim
+    wedges = sorted(S for j in range(max(k - 1, 0), k + 1) for S in cx.wedges(j))
+    widx = {S: w for w, S in enumerate(wedges)}
+    basis: list[dict] = [{key: 1} for key in range(len(wedges) * dim)]
 
     idealset = set(cx.args)
     for g in _generator_order(alg):
@@ -439,13 +459,12 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
                 continue
             for x, c in vec.items():
                 ad_t.setdefault(x, []).append((y, c))
-        coord_cache: dict = {}
 
-        def image_of_coord(key):
-            if key in coord_cache:
-                return coord_cache[key]
-            S, m = key
-            img = {(S, mp): c for mp, c in ad_cols.get(m, {}).items()}
+        @cache
+        def image_of_wedge(w):
+            """Argument part at module index 0: {widx[T] * dim: coefficient}."""
+            img: dict[int, int] = {}
+            S = wedges[w]
             for p, x in enumerate(S):
                 rest = S[:p] + S[p + 1:]
                 for y, c in ad_t.get(x, ()):
@@ -453,16 +472,23 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
                     q = bisect_left(rest, y)
                     if q < len(rest) and rest[q] == y:
                         continue
-                    _bump(img, (rest[:q] + (y,) + rest[q:], m), c if (p + q) & 1 else -c)
-            coord_cache[key] = img
+                    _bump(img, widx[rest[:q] + (y,) + rest[q:]] * dim, c if (p + q) & 1 else -c)
+            return img
+
+        def image_of_coord(key):
+            w, m = divmod(key, dim)
+            img = {key - m + mp: c for mp, c in ad_cols.get(m, {}).items()}
+            for t, c in image_of_wedge(w).items():
+                _bump(img, t + m, c)
             return img
 
         def image_of(vec):
-            if len(vec) == 1 and 1 in vec.values():  # unit cochain: share the cached image
+            if len(vec) == 1 and 1 in vec.values():  # unit cochain: its coordinate's image
                 return image_of_coord(next(iter(vec)))
             return _combine(image_of_coord, vec)
 
         basis = _intersect_kernel(basis, image_of)
+    basis = [{(wedges[key // dim], key % dim): v for key, v in vec.items()} for vec in basis]
     # every key of a nonzero cochain has the same wedge length
     degree = [len(next(iter(vec))[0]) for vec in basis]
     return InvariantCochainSpace(cx, k, [v for v, j in zip(basis, degree) if j == k],

@@ -82,18 +82,24 @@ class ExtensionClass:
             raise InvalidExtensionParameter(f"case {self.case} not in 1..9")
         c, s = self.cos_sin or (1, 0)
         # a float is the classifier's rounding of a valid value, which may
-        # land on an excluded one, so only the circle is checked for it
+        # land on an excluded one, so only the circle is checked for it here
+        # and case_matrix refuses the rest
         tol = 1e-12 if any(isinstance(v, float) for v in (self.zeta2, c, s)) else 0
         if abs(c * c + s * s - 1) > tol:
             raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-        if tol:
-            return
-        if self.case == 3 and self.zeta2 in (0, 1, -1):
-            raise InvalidExtensionParameter("case 3 requires zeta^2 not in {0, 1, -1}")
-        if self.case in (4, 5) and self.zeta2 == 0:
-            raise InvalidExtensionParameter("cases 4 and 5 require zeta^2 != 0")
-        if self.case == 9 and self.cos_sin and 0 in self.cos_sin:
-            raise InvalidExtensionParameter("case 9 excludes cos phi = 0 and sin phi = 0")
+        if not tol and (why := _excluded(self)):
+            raise InvalidExtensionParameter(why)
+
+
+def _excluded(cls: ExtensionClass) -> str:
+    """Why the parameters sit on a value the case excludes, or ''."""
+    if cls.case == 3 and cls.zeta2 in (0, 1, -1):
+        return "case 3 requires zeta^2 not in {0, 1, -1}"
+    if cls.case in (4, 5) and cls.zeta2 == 0:
+        return "cases 4 and 5 require zeta^2 != 0"
+    if cls.case == 9 and cls.cos_sin and 0 in cls.cos_sin:
+        return "case 9 excludes cos phi = 0 and sin phi = 0"
+    return ""
 
 
 # Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
@@ -111,7 +117,18 @@ _CASE_ROWS = {
 
 
 def case_matrix(cls: ExtensionClass) -> ExtensionMatrix:
-    """Canonical matrix read off the bracket list of the given case."""
+    """Canonical matrix read off the bracket list of the given case.
+
+    Raises ``InvalidExtensionParameter`` when the case's parameters are
+    missing (zeta^2 for cases 3-5, (cos, sin) for 8-9), as in the flagged
+    case-8 slot of :func:`classify`, or sit on a value the case excludes,
+    as a float rounded there can: that matrix is another case's.
+    """
+    if (cls.zeta2 is None and cls.case in (3, 4, 5)
+            or cls.cos_sin is None and cls.case in (8, 9)):
+        raise InvalidExtensionParameter(f"case {cls.case} needs its parameters")
+    if why := _excluded(cls):
+        raise InvalidExtensionParameter(why)
     z = None if cls.zeta2 is None else Fraction(cls.zeta2)
     c, s = (None, None) if cls.cos_sin is None else map(Fraction, cls.cos_sin)
     return ExtensionMatrix.from_rows(_CASE_ROWS[cls.case](z, c, s))

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from newstein import labels as lb
-from newstein.algebras import build_newstein
+from newstein.algebras import build_extended, build_newstein
 from newstein.cohomology import CochainComplex, CoefficientModule
-from newstein.extensions import (ExtensionClass, ExtensionMatrix, canonical_matrices,
-                                 case_matrix, classify, derivation_from_matrix,
-                                 equivalent)
+from newstein.extensions import (ExtensionClass, ExtensionMatrix, InvalidExtensionParameter,
+                                 canonical_matrices, case_matrix, classify,
+                                 derivation_from_matrix, equivalent)
 
 F = Fraction
 
@@ -94,6 +94,67 @@ def test_defective_unipotent_is_flagged_into_slot_eight():
     assert got.note != ""
     neg = classify(ExtensionMatrix.from_rows(((-1, 1), (0, -1))))
     assert neg.case == 8 and neg.zeta2 == -1
+
+
+@pytest.mark.parametrize("case", [3, 4, 5, 8, 9])
+def test_case_matrix_refuses_missing_parameters(case):
+    """zeta^2 for cases 3-5 and (cos, sin) for 8-9 have no default."""
+    with pytest.raises(InvalidExtensionParameter, match="needs its parameters"):
+        case_matrix(ExtensionClass(case))
+
+
+@pytest.mark.parametrize("case,params", [
+    (3, {"zeta2": 1.0}), (3, {"zeta2": -1.0}), (3, {"zeta2": 0.0}),
+    (4, {"zeta2": 0.0}), (5, {"zeta2": 0.0}),
+    (9, {"cos_sin": (0.0, 1.0)}), (9, {"cos_sin": (1.0, 0.0)}), (9, {"cos_sin": (-1.0, 0.0)}),
+])
+def test_case_matrix_refuses_floats_on_excluded_values(case, params):
+    """A float is accepted by the constructor, but on an excluded value the
+    case's matrix is another case's (or undefined), so case_matrix refuses it."""
+    with pytest.raises(InvalidExtensionParameter, match="require|exclude"):
+        case_matrix(ExtensionClass(case, **params))
+
+
+def test_classified_boundary_matrices_are_not_built_under_the_wrong_case():
+    """The classifier's floats may round onto an excluded value, and its
+    defective slot has no (cos, sin): building from them raises."""
+    for entries in (("1e-30", 1, 1, 0), ("1e-17", 1, 1, 0), ("1e-400", 1, -1, "1e-400"),
+                    (1, 1, 0, 1)):
+        cls = classify(ExtensionMatrix(*map(F, entries)))
+        with pytest.raises(InvalidExtensionParameter):
+            build_extended(cls)
+
+
+def test_case_matrix_round_trips_through_classify_seeded():
+    """classify(case_matrix(c)).case == c.case for c the class of a scaled
+    integer conjugate of a case-1..7 or case-9 matrix (the printed case-8
+    matrix classifies as case 4, and the defective slot has no matrix)."""
+    rng = random.Random(2020)
+    params = {3: [F(2), F(1, 3), F(-5, 2)], 4: [F(2), F(-1, 2), F(1), F(-1)],
+              5: [F(3), F(-2, 7)],
+              9: [(F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13)), (F(8, 17), F(15, 17))]}
+    seen = set()
+    count = 0
+    while count < 300:
+        case = rng.choice([1, 2, 3, 4, 5, 6, 7, 9])
+        if case in (3, 4, 5):
+            base = ExtensionClass(case, zeta2=rng.choice(params[case]))
+        elif case == 9:
+            base = ExtensionClass(case, cos_sin=rng.choice(params[case]))
+        else:
+            base = ExtensionClass(case)
+        P = ((F(rng.randint(-5, 5)), F(rng.randint(-5, 5))),
+             (F(rng.randint(-5, 5)), F(rng.randint(-5, 5))))
+        if P[0][0] * P[1][1] - P[0][1] * P[1][0] == 0:
+            continue
+        k = rng.randint(1, 4)
+        M = conj(case_matrix(base), P)
+        got = classify(ExtensionMatrix(k * M.beta, k * M.beta_p, k * M.gamma, k * M.gamma_p))
+        assert got.case == case, (base, P, k)
+        assert classify(case_matrix(got)).case == got.case, (base, P, k, got)
+        seen.add(case)
+        count += 1
+    assert seen == {1, 2, 3, 4, 5, 6, 7, 9}
 
 
 def test_similarity_conjugates_preserve_class_seeded():
