@@ -28,7 +28,7 @@ from .algebras import (NewSteinAlgebra, build_extended, build_newstein, build_ne
                        heisenberg3, sl2)
 from .cohomology import (CoefficientModule, InternalCheckError, betti, h1_via_reduction,
                          h2_via_reduction, reduction_data)
-from .extensions import ExtensionMatrix, canonical_matrices, classify
+from .extensions import ExtensionMatrix, canonical_matrices, classify, display
 from .liealg import LieAlgebra
 from .oscillator import (FockBasis, RepParams, W_operator, WaveFunction, casimir_MA,
                          casimir_MN, evolve, free_mass_check,
@@ -133,18 +133,10 @@ def cmd_cohomology(args) -> int:
 
 def cmd_extensions(args) -> int:
     b, bp, g, gp = (Fraction(x) for x in args.matrix)
-    cls = classify(ExtensionMatrix(b, bp, g, gp))
-    _emit({
-        "command": "extensions-classify",
-        "matrix": [str(b), str(bp), str(g), str(gp)],
-        "case": cls.case,
-        "zeta2": None if cls.zeta2 is None else float(cls.zeta2),
-        "cos_sin": None if cls.cos_sin is None else [float(cls.cos_sin[0]), float(cls.cos_sin[1])],
-        "rescale": cls.rescale,
-        "jordan_type": cls.jordan_type,
-        "note": cls.note,
-    }, args.out)
-    _note(f"case ({cls.case}): {cls.jordan_type}")
+    shown = display(ExtensionMatrix(b, bp, g, gp))
+    _emit({"command": "extensions-classify", "matrix": [str(b), str(bp), str(g), str(gp)],
+           **shown}, args.out)
+    _note(f"case ({shown['case']}): {shown['jordan_type']}")
     return EXIT_OK
 
 

@@ -8,8 +8,13 @@ generator acts on each (A_{i rho}, Q_{i rho}) plane:
     [K, C] = (beta + gamma') C,
 
 with K commuting with everything purely external or purely internal
-(L, T, T', J).  Equivalence is the real Jordan type of L after rescaling K,
-which sorts every such matrix into one of nine canonical cases.
+(L, T, T', J).  Equivalence is the real Jordan type of L after rescaling K
+by a positive factor, which sorts every such matrix into one of nine
+canonical cases.  Every decision is exact: the rescaling keeps sign det,
+sign tr and q = tr|tr|/|det|, so the case and q fix the class (sign tr when
+det = 0).  A class whose zeta^2 or cos phi is irrational is built from the
+rational companion matrix [[0, -d], [1, q]], with d = sign(det) |q|, which
+has the same case and q.  Floats appear only in :func:`display`.
 """
 
 from __future__ import annotations
@@ -61,45 +66,44 @@ class ExtensionMatrix:
 
 @dataclass
 class ExtensionClass:
-    """One of the nine canonical extension cases, with parameters.
+    """One of the nine canonical extension cases, with exact parameters.
 
     ``zeta2`` is the eigenvalue parameter for cases 3-5 (the constructor and
     classifier work with zeta^2 directly; negative values are allowed).  For
     cases 8-9 the angle enters through an exact point (cos phi, sin phi) on
-    the unit circle.  ``note`` carries empirical flags (cases the canonical
-    list does not realize as printed).
+    the unit circle.  Either is ``None`` when it is irrational; then ``q``,
+    the scale invariant tr|tr|/|det| of the plane matrix (sign tr when
+    det = 0), still fixes the class.  ``note`` carries empirical flags (cases
+    the canonical list does not realize as printed).
     """
 
     case: int
-    zeta2: Fraction | float | None = None
+    zeta2: Fraction | None = None
     cos_sin: tuple | None = None
-    rescale: float = 1.0
+    q: Fraction | None = None
     jordan_type: str = ""
     note: str = ""
 
     def __post_init__(self):
         if self.case not in range(1, 10):
             raise InvalidExtensionParameter(f"case {self.case} not in 1..9")
+        self.zeta2, self.q = (None if v is None else Fraction(v) for v in (self.zeta2, self.q))
+        if self.cos_sin is not None:
+            self.cos_sin = tuple(map(Fraction, self.cos_sin))
         c, s = self.cos_sin or (1, 0)
-        # a float is the classifier's rounding of a valid value, which may
-        # land on an excluded one, so only the circle is checked for it here
-        # and case_matrix refuses the rest
-        tol = 1e-12 if any(isinstance(v, float) for v in (self.zeta2, c, s)) else 0
-        if abs(c * c + s * s - 1) > tol:
+        if c * c + s * s != 1:
             raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-        if not tol and (why := _excluded(self)):
-            raise InvalidExtensionParameter(why)
-
-
-def _excluded(cls: ExtensionClass) -> str:
-    """Why the parameters sit on a value the case excludes, or ''."""
-    if cls.case == 3 and cls.zeta2 in (0, 1, -1):
-        return "case 3 requires zeta^2 not in {0, 1, -1}"
-    if cls.case in (4, 5) and cls.zeta2 == 0:
-        return "cases 4 and 5 require zeta^2 != 0"
-    if cls.case == 9 and cls.cos_sin and 0 in cls.cos_sin:
-        return "case 9 excludes cos phi = 0 and sin phi = 0"
-    return ""
+        z, q = self.zeta2, self.q
+        if self.case == 3 and (z in (0, 1, -1) or q == 0):
+            raise InvalidExtensionParameter("case 3 requires zeta^2 not in {0, 1, -1}, q != 0")
+        if self.case in (4, 5) and z == 0:
+            raise InvalidExtensionParameter("cases 4 and 5 require zeta^2 != 0")
+        # |q| = 4 is the scalar case 4, whose zeta^2 = +-1 is always given
+        if self.case == 4 and q is not None and (abs(q) < 4 or abs(q) == 4 and z is None):
+            raise InvalidExtensionParameter("case 4 requires |q| > 4 or zeta^2 = +-1")
+        if self.case == 9 and (0 in (self.cos_sin or ()) or q is not None and not 0 < abs(q) < 4):
+            raise InvalidExtensionParameter("case 9 excludes cos phi = 0 and sin phi = 0 "
+                                            "(it requires 0 < |q| < 4)")
 
 
 # Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
@@ -117,21 +121,22 @@ _CASE_ROWS = {
 
 
 def case_matrix(cls: ExtensionClass) -> ExtensionMatrix:
-    """Canonical matrix read off the bracket list of the given case.
+    """Canonical matrix of the class.
 
-    Raises ``InvalidExtensionParameter`` when the case's parameters are
-    missing (zeta^2 for cases 3-5, (cos, sin) for 8-9), as in the flagged
-    case-8 slot of :func:`classify`, or sit on a value the case excludes,
-    as a float rounded there can: that matrix is another case's.
+    With its parameters (zeta^2 for cases 3-5, (cos, sin) for 8-9) this is
+    the matrix read off the case's bracket list.  Cases 3, 4 and 9 with only
+    ``q`` give the rational companion matrix [[0, -d], [1, q]], d = -|q| for
+    case 3 and +|q| for 4 and 9, whose tr|tr|/|det| is q.  Raises
+    ``InvalidExtensionParameter`` when neither is there, as in the flagged
+    case-8 slot of :func:`classify`.
     """
-    if (cls.zeta2 is None and cls.case in (3, 4, 5)
-            or cls.cos_sin is None and cls.case in (8, 9)):
+    params = cls.cos_sin if cls.case in (8, 9) else cls.zeta2
+    if params is None and cls.case in (3, 4, 9) and cls.q is not None:
+        d = -abs(cls.q) if cls.case == 3 else abs(cls.q)
+        return ExtensionMatrix.from_rows(((0, -d), (1, cls.q)))
+    if params is None and cls.case in (3, 4, 5, 8, 9):
         raise InvalidExtensionParameter(f"case {cls.case} needs its parameters")
-    if why := _excluded(cls):
-        raise InvalidExtensionParameter(why)
-    z = None if cls.zeta2 is None else Fraction(cls.zeta2)
-    c, s = (None, None) if cls.cos_sin is None else map(Fraction, cls.cos_sin)
-    return ExtensionMatrix.from_rows(_CASE_ROWS[cls.case](z, c, s))
+    return ExtensionMatrix.from_rows(_CASE_ROWS[cls.case](cls.zeta2, *(cls.cos_sin or (0, 0))))
 
 
 def derivation_from_matrix(L: ExtensionMatrix, alg: LieAlgebra) -> dict[int, SparseVec]:
@@ -150,9 +155,6 @@ def derivation_from_matrix(L: ExtensionMatrix, alg: LieAlgebra) -> dict[int, Spa
     return cols
 
 
-_EPS = 1e-10
-
-
 def classify(L: ExtensionMatrix) -> ExtensionClass:
     """Sort a 2x2 real matrix into its canonical case.
 
@@ -166,110 +168,111 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
     * det < 0, tr != 0                     -> case 3, zeta^2 = eigenvalue with |.| >= 1
     * det > 0, tr 0                        -> case 7
     * det > 0, disc > 0                    -> case 4, zeta^2 = eigenvalue with |.| >= 1
-    * det > 0, disc < 0                    -> case 9 (case 7 when cos = 0)
+    * det > 0, disc < 0                    -> case 9
     * det > 0, disc 0, scalar              -> case 4, zeta^2 = +-1
     * det > 0, disc 0, defective           -> case 8 slot, flagged: the printed
       case (8) bracket list never realizes this Jordan type
 
-    Exact-rational path throughout the decisions; continuous parameters are
-    reported exactly when the arithmetic stays rational, as floats otherwise.
+    Every decision is exact.  Rescaling K by a positive factor keeps
+    q = tr|tr|/|det| (sign tr when det = 0), so case and q fix the class;
+    zeta^2 and (cos, sin) are reported when rational and are ``None``
+    otherwise.
     """
     det, tr, disc = L.det, L.trace, L.discriminant
-    if L.is_zero():
-        return ExtensionClass(1, jordan_type="zero")
+    sign = Fraction((tr > 0) - (tr < 0))
     if det == 0:
+        if L.is_zero():
+            return ExtensionClass(1, q=sign, jordan_type="zero")
         if tr == 0:
-            return ExtensionClass(6, rescale=1.0, jordan_type="nilpotent")
+            return ExtensionClass(6, q=sign, jordan_type="nilpotent")
         # rank-one diagonalizable; rescaling by |tr| sends the nonzero
         # eigenvalue (= tr) to +-1
-        z = Fraction(1) if tr > 0 else Fraction(-1)
-        return ExtensionClass(5, zeta2=z, rescale=abs(float(tr)),
-                              jordan_type="rank-one diagonalizable")
-    scale = math.sqrt(abs(float(det)))
+        return ExtensionClass(5, zeta2=sign, q=sign, jordan_type="rank-one diagonalizable")
+    q = tr * abs(tr) / abs(det)
     if det < 0:
         # real eigenvalues u > 0 > v with uv = -|det|; rescaled pair (l, -1/l)
         if tr == 0:
-            return ExtensionClass(2, rescale=scale, jordan_type="real pair (1, -1)")
-        lam = _dominant_eigenvalue(L, scale)
-        return ExtensionClass(3, zeta2=lam, rescale=scale,
+            return ExtensionClass(2, q=q, jordan_type="real pair (1, -1)")
+        return ExtensionClass(3, zeta2=_from_q(3, q, _rational_sqrt), q=q,
                               jordan_type="real pair (z, -1/z)")
     # det > 0
     if tr == 0:
-        return ExtensionClass(7, rescale=scale, jordan_type="complex pair (i, -i)")
+        return ExtensionClass(7, q=q, jordan_type="complex pair (i, -i)")
     if disc > 0:
-        lam = _dominant_eigenvalue(L, scale)
-        return ExtensionClass(4, zeta2=lam, rescale=scale,
+        return ExtensionClass(4, zeta2=_from_q(4, q, _rational_sqrt), q=q,
                               jordan_type="real pair (z, 1/z)")
     if disc < 0:
-        # cos phi = tr / (2 sqrt(det)); cos^2 = tr^2 / (4 det) is rational
-        cos_sq = tr * tr / (4 * det)
-        if _is_square(cos_sq) and _is_square(1 - cos_sq):
-            c = _sqrt_fraction(cos_sq) * (1 if tr > 0 else -1)
-            s = _sqrt_fraction(1 - cos_sq)
-        else:
-            cf = float(tr) / (2 * scale)
-            c, s = cf, math.sqrt(max(0.0, 1 - cf * cf))
-        return ExtensionClass(9, cos_sin=(c, s), rescale=scale,
+        return ExtensionClass(9, cos_sin=_from_q(9, q, _rational_sqrt), q=q,
                               jordan_type="complex pair exp(+-i phi)")
     # disc == 0: double real eigenvalue +-1 after rescale
-    sign = Fraction(1) if tr > 0 else Fraction(-1)
     if L.beta_p == 0 and L.gamma == 0 and L.beta == L.gamma_p:
-        return ExtensionClass(4, zeta2=sign, rescale=scale, jordan_type="scalar")
+        return ExtensionClass(4, zeta2=sign, q=q, jordan_type="scalar")
     return ExtensionClass(
-        8, zeta2=sign, rescale=scale, jordan_type="defective double eigenvalue",
+        8, zeta2=sign, q=q, jordan_type="defective double eigenvalue",
         note=("no printed case realizes a defective unit eigenvalue; "
               "assigned to the remaining slot (8) empirically"),
     )
 
 
-def _dominant_eigenvalue(L: ExtensionMatrix, scale: float):
-    """Eigenvalue of the rescaled matrix with |.| >= 1; exact when possible."""
-    tr, disc = L.trace, L.discriminant
-    if _is_square(disc) and _is_square(abs(L.det)):
-        root = _sqrt_fraction(disc)
-        s = _sqrt_fraction(abs(L.det))
-        cands = [(tr + root) / (2 * s), (tr - root) / (2 * s)]
-        return max(cands, key=abs)
-    root = math.sqrt(float(disc))
-    cands = [(float(tr) + root) / (2 * scale), (float(tr) - root) / (2 * scale)]
-    return max(cands, key=abs)
+def _from_q(case: int, q: Fraction, sqrt):
+    """zeta^2 of case 3 or 4, or (cos, sin) of case 9, from q; None when
+    ``sqrt`` finds a root irrational.
+
+    zeta^2 is the root with |.| >= 1 of z -+ 1/z = sign(q) sqrt|q|, and
+    cos phi = sign(q) sqrt|q| / 2.
+    """
+    other = {3: abs(q) + 4, 4: abs(q) - 4, 9: 1 - abs(q) / 4}[case]
+    a, b = sqrt(abs(q)), sqrt(other)
+    if a is None or b is None:
+        return None
+    sign = 1 if q > 0 else -1
+    return (sign * a / 2, b) if case == 9 else sign * (a + b) / 2
 
 
-def _is_square(q: Fraction) -> bool:
-    q = Fraction(q)
-    if q < 0:
-        return False
-    return (math.isqrt(q.numerator) ** 2 == q.numerator
-            and math.isqrt(q.denominator) ** 2 == q.denominator)
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """sqrt(x) of an exact x >= 0 when it is rational, else None."""
+    root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    return root if root * root == x else None
 
 
 def equivalent(L1: ExtensionMatrix, L2: ExtensionMatrix) -> bool:
     """Whether the two matrices define equivalent extensions.
 
-    True iff the rescaled real Jordan types agree, with the continuous
-    parameters compared up to each case's identification (eigenvalue swap
-    for cases 3-4, orientation of the complex pair for case 9).
+    True iff they have the same case and the same exact invariant q: within
+    a case, q fixes the rescaled real Jordan type up to each case's
+    identification (eigenvalue swap for cases 3-4, orientation of the
+    complex pair for case 9).
     """
     c1, c2 = classify(L1), classify(L2)
-    if c1.case != c2.case:
-        return False
-    if c1.zeta2 is not None or c2.zeta2 is not None:
-        if c1.zeta2 is None or c2.zeta2 is None:
-            return False
-        if abs(float(c1.zeta2) - float(c2.zeta2)) > _EPS:
-            return False
-    if c1.cos_sin is not None or c2.cos_sin is not None:
-        if c1.cos_sin is None or c2.cos_sin is None:
-            return False
-        # phi in (0, pi): cos determines the class; sin is fixed positive
-        if abs(float(c1.cos_sin[0]) - float(c2.cos_sin[0])) > _EPS:
-            return False
-    return True
+    return (c1.case, c1.q) == (c2.case, c2.q)
+
+
+def display(L: ExtensionMatrix) -> dict:
+    """The class of L with its parameters as floats, for printing only.
+
+    zeta^2 and (cos, sin) are the classifier's exact values when rational
+    and are computed from q otherwise; ``rescale`` is the factor K is
+    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0).
+    """
+    cls = classify(L)
+    zeta2, cos_sin = cls.zeta2, cls.cos_sin
+    if cls.case in (3, 4) and zeta2 is None:
+        zeta2 = _from_q(cls.case, cls.q, _sqrt)
+    if cls.case == 9 and cos_sin is None:
+        cos_sin = _from_q(9, cls.q, _sqrt)
+    return {"case": cls.case,
+            "zeta2": None if zeta2 is None else float(zeta2),
+            "cos_sin": None if cos_sin is None else [float(v) for v in cos_sin],
+            "rescale": _sqrt(abs(L.det)) if L.det else abs(float(L.trace)) or 1.0,
+            "jordan_type": cls.jordan_type,
+            "note": cls.note}
+
+
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) of an exact x >= 0, with no float of x itself, which may lie
+    outside binary64 when its root does not."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(x / Fraction(4) ** k), k)
 
 
 def sample_class(case: int) -> ExtensionClass:

@@ -203,12 +203,16 @@ def test_extensions_classify(tmp_path):
     assert rc == EXIT_OK and doc["case"] == 7
     rc, doc = run_cli(["extensions", "classify", "--matrix", "1", "0", "0", "-1"], tmp_path)
     assert doc["case"] == 2
-    # near a case boundary, where the float parameters round onto excluded values
+    # a hair from a case boundary: zeta^2 near 1, cos phi near 0
     rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-30", "1", "1", "0"], tmp_path)
     assert rc == EXIT_OK and doc["case"] == 3
     rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-400", "1", "-1", "1e-400"],
                       tmp_path)
     assert rc == EXIT_OK and doc["case"] == 9
+    # sqrt|det| is taken from the exact det, which lies outside binary64 here
+    for entry, root in (("1e200", 1e200), ("1e-200", 1e-200)):
+        rc, doc = run_cli(["extensions", "classify", "--matrix", entry, "0", "0", entry], tmp_path)
+        assert rc == EXIT_OK and doc["case"] == 4 and doc["rescale"] == root
 
 
 @pytest.mark.parametrize("matrix", [["-1/2", "0", "0", "1"], ["1/2", "0", "0", "-3/2"]])

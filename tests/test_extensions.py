@@ -49,7 +49,7 @@ def test_spot_classifications():
     assert c5.case == 5 and c5.zeta2 == 1
     c5n = classify(ExtensionMatrix.from_rows(((-3, 0), (0, 0))))
     assert c5n.case == 5 and c5n.zeta2 == -1
-    # float parameters rounded onto an excluded value: zeta^2 onto 1, cos phi onto 0
+    # a hair from an excluded value: zeta^2 near 1, cos phi near 0
     for entries, case in ((("1e-30", 1, 1, 0), 3), (("1e-17", 1, 1, 0), 3),
                           (("1e-400", 1, -1, "1e-400"), 9)):
         assert classify(ExtensionMatrix(*map(F, entries))).case == case
@@ -115,14 +115,35 @@ def test_case_matrix_refuses_floats_on_excluded_values(case, params):
         case_matrix(ExtensionClass(case, **params))
 
 
-def test_classified_boundary_matrices_are_not_built_under_the_wrong_case():
-    """The classifier's floats may round onto an excluded value, and its
-    defective slot has no (cos, sin): building from them raises."""
-    for entries in (("1e-30", 1, 1, 0), ("1e-17", 1, 1, 0), ("1e-400", 1, -1, "1e-400"),
-                    (1, 1, 0, 1)):
+def test_classified_boundary_matrices_build_their_own_case():
+    """Near a case boundary the exact class stays in its case, so it builds
+    that case; only the defective slot has no matrix and refuses."""
+    for entries, case in ((("1e-30", 1, 1, 0), 3), (("1e-17", 1, 1, 0), 3),
+                          (("1e-400", 1, -1, "1e-400"), 9)):
         cls = classify(ExtensionMatrix(*map(F, entries)))
-        with pytest.raises(InvalidExtensionParameter):
-            build_extended(cls)
+        assert cls.case == case and classify(case_matrix(cls)).case == case
+        assert build_extended(cls).name == f"newstein-ext:{case}"
+    with pytest.raises(InvalidExtensionParameter):
+        build_extended(classify(ExtensionMatrix.from_rows(((1, 1), (0, 1)))))
+
+
+def test_equivalence_is_exact():
+    """A 1e-12 change of one entry moves q = tr|tr|/|det|, so the classes differ."""
+    golden = ExtensionMatrix.from_rows(((1, 1), (1, 0)))
+    assert not equivalent(golden, ExtensionMatrix.from_rows(((1 + F(1, 10**12), 1), (1, 0))))
+    assert equivalent(golden, ExtensionMatrix.from_rows(((F(1, 3), F(1, 3)), (F(1, 3), 0))))
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3, 4), ("-1/2", 0, 0, 1), (1, 0, 0, 3), (2, 1, -1, 1),
+                                     ("1e-30", 1, 1, 0), ("1e-17", 1, 1, 0),
+                                     ("1e-400", 1, -1, "1e-400")])
+def test_irrational_and_boundary_classes_rebuild_exactly(G, entries):
+    """zeta^2 or cos phi irrational, or a hair from an excluded value: the
+    class's matrix is equivalent to the input and builds a Jacobi algebra."""
+    L = ExtensionMatrix(*map(F, entries))
+    cls = classify(L)
+    assert equivalent(L, case_matrix(cls)), cls
+    assert build_extended(cls, base=G).jacobi_check() == []
 
 
 def test_case_matrix_round_trips_through_classify_seeded():
@@ -252,37 +273,37 @@ def test_leibniz_spot_check_on_aq_pair(G):
 
 
 def test_roundtrip_build_matches_direct_extension_up_to_plane_basis_change(G):
-    """classify then rebuild: witnessed by an explicit 2x2 basis change."""
+    """classify then rebuild, witnessed without q: for M the class's matrix,
+    L^2 is similar to k M^2 with k = |det L| / |det M| ((tr L / tr M)^2 when
+    det = 0), and det and tr keep their signs."""
     rng = random.Random(77)
     from newstein.algebras import build_extended
 
-    from newstein.extensions import _is_square, _sqrt_fraction
+    def sign(x):
+        return (x > 0) - (x < 0)
 
     tried = 0
     while tried < 6:
         L = ExtensionMatrix.from_rows(
             ((F(rng.randint(-3, 3)), F(rng.randint(-3, 3))),
              (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))))
-        det, tr = L.det, L.trace
-        if det != 0:
-            if not _is_square(abs(det)):
-                continue  # keep the witness exact: rational rescale only
-            scale = _sqrt_fraction(abs(det))
-        elif tr != 0:
-            scale = abs(tr)
-        else:
-            scale = F(1)
         cls = classify(L)
-        if cls.case == 8 or (cls.zeta2 is not None and not isinstance(cls.zeta2, Fraction)) \
-           or (cls.cos_sin is not None and not isinstance(cls.cos_sin[0], Fraction)):
+        if cls.case == 8:
             continue
         tried += 1
-        rebuilt = case_matrix(cls)
-        rescaled = ExtensionMatrix(L.beta / scale, L.beta_p / scale,
-                                   L.gamma / scale, L.gamma_p / scale)
-        assert _similar(rescaled, rebuilt), (L, cls)
+        M = case_matrix(cls)
+        k = (abs(L.det / M.det) if L.det else (L.trace / M.trace) ** 2 if L.trace else F(1))
+        assert _similar(_square(L), _square(M, k)), (L, cls)
+        assert (sign(L.det), sign(L.trace)) == (sign(M.det), sign(M.trace)), (L, cls)
         ext = build_extended(cls, base=G)
         assert ext.jacobi_check() == []
+
+
+def _square(A: ExtensionMatrix, k=1) -> ExtensionMatrix:
+    """k A^2."""
+    (a, b), (c, d) = A.rows()
+    return ExtensionMatrix(k * (a * a + b * c), k * (a * b + b * d),
+                           k * (c * a + d * c), k * (c * b + d * d))
 
 
 def _similar(A: ExtensionMatrix, B: ExtensionMatrix) -> bool:

@@ -15,13 +15,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newstein import labels as lb
 from newstein.algebras import heisenberg3, sl2
 from newstein.cohomology import CochainComplex, CoefficientModule, betti
 from newstein.exactla import Echelon, kernel_basis, random_primes
+from newstein.extensions import ExtensionMatrix, classify
 from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_d_matrix, dense_rank, integer_matrix,
@@ -220,3 +221,25 @@ def test_definition_round_trip(data):
     assert back.name == alg.name
     assert back.labels == alg.labels
     assert back.constants == alg.constants
+
+
+def _mul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+entries4 = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+@given(L=entries4, P=entries4, lam=st.fractions(min_value=F(1, 1000), max_value=1000))
+@example(L=[1, 2, 3, 4], P=[2, 1, 1, 1], lam=F(3, 7))      # case 3, zeta^2 irrational
+@example(L=[1, 0, 0, 3], P=[1, 2, 0, 1], lam=F(5))         # case 4, zeta^2 irrational
+@example(L=[2, 1, -1, 1], P=[1, -1, 1, 1], lam=F(1, 2))    # case 9, cos phi irrational
+@settings(max_examples=200, deadline=None)
+def test_extension_class_is_kept_by_positive_scaling_and_conjugation(L, P, lam):
+    """classify(lam P L P^-1) has the case and the exact q of classify(L)."""
+    Lm, Pm = [L[:2], L[2:]], [P[:2], P[2:]]
+    Pinv = inverse(Pm)
+    assume(Pinv is not None)
+    moved = [lam * v for row in _mul(_mul(Pm, Lm), Pinv) for v in row]
+    want, got = classify(ExtensionMatrix.from_rows(Lm)), classify(ExtensionMatrix(*moved))
+    assert (got.case, got.q) == (want.case, want.q)
