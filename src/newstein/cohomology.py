@@ -103,12 +103,9 @@ class CochainComplex:
         self._acting: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(coeffs.dim)]
         for t, m, col in acting:
             self._acting[m].append((t, {mp: int(c * D) for mp, c in col.items()}))
-        self._wedge_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def wedges(self, k: int) -> list[tuple[int, ...]]:
-        if k not in self._wedge_cache:
-            self._wedge_cache[k] = list(combinations(self.args, k))
-        return self._wedge_cache[k]
+        return list(combinations(self.args, k))
 
     def dim_c(self, k: int) -> int:
         if k < 0:
@@ -154,46 +151,34 @@ class CochainComplex:
         """D * d of a cochain given as {(wedge, module index): coefficient}."""
         return _combine(lambda key: self.d_basis(*key), vec)
 
-    def _columns(self, k: int) -> dict[int, dict[int, int]]:
-        """Nonzero columns of D * d_k: domain position -> {codomain position: value}.
-
-        Positions are on the lexicographic wedge bases, module index fastest.
-        """
-        dimM = self.coeffs.dim
-        start = {T: q * dimM for q, T in enumerate(self.wedges(k + 1))}
-        cols = {}
-        for dom, (S, m) in enumerate(product(self.wedges(k), range(dimM))):
-            if col := self.d_basis(S, m):
-                cols[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
-        return cols
-
     def d_matrix(self, k: int) -> SparseExactMatrix:
         """Matrix of D * d_k: C^k -> C^{k+1} on the lexicographic wedge bases."""
         mat = SparseExactMatrix(self.dim_c(k + 1), self.dim_c(k))
-        for dom, col in self._columns(k).items():
+        for dom, col in self.d_matrix_by_domain(k).rows.items():
             for cod, v in col.items():
                 mat.rows.setdefault(cod, {})[dom] = v
         return mat
 
     def d_matrix_by_domain(self, k: int) -> SparseExactMatrix:
-        """Transpose of D * d_k, one row per domain basis cochain (same rank).
+        """Transpose of D * d_k, one row per nonzero domain column (same rank).
 
+        Positions are on the lexicographic wedge bases, module index fastest.
         Eliminating along the smaller side keeps the big second-degree
         computations tractable: at full scale the domain has 65k rows while
         the codomain has over a million.
         """
+        dimM = self.coeffs.dim
+        start = {T: q * dimM for q, T in enumerate(self.wedges(k + 1))}
         mat = SparseExactMatrix(self.dim_c(k), self.dim_c(k + 1))
-        mat.rows = self._columns(k)
+        for dom, (S, m) in enumerate(product(self.wedges(k), range(dimM))):
+            if col := self.d_basis(S, m):
+                mat.rows[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
         return mat
 
     def dd_violations(self, k: int) -> list:
-        """Basis cochains at degree k with d(d(.)) != 0 (must be empty).
-
-        Each degree-(k+1) column is built once, however many images hold it.
-        """
-        next_column = cache(lambda key: self.d_basis(*key))
+        """Basis cochains at degree k with d(d(.)) != 0 (must be empty)."""
         return [(S, m) for S, m in product(self.wedges(k), range(self.coeffs.dim))
-                if _combine(next_column, self.d_basis(S, m))]
+                if self.d_apply(self.d_basis(S, m))]
 
 
 @dataclass

@@ -60,6 +60,12 @@ class ExtensionMatrix:
     def discriminant(self) -> Fraction:
         return self.trace * self.trace - 4 * self.det
 
+    @property
+    def q(self) -> Fraction:
+        """The scale invariant tr|tr|/|det|, sign tr when det = 0."""
+        tr, det = self.trace, self.det
+        return tr * abs(tr) / abs(det) if det else Fraction((tr > 0) - (tr < 0))
+
     def is_zero(self) -> bool:
         return not any((self.beta, self.beta_p, self.gamma, self.gamma_p))
 
@@ -73,8 +79,9 @@ class ExtensionClass:
     cases 8-9 the angle enters through an exact point (cos phi, sin phi) on
     the unit circle.  Either is ``None`` when it is irrational; then ``q``,
     the scale invariant tr|tr|/|det| of the plane matrix (sign tr when
-    det = 0), still fixes the class.  ``note`` carries empirical flags (cases
-    the canonical list does not realize as printed).
+    det = 0), still fixes the class; when the parameters fix the matrix, q
+    must be that matrix's.  ``note`` carries empirical flags (cases the
+    canonical list does not realize as printed).
     """
 
     case: int
@@ -104,6 +111,11 @@ class ExtensionClass:
         if self.case == 9 and (0 in (self.cos_sin or ()) or q is not None and not 0 < abs(q) < 4):
             raise InvalidExtensionParameter("case 9 excludes cos phi = 0 and sin phi = 0 "
                                             "(it requires 0 < |q| < 4)")
+        params = self.cos_sin if self.case in (8, 9) else z
+        if q is not None and (params is not None or self.case in (1, 2, 6, 7)):
+            if (fixed := case_matrix(self).q) != q:
+                raise InvalidExtensionParameter(f"q = {q} contradicts the parameters, "
+                                                f"whose matrix has q = {fixed}")
 
 
 # Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
@@ -178,17 +190,15 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
     zeta^2 and (cos, sin) are reported when rational and are ``None``
     otherwise.
     """
-    det, tr, disc = L.det, L.trace, L.discriminant
-    sign = Fraction((tr > 0) - (tr < 0))
+    det, tr, disc, q = L.det, L.trace, L.discriminant, L.q
     if det == 0:
         if L.is_zero():
-            return ExtensionClass(1, q=sign, jordan_type="zero")
+            return ExtensionClass(1, q=q, jordan_type="zero")
         if tr == 0:
-            return ExtensionClass(6, q=sign, jordan_type="nilpotent")
+            return ExtensionClass(6, q=q, jordan_type="nilpotent")
         # rank-one diagonalizable; rescaling by |tr| sends the nonzero
-        # eigenvalue (= tr) to +-1
-        return ExtensionClass(5, zeta2=sign, q=sign, jordan_type="rank-one diagonalizable")
-    q = tr * abs(tr) / abs(det)
+        # eigenvalue (= tr) to +-1 = q
+        return ExtensionClass(5, zeta2=q, q=q, jordan_type="rank-one diagonalizable")
     if det < 0:
         # real eigenvalues u > 0 > v with uv = -|det|; rescaled pair (l, -1/l)
         if tr == 0:
@@ -204,11 +214,11 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
     if disc < 0:
         return ExtensionClass(9, cos_sin=_from_q(9, q, _rational_sqrt), q=q,
                               jordan_type="complex pair exp(+-i phi)")
-    # disc == 0: double real eigenvalue +-1 after rescale
+    # disc == 0: double real eigenvalue +-1 = q/4 after rescale (q = +-4)
     if L.beta_p == 0 and L.gamma == 0 and L.beta == L.gamma_p:
-        return ExtensionClass(4, zeta2=sign, q=q, jordan_type="scalar")
+        return ExtensionClass(4, zeta2=q / 4, q=q, jordan_type="scalar")
     return ExtensionClass(
-        8, zeta2=sign, q=q, jordan_type="defective double eigenvalue",
+        8, zeta2=q / 4, q=q, jordan_type="defective double eigenvalue",
         note=("no printed case realizes a defective unit eigenvalue; "
               "assigned to the remaining slot (8) empirically"),
     )
@@ -243,8 +253,7 @@ def equivalent(L1: ExtensionMatrix, L2: ExtensionMatrix) -> bool:
     identification (eigenvalue swap for cases 3-4, orientation of the
     complex pair for case 9).
     """
-    c1, c2 = classify(L1), classify(L2)
-    return (c1.case, c1.q) == (c2.case, c2.q)
+    return classify(L1).case == classify(L2).case and L1.q == L2.q
 
 
 def display(L: ExtensionMatrix) -> dict:
@@ -252,9 +261,14 @@ def display(L: ExtensionMatrix) -> dict:
 
     zeta^2 and (cos, sin) are the classifier's exact values when rational
     and are computed from q otherwise; ``rescale`` is the factor K is
-    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0).
+    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0), or None
+    when that exact factor has no finite nonzero binary64 value.
     """
     cls = classify(L)
+    try:
+        rescale = (_sqrt(abs(L.det)) if L.det else float(abs(L.trace))) or None
+    except OverflowError:
+        rescale = None
     zeta2, cos_sin = cls.zeta2, cls.cos_sin
     if cls.case in (3, 4) and zeta2 is None:
         zeta2 = _from_q(cls.case, cls.q, _sqrt)
@@ -263,7 +277,7 @@ def display(L: ExtensionMatrix) -> dict:
     return {"case": cls.case,
             "zeta2": None if zeta2 is None else float(zeta2),
             "cos_sin": None if cos_sin is None else [float(v) for v in cos_sin],
-            "rescale": _sqrt(abs(L.det)) if L.det else abs(float(L.trace)) or 1.0,
+            "rescale": rescale if L.det or L.trace else 1.0,
             "jordan_type": cls.jordan_type,
             "note": cls.note}
 

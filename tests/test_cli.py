@@ -213,6 +213,14 @@ def test_extensions_classify(tmp_path):
     for entry, root in (("1e200", 1e200), ("1e-200", 1e-200)):
         rc, doc = run_cli(["extensions", "classify", "--matrix", entry, "0", "0", entry], tmp_path)
         assert rc == EXIT_OK and doc["case"] == 4 and doc["rescale"] == root
+    # a nonzero exact factor with no finite nonzero binary64 value prints null;
+    # 1.0 stands only for tr = det = 0
+    for entries, case in ((("1e400", 0, 0, 0), 5), (("1e400", 0, 0, "1e400"), 4),
+                          (("1e-400", 0, 0, "1e-400"), 4), (("1e-400", 0, 0, 0), 5)):
+        rc, doc = run_cli(["extensions", "classify", "--matrix", *map(str, entries)], tmp_path)
+        assert rc == EXIT_OK and doc["case"] == case and doc["rescale"] is None, entries
+    rc, doc = run_cli(["extensions", "classify", "--matrix", "0", "0", "1", "0"], tmp_path)
+    assert doc["case"] == 6 and doc["rescale"] == 1.0
 
 
 @pytest.mark.parametrize("matrix", [["-1/2", "0", "0", "1"], ["1/2", "0", "0", "-3/2"]])
@@ -273,6 +281,17 @@ def test_evolve_missing_state_is_io_error(tmp_path):
     from newstein.cli import EXIT_IO
 
     assert main(["evolve", "--tau", "1.0", "--state", str(tmp_path / "none.txt")]) == EXIT_IO
+
+
+def test_evolve_unwritable_out_is_io_error(tmp_path, capsys):
+    from newstein.cli import EXIT_IO
+
+    state = tmp_path / "state.txt"
+    state.write_text("0 1.0 0.0\n")
+    out = tmp_path / "missing" / "evolved.txt"
+    assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "2",
+                 "--out", str(out)]) == EXIT_IO
+    assert "cannot write state file" in capsys.readouterr().err
 
 
 def test_evolve_index_out_of_range_names_line(tmp_path, capsys):

@@ -115,6 +115,37 @@ def test_case_matrix_refuses_floats_on_excluded_values(case, params):
         case_matrix(ExtensionClass(case, **params))
 
 
+@pytest.mark.parametrize("case,params,q", [
+    (3, {"zeta2": 2}, 7), (1, {}, 1), (2, {}, F(1, 2)), (5, {"zeta2": 2}, -1),
+    (7, {}, -1), (9, {"cos_sin": (F(3, 5), F(4, 5))}, 1),
+])
+def test_q_contradicting_the_parameters_is_refused(case, params, q):
+    """ExtensionClass(3, zeta2=2) is diag(2, -1/2), whose q is 9/4, not 7."""
+    with pytest.raises(InvalidExtensionParameter, match="contradicts"):
+        ExtensionClass(case, q=q, **params)
+
+
+def test_q_agreeing_with_the_parameters_is_kept():
+    """q is class-invariant: zeta^2 = 1/2 and 2 give the same case-4 class."""
+    for z in (F(1, 2), F(2)):
+        assert ExtensionClass(4, zeta2=z, q=F(25, 4)).q == F(25, 4)
+    assert ExtensionClass(9, cos_sin=(F(3, 5), F(4, 5)), q=F(36, 25)).q == F(36, 25)
+
+
+def test_every_classified_class_holds_its_matrix_q():
+    """classify builds valid classes (the constructor checks q against the
+    parameters), and each one's q is the input's and its matrix's."""
+    rng = random.Random(11)
+    mats = list(canonical_matrices().values()) + [
+        ExtensionMatrix(*(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
+        for _ in range(300)]
+    for L in mats:
+        cls = classify(L)
+        assert cls.q == L.q, L
+        if cls.case != 8:
+            assert case_matrix(cls).q == cls.q, (L, cls)
+
+
 def test_classified_boundary_matrices_build_their_own_case():
     """Near a case boundary the exact class stays in its case, so it builds
     that case; only the defective slot has no matrix and refuses."""

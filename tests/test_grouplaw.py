@@ -9,7 +9,7 @@ from newstein import labels as lb
 from newstein.algebras import build_extended, build_newstein
 from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError,
                                SectionSingularityError, boost_section, commutator_coords,
-                               compose, compose_extended, element_distance,
+                               compose, compose_extended, element_distance, expm2,
                                identity, inverse, inverse_extended, log_coords,
                                one_parameter, random_element, rotation_section, shell_point,
                                sl2_generator, so3_rep, sphere_point, spin_generator, spin_rep,
@@ -23,6 +23,13 @@ G4 = np.diag([1.0, 1.0, 1.0, -1.0])
 @pytest.fixture(scope="module")
 def G():
     return build_newstein()
+
+
+def test_expm2_of_nilpotent_and_zero_matrices_is_exact():
+    """delta = 0 takes the series branch: exp(N) = I + N exactly."""
+    N = np.array([[0, 0.7], [0, 0]], dtype=complex)
+    assert np.array_equal(expm2(N), np.eye(2) + N)
+    assert np.array_equal(expm2(np.zeros((2, 2), dtype=complex)), np.eye(2))
 
 
 def test_vector_rep_identity_and_covering():
