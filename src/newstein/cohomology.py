@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb, lcm
+from operator import getitem
 
 from .algebras import NewSteinAlgebra
 from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _is_prime, _normalize,
@@ -163,16 +164,24 @@ class CochainComplex:
         """Transpose of D * d_k, one row per nonzero domain column (same rank).
 
         Positions are on the lexicographic wedge bases, module index fastest.
-        Eliminating along the smaller side keeps the big second-degree
-        computations tractable: at full scale the domain has 65k rows while
-        the codomain has over a million.
+        A codomain wedge's position is its lexicographic rank, in closed
+        form (the combinatorial number system): for T = (t_0 < .. < t_{r-1})
+        at local argument positions q_i among n arguments it is
+        C(n, r) - 1 - sum_i C(n - 1 - q_i, r - i), so no table of the
+        codomain wedges is built.  Eliminating along the smaller side keeps
+        the big second-degree computations tractable: at full scale the
+        domain has 65k rows while the codomain has over a million.
         """
-        dimM = self.coeffs.dim
-        start = {T: q * dimM for q, T in enumerate(self.wedges(k + 1))}
+        dimM, n, r = self.coeffs.dim, len(self.args), k + 1
+        top = (comb(n, r) - 1) * dimM
+        # tables[i][t]: the i-th term of the rank sum, times dimM, for argument t
+        tables = [{t: comb(n - 1 - q, r - i) * dimM for q, t in enumerate(self.args)}
+                  for i in range(r)]
         mat = SparseExactMatrix(self.dim_c(k), self.dim_c(k + 1))
         for dom, (S, m) in enumerate(product(self.wedges(k), range(dimM))):
             if col := self.d_basis(S, m):
-                mat.rows[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
+                mat.rows[dom] = {top + mp - sum(map(getitem, tables, T)): v
+                                 for (T, mp), v in col.items()}
         return mat
 
     def dd_violations(self, k: int) -> list:

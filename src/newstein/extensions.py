@@ -261,25 +261,36 @@ def display(L: ExtensionMatrix) -> dict:
 
     zeta^2 and (cos, sin) are the classifier's exact values when rational
     and are computed from q otherwise; ``rescale`` is the factor K is
-    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0), or None
-    when that exact factor has no finite nonzero binary64 value.
+    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0).  zeta^2
+    and ``rescale`` are None when the exact value has no finite nonzero
+    binary64 value.
     """
     cls = classify(L)
-    try:
-        rescale = (_sqrt(abs(L.det)) if L.det else float(abs(L.trace))) or None
-    except OverflowError:
-        rescale = None
-    zeta2, cos_sin = cls.zeta2, cls.cos_sin
-    if cls.case in (3, 4) and zeta2 is None:
-        zeta2 = _from_q(cls.case, cls.q, _sqrt)
+    rescale = _finite(lambda: _sqrt(abs(L.det)) if L.det else abs(L.trace))
+    zeta2, cos_sin = None, cls.cos_sin
+    if cls.zeta2 is not None:
+        zeta2 = _finite(lambda: cls.zeta2)
+    elif cls.case in (3, 4):
+        zeta2 = _finite(lambda: _from_q(cls.case, cls.q, _sqrt))
     if cls.case == 9 and cos_sin is None:
         cos_sin = _from_q(9, cls.q, _sqrt)
     return {"case": cls.case,
-            "zeta2": None if zeta2 is None else float(zeta2),
+            "zeta2": zeta2,
             "cos_sin": None if cos_sin is None else [float(v) for v in cos_sin],
             "rescale": rescale if L.det or L.trace else 1.0,
             "jordan_type": cls.jordan_type,
             "note": cls.note}
+
+
+def _finite(value) -> float | None:
+    """float(value()) for a ``value`` that computes a nonzero number, or None
+    when that number has no finite nonzero binary64 value: computing or
+    converting it overflows, or it rounds to 0 or to infinity."""
+    try:
+        x = float(value())
+    except OverflowError:
+        return None
+    return x if x and math.isfinite(x) else None
 
 
 def _sqrt(x: Fraction) -> float:

@@ -153,28 +153,29 @@ class LieAlgebra:
 
         By multilinearity and built-in antisymmetry, strictly increasing
         triples suffice; triples with a repeated index vanish identically.
+        The Jacobiator J(x, y, z) = [[x, y], z] + [[y, z], x] + [[z, x], y]
+        is alternating, so each nonzero term c [e_m, e_z] of [[e_x, e_y], e_z]
+        (x < y a stored pair, m in its bracket) is added to the sorted
+        triple of {x, y, z}: with sign + when z > y or z < x (a cyclic
+        shift), - when x < z < y (one swap).  Only triples some term
+        reaches are visited.
         """
-        violations = []
-        pair_brackets = self.constants
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = pair_brackets.get((i, j))
-                for k in range(j + 1, self.dim):
-                    acc: SparseVec = {}
-                    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    for inner, outer, sign in (
-                        (bij, k, 1),
-                        (pair_brackets.get((j, k)), i, 1),
-                        (pair_brackets.get((i, k)), j, -1),
-                    ):
-                        if not inner:
-                            continue
-                        for m, c in inner.items():
-                            for t, d in self._ad[m].get(outer, {}).items():
-                                _bump(acc, t, sign * c * d)
-                    if acc:
-                        violations.append((i, j, k))
-        return violations
+        sums: dict[tuple[int, int, int], SparseVec] = {}
+        for (x, y), vec in self.constants.items():
+            for m, c in vec.items():
+                for z, col in self._ad[m].items():
+                    if z > y:
+                        key, s = (x, y, z), c
+                    elif z < x:
+                        key, s = (z, x, y), c
+                    elif x < z < y:
+                        key, s = (x, z, y), -c
+                    else:
+                        continue
+                    acc = sums.setdefault(key, {})
+                    for t, d in col.items():
+                        _bump(acc, t, s * d)
+        return sorted(key for key, acc in sums.items() if acc)
 
     # -- serialization ---------------------------------------------------
 

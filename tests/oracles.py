@@ -4,7 +4,7 @@ Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, or (for the covering
 maps) with 2x2 matrix products and traces, deliberately sharing no code
 path with the package's engines.  The exception is the last
-section: ``coboundary_matrix``, ``integer_matrix``,
+section: ``coboundary_matrix``, ``keyed_domain_rows``, ``integer_matrix``,
 ``full_coboundary_classes`` and ``generator_casimir``, thin wrappers over
 those engines that only tests call.
 """
@@ -88,6 +88,22 @@ def brute_bracket(alg: LieAlgebra, x: dict, y: dict) -> dict:
             for k, c in alg.bracket_basis(i, j).items():
                 out[k] = out.get(k, 0) + xi * yj * c
     return {k: v for k, v in out.items() if v}
+
+
+def dense_jacobi_check(alg: LieAlgebra) -> list[tuple[int, int, int]]:
+    """Every triple i < j < k whose Jacobiator is nonzero, by visiting all
+    C(dim, 3) triples; the reference for ``LieAlgebra.jacobi_check``."""
+    violations = []
+    for i, j, k in combinations(range(alg.dim), 3):
+        acc: dict = {}
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in alg.bracket_basis(a, b).items():
+                for t, y in alg.bracket_basis(m, c).items():
+                    acc[t] = acc.get(t, 0) + x * y
+        if any(acc.values()):
+            violations.append((i, j, k))
+    return violations
 
 
 def brute_cochain_value(S, m, args):
@@ -280,6 +296,19 @@ def lstsq_project_real(M: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 def coboundary_matrix(alg: LieAlgebra, coeffs: CoefficientModule, k: int) -> SparseExactMatrix:
     """Matrix of D * d_k on the full algebra, lexicographic wedge bases."""
     return CochainComplex(alg, coeffs).d_matrix(k)
+
+
+def keyed_domain_rows(cx: CochainComplex, k: int) -> dict[int, dict[int, int]]:
+    """The rows of ``cx.d_matrix_by_domain(k)``, each codomain key (T, mp)
+    placed by a dict from every (k+1)-wedge to its position in the listed
+    wedge order; the reference for the closed-form wedge rank."""
+    dimM = cx.coeffs.dim
+    start = {T: q * dimM for q, T in enumerate(cx.wedges(k + 1))}
+    rows = {}
+    for dom, (S, m) in enumerate(product(cx.wedges(k), range(dimM))):
+        if col := cx.d_basis(S, m):
+            rows[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
+    return rows
 
 
 def integer_matrix(rows: list[list]) -> SparseExactMatrix:

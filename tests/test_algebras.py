@@ -12,6 +12,8 @@ from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.extensions import ExtensionClass, InvalidExtensionParameter, case_matrix, sample_class
 from newstein.liealg import LieAlgebra
 
+from oracles import dense_jacobi_check
+
 F = Fraction
 
 
@@ -216,6 +218,18 @@ def test_case8_as_printed_fails_jacobi_unless_cos_is_one():
     # [K, C] = 2C becomes the trace rule again
     ok = build_extended(ExtensionClass(8, cos_sin=(F(1), F(0))), as_printed=True)
     assert ok.jacobi_check() == []
+
+
+def test_jacobi_check_equals_the_dense_triple_loop(G):
+    """The term-driven scan lists the same triples, in the same order, as
+    the loop over all C(dim, 3) triples: none on the family, 48 on the
+    printed case-8 matrix."""
+    for alg in [G, build_newstein2(), *(build_extended(c, base=G) for c in range(1, 10))]:
+        assert alg.jacobi_check() == dense_jacobi_check(alg) == [], alg.name
+    printed = build_extended(_sample_class(8), base=G, as_printed=True)
+    violations = printed.jacobi_check()
+    assert violations == dense_jacobi_check(printed)
+    assert len(violations) == 48
 
 
 def test_invalid_parameters_rejected():

@@ -221,6 +221,14 @@ def test_extensions_classify(tmp_path):
         assert rc == EXIT_OK and doc["case"] == case and doc["rescale"] is None, entries
     rc, doc = run_cli(["extensions", "classify", "--matrix", "0", "0", "1", "0"], tmp_path)
     assert doc["case"] == 6 and doc["rescale"] == 1.0
+    # zeta^2 follows the same rule, whether rational or taken from q
+    for entries, case in ((("1e700", 0, 0, 1), 4), (("1e-700", 0, 0, 1), 4),
+                          (("1e700", 0, 0, -1), 3), (("1e700", 0, 0, 3), 4),
+                          (("2e700", 0, 0, -3), 3)):
+        rc, doc = run_cli(["extensions", "classify", "--matrix", *map(str, entries)], tmp_path)
+        assert rc == EXIT_OK and doc["case"] == case and doc["zeta2"] is None, entries
+    rc, doc = run_cli(["extensions", "classify", "--matrix", "1e300", "0", "0", "1"], tmp_path)
+    assert rc == EXIT_OK and doc["case"] == 4 and doc["zeta2"] == 1e150
 
 
 @pytest.mark.parametrize("matrix", [["-1/2", "0", "0", "1"], ["1/2", "0", "0", "-3/2"]])
@@ -407,7 +415,12 @@ def test_verify_conditional_not_counted_as_failure(tmp_path):
     ("l24-generator", 0.0, "finite-difference", "conditional"),
     ("operator-identities", True, "numerical", "match"),
     ("w-operator", True, "numerical", "match"),
-], ids=["group-law", "master-oracle", "l24-generator", "operator-identities", "w-operator"])
+    ("mass-spectrum", True, "numerical", "match"),
+    ("null-free-mass", True, "numerical", "match"),
+    ("generator-oracle", True, "finite-difference", "match"),
+    ("evolution", True, "numerical", "match"),
+], ids=["group-law", "master-oracle", "l24-generator", "operator-identities", "w-operator",
+        "mass-spectrum", "null-free-mass", "generator-oracle", "evolution"])
 def test_numerical_claim_statuses(tmp_path, name, claimed, method, status):
     # the notes and computed floats move at rounding level; the verdicts may not
     rc, doc = run_cli(["verify-all", "--only", name], tmp_path)
@@ -415,6 +428,14 @@ def test_numerical_claim_statuses(tmp_path, name, claimed, method, status):
     claim = doc["claims"][0]
     assert (claim["claim"], claim["claimed"], claim["method"], claim["status"]) == (
         name, claimed, method, status)
+
+
+def test_oracle_generators_table(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "generators", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "oracle-generators" and len(doc["rows"]) == 51
+    assert all(row["agrees"] for row in doc["rows"])
 
 
 def test_config_file_defaults(tmp_path):

@@ -29,7 +29,8 @@ from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
                      coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
-                     full_coboundary_classes, newton_algebra, span_contains)
+                     full_coboundary_classes, keyed_domain_rows, newton_algebra,
+                     span_contains)
 
 F = Fraction
 
@@ -81,6 +82,25 @@ def _assert_d_matrices_match_brute_force(alg, degrees):
 def test_coboundary_matrix_matches_brute_force():
     for alg in (heisenberg3(), sl2()):
         _assert_d_matrices_match_brute_force(alg, (0, 1, 2))
+
+
+def test_domain_rows_match_keyed_positions(G):
+    """The closed-form wedge rank puts every entry of d_matrix_by_domain
+    where a dict over the listed codomain wedges puts it: full and
+    subalgebra complexes, trivial and adjoint coefficients, degrees past
+    the top wedge on h3 and sl2, and the large trivial builds and the
+    ideal complex of the 51-dim algebra."""
+    cases = []
+    for alg, sub in ((heisenberg3(), [1, 2]), (sl2(), [0, 1])):
+        for coeffs in (CoefficientModule.trivial(), CoefficientModule.adjoint(alg)):
+            cases += [(CochainComplex(alg, coeffs, args), k)
+                      for args in (None, sub) for k in (0, 1, 2, 3)]
+    trivial, ideal = CochainComplex(G, CoefficientModule.trivial()), _ideal_complex(G)
+    cases += [(trivial, 2), (trivial, 3), (ideal, 0), (ideal, 1)]
+    for cx, k in cases:
+        mat = cx.d_matrix_by_domain(k)
+        assert (mat.nrows, mat.ncols) == (cx.dim_c(k), cx.dim_c(k + 1))
+        assert mat.rows == keyed_domain_rows(cx, k), (cx.alg.name, cx.coeffs.kind, cx.args, k)
 
 
 def _interleaved_sum() -> LieAlgebra:
