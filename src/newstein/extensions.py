@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .labels import BasisLabel
@@ -28,12 +29,12 @@ from .liealg import LieAlgebra, SparseVec
 
 
 class InvalidExtensionParameter(ValueError):
-    """Raised for excluded parameter values (zeta^2 in {0,1} etc.)."""
+    """Raised for excluded parameter values, whose matrix is another case's."""
 
 
 @dataclass(frozen=True)
 class ExtensionMatrix:
-    """The 2x2 matrix of ad K on an (A, Q) plane, row-major."""
+    """The 2x2 matrix of ad K on an (A, Q) plane, row-major; frozen, its invariants cached."""
 
     beta: Fraction
     beta_p: Fraction
@@ -48,19 +49,19 @@ class ExtensionMatrix:
     def rows(self):
         return ((self.beta, self.beta_p), (self.gamma, self.gamma_p))
 
-    @property
+    @cached_property
     def trace(self) -> Fraction:
         return self.beta + self.gamma_p
 
-    @property
+    @cached_property
     def det(self) -> Fraction:
         return self.beta * self.gamma_p - self.beta_p * self.gamma
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
         return self.trace * self.trace - 4 * self.det
 
-    @property
+    @cached_property
     def q(self) -> Fraction:
         """The scale invariant tr|tr|/|det|, sign tr when det = 0."""
         tr, det = self.trace, self.det
@@ -79,9 +80,10 @@ class ExtensionClass:
     cases 8-9 the angle enters through an exact point (cos phi, sin phi) on
     the unit circle.  Either is ``None`` when it is irrational; then ``q``,
     the scale invariant tr|tr|/|det| of the plane matrix (sign tr when
-    det = 0), still fixes the class; when the parameters fix the matrix, q
-    must be that matrix's.  ``note`` carries empirical flags (cases the
-    canonical list does not realize as printed).
+    det = 0), still fixes the class.  Parameters that fix a matrix (q alone
+    does for cases 3, 4 and 9) must fix one of this class: of its case by
+    :func:`classify`'s table, bar the case-8 slot that no printed matrix
+    realizes, and of its q.  ``note`` carries empirical flags.
     """
 
     case: int
@@ -100,22 +102,21 @@ class ExtensionClass:
         c, s = self.cos_sin or (1, 0)
         if c * c + s * s != 1:
             raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-        z, q = self.zeta2, self.q
-        if self.case == 3 and (z in (0, 1, -1) or q == 0):
-            raise InvalidExtensionParameter("case 3 requires zeta^2 not in {0, 1, -1}, q != 0")
-        if self.case in (4, 5) and z == 0:
-            raise InvalidExtensionParameter("cases 4 and 5 require zeta^2 != 0")
-        # |q| = 4 is the scalar case 4, whose zeta^2 = +-1 is always given
-        if self.case == 4 and q is not None and (abs(q) < 4 or abs(q) == 4 and z is None):
-            raise InvalidExtensionParameter("case 4 requires |q| > 4 or zeta^2 = +-1")
-        if self.case == 9 and (0 in (self.cos_sin or ()) or q is not None and not 0 < abs(q) < 4):
-            raise InvalidExtensionParameter("case 9 excludes cos phi = 0 and sin phi = 0 "
-                                            "(it requires 0 < |q| < 4)")
-        params = self.cos_sin if self.case in (8, 9) else z
-        if q is not None and (params is not None or self.case in (1, 2, 6, 7)):
-            if (fixed := case_matrix(self).q) != q:
-                raise InvalidExtensionParameter(f"q = {q} contradicts the parameters, "
-                                                f"whose matrix has q = {fixed}")
+        try:
+            L = case_matrix(self)
+        except InvalidExtensionParameter:   # no parameters, so no matrix to check
+            return
+        except ZeroDivisionError:
+            L = None
+        if self.case != 8 and (found := L and _case(L)) != self.case:
+            given = ", ".join(f"{n} = {v}" for n, v in (
+                ("zeta^2", self.zeta2), ("(cos, sin)", self.cos_sin and "(%s, %s)" % self.cos_sin),
+                ("q", self.q)) if v is not None)
+            why = f"falls in case {found}" if L else "divides by zero"
+            raise InvalidExtensionParameter(f"case {self.case} excludes {given}: its matrix {why}")
+        if self.q is not None and L.q != self.q:
+            raise InvalidExtensionParameter(f"q = {self.q} contradicts the parameters, "
+                                            f"whose matrix has q = {L.q}")
 
 
 # Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
@@ -190,38 +191,36 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
     zeta^2 and (cos, sin) are reported when rational and are ``None``
     otherwise.
     """
-    det, tr, disc, q = L.det, L.trace, L.discriminant, L.q
+    case, q = _case(L), L.q
+    # rescaled, the nonzero eigenvalue of case 5 is q, the double one of the case-8 slot q/4
+    zeta2 = _from_q(case, q, _rational_sqrt) if case in (3, 4) else {5: q, 8: q / 4}.get(case)
+    return ExtensionClass(case, zeta2=zeta2, q=q,
+                          cos_sin=_from_q(9, q, _rational_sqrt) if case == 9 else None,
+                          jordan_type="scalar" if case == 4 and not L.discriminant
+                          else _JORDAN_TYPE[case],
+                          note="" if case != 8 else "no printed case realizes a defective unit "
+                          "eigenvalue; assigned to the remaining slot (8) empirically")
+
+
+_JORDAN_TYPE = {1: "zero", 2: "real pair (1, -1)", 3: "real pair (z, -1/z)",
+                4: "real pair (z, 1/z)", 5: "rank-one diagonalizable", 6: "nilpotent",
+                7: "complex pair (i, -i)", 8: "defective double eigenvalue",
+                9: "complex pair exp(+-i phi)"}
+
+
+def _case(L: ExtensionMatrix) -> int:
+    """The case of L by the decision table of :func:`classify`."""
+    det, tr = L.det, L.trace
     if det == 0:
-        if L.is_zero():
-            return ExtensionClass(1, q=q, jordan_type="zero")
-        if tr == 0:
-            return ExtensionClass(6, q=q, jordan_type="nilpotent")
-        # rank-one diagonalizable; rescaling by |tr| sends the nonzero
-        # eigenvalue (= tr) to +-1 = q
-        return ExtensionClass(5, zeta2=q, q=q, jordan_type="rank-one diagonalizable")
+        return 1 if L.is_zero() else 6 if tr == 0 else 5
     if det < 0:
-        # real eigenvalues u > 0 > v with uv = -|det|; rescaled pair (l, -1/l)
-        if tr == 0:
-            return ExtensionClass(2, q=q, jordan_type="real pair (1, -1)")
-        return ExtensionClass(3, zeta2=_from_q(3, q, _rational_sqrt), q=q,
-                              jordan_type="real pair (z, -1/z)")
-    # det > 0
+        return 2 if tr == 0 else 3
     if tr == 0:
-        return ExtensionClass(7, q=q, jordan_type="complex pair (i, -i)")
-    if disc > 0:
-        return ExtensionClass(4, zeta2=_from_q(4, q, _rational_sqrt), q=q,
-                              jordan_type="real pair (z, 1/z)")
-    if disc < 0:
-        return ExtensionClass(9, cos_sin=_from_q(9, q, _rational_sqrt), q=q,
-                              jordan_type="complex pair exp(+-i phi)")
-    # disc == 0: double real eigenvalue +-1 = q/4 after rescale (q = +-4)
-    if L.beta_p == 0 and L.gamma == 0 and L.beta == L.gamma_p:
-        return ExtensionClass(4, zeta2=q / 4, q=q, jordan_type="scalar")
-    return ExtensionClass(
-        8, zeta2=q / 4, q=q, jordan_type="defective double eigenvalue",
-        note=("no printed case realizes a defective unit eigenvalue; "
-              "assigned to the remaining slot (8) empirically"),
-    )
+        return 7
+    if disc := L.discriminant:
+        return 4 if disc > 0 else 9
+    # a double real eigenvalue: scalar, or the defective case-8 slot
+    return 4 if L.beta_p == 0 and L.gamma == 0 and L.beta == L.gamma_p else 8
 
 
 def _from_q(case: int, q: Fraction, sqrt):
@@ -253,7 +252,7 @@ def equivalent(L1: ExtensionMatrix, L2: ExtensionMatrix) -> bool:
     identification (eigenvalue swap for cases 3-4, orientation of the
     complex pair for case 9).
     """
-    return classify(L1).case == classify(L2).case and L1.q == L2.q
+    return _case(L1) == _case(L2) and L1.q == L2.q
 
 
 def display(L: ExtensionMatrix) -> dict:
@@ -261,9 +260,9 @@ def display(L: ExtensionMatrix) -> dict:
 
     zeta^2 and (cos, sin) are the classifier's exact values when rational
     and are computed from q otherwise; ``rescale`` is the factor K is
-    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0).  zeta^2
-    and ``rescale`` are None when the exact value has no finite nonzero
-    binary64 value.
+    divided by, sqrt|det| (|tr| when det = 0, 1 for tr = det = 0).  zeta^2,
+    each of cos and sin, and ``rescale`` are None when the exact value has
+    no finite nonzero binary64 value.
     """
     cls = classify(L)
     rescale = _finite(lambda: _sqrt(abs(L.det)) if L.det else abs(L.trace))
@@ -276,7 +275,7 @@ def display(L: ExtensionMatrix) -> dict:
         cos_sin = _from_q(9, cls.q, _sqrt)
     return {"case": cls.case,
             "zeta2": zeta2,
-            "cos_sin": None if cos_sin is None else [float(v) for v in cos_sin],
+            "cos_sin": None if cos_sin is None else [_finite(lambda: v) for v in cos_sin],
             "rescale": rescale if L.det or L.trace else 1.0,
             "jordan_type": cls.jordan_type,
             "note": cls.note}

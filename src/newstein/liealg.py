@@ -233,7 +233,8 @@ class LieAlgebra:
 
 class AlgebraElement:
     """Sparse vector over an algebra's basis.  The constructor keeps the given
-    entries, zeros too, as Fractions; ``element``, ``+`` and ``bracket`` drop zeros."""
+    entries, zeros too, as Fractions; ``element``, ``+`` and ``bracket`` drop zeros.
+    Unhashable: ``==`` compares the coefficients, which may change."""
 
     __slots__ = ("algebra", "coeffs")
 
@@ -263,9 +264,6 @@ class AlgebraElement:
         return (isinstance(other, AlgebraElement)
                 and self.algebra is other.algebra
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.coeffs.items()))))
 
     def is_zero(self) -> bool:
         return not self.coeffs

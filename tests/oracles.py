@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, or (for the covering
-maps) with 2x2 matrix products and traces, deliberately sharing no code
-path with the package's engines.  The exception is the last
+maps) with 2x2 matrix products and traces, or (for the invariant cochain
+counts) with weights and Weyl's character formula, deliberately sharing no
+code path with the package's engines.  The exception is the last
 section: ``coboundary_matrix``, ``keyed_domain_rows``, ``integer_matrix``,
 ``full_coboundary_classes`` and ``generator_casimir``, thin wrappers over
 those engines that only tests call.
@@ -11,6 +12,7 @@ those engines that only tests call.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -19,6 +21,7 @@ import numpy as np
 
 from newstein.cohomology import CochainComplex, CoefficientModule, reduction_data
 from newstein.exactla import Echelon, SparseExactMatrix
+from newstein import labels as lb
 from newstein.labels import BasisLabel
 from newstein.liealg import LieAlgebra
 from newstein.oscillator import FockBasis, OscillatorOperator, RepParams, internal_generator
@@ -226,6 +229,102 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
                for (i, j), vec in g2.constants.items()}
     labels = [f"{lab}.1" for lab in g1.labels] + [f"{lab}.2" for lab in g2.labels]
     return LieAlgebra(f"{g1.name}+{g2.name}", labels, {**g1.constants, **shifted})
+
+
+# -- invariant cochain counts by weights ------------------------------------
+
+# rho - w rho and the sign of w, over the Weyl group of sl(2,C) = so(4,C) in
+# the weights (L_12 / i, L_34): positive roots e1 -+ e2, coroots lambda_1 -+ lambda_2,
+# rho = e1.  su(2) adds the weight J_12 / i, root e3, coroot 2 lambda_3, rho = e3 / 2.
+_SHIFTS_SL2C = {(0, 0): 1, (1, -1): -1, (1, 1): -1, (2, 0): 1}
+_SHIFTS_SU2 = {(0,): 1, (1,): -1}
+
+
+def _cartan_weights(alg: LieAlgebra, cartan: list[tuple[int, complex]],
+                    idx: list[int]) -> list[tuple[int, ...]]:
+    """The weights of the span of ``idx``, an ad-invariant subspace, under
+    the Cartan elements of ``cartan``, (position, scale) pairs: each weight
+    is an eigenvalue divided by its scale, i for the compact L_12 and J_12
+    and 1 for the boost L_34.  One eigendecomposition of a generic
+    combination diagonalizes them all; the weights are rounded to integers."""
+    pos = {x: r for r, x in enumerate(idx)}
+    mats = []
+    for g, scale in cartan:
+        mat = np.zeros((len(idx), len(idx)), dtype=complex)
+        for y, vec in alg.ad_columns(g).items():
+            for x, c in vec.items():
+                if y in pos:
+                    mat[pos[x], pos[y]] = float(c) / scale
+        mats.append(mat)
+    _, vecs = np.linalg.eig(sum(m * np.sqrt(p) for m, p in zip(mats, (2, 3, 5))))
+    inv = np.linalg.inv(vecs)
+    exact = np.array([np.diag(inv @ m @ vecs) for m in mats]).T
+    weights = np.rint(exact.real).astype(int)
+    assert np.abs(exact - weights).max() < 1e-6, "weights are not integers"
+    return [tuple(map(int, w)) for w in weights]
+
+
+def invariant_dimension(alg, k: int, module: str) -> int:
+    """dim Hom(Lambda^k r, M)^s for the radical r of a family algebra, its
+    Levi factor s and M the algebra (module 'adjoint') or the line
+    ('trivial'), with no kernel solve; the reference for
+    ``invariant_cochains(alg, k).dim``.
+
+    The weights of r and of the algebra come from ``_cartan_weights``; those
+    of Lambda^k r* (x) M are subset sums.  The trivial representation then
+    occurs sum_w sign(w) mult(rho - w rho) times (Weyl's character formula
+    at highest weight 0).  It shares only ``levi_indices`` and
+    ``ideal_indices`` with the engine.
+    """
+    levi, ideal = alg.levi_indices, alg.ideal_indices
+    cartan = [(alg.index[lb.L(1, 2)], 1j), (alg.index[lb.L(3, 4)], 1)]
+    shifts = _SHIFTS_SL2C
+    if alg.index[lb.J(1, 2)] in levi:
+        cartan.append((alg.index[lb.J(1, 2)], 1j))
+        shifts = {a + b: s * t for a, s in _SHIFTS_SL2C.items() for b, t in _SHIFTS_SU2.items()}
+    zero = (0,) * len(cartan)
+    radical = _cartan_weights(alg, cartan, ideal)
+    module_weights = [zero] if module == "trivial" else radical + _cartan_weights(alg, cartan, levi)
+    wedge = Counter(tuple(-sum(c) for c in zip(zero, *ws)) for ws in combinations(radical, k))
+    mult = Counter()
+    for w, count in wedge.items():
+        for m in module_weights:
+            mult[tuple(a + b for a, b in zip(w, m))] += count
+    return sum(sign * mult[shift] for shift, sign in shifts.items())
+
+
+# -- the extension cases by hand-written rules ------------------------------
+
+
+def hand_written_extension_rules(case, zeta2=None, cos_sin=None, q=None) -> bool:
+    """Whether ``ExtensionClass(case, zeta2, cos_sin, q)`` is valid by a rule
+    list stated case by case: the excluded zeta^2, (cos, sin) and q of each
+    case, then q against the case's printed matrix when the parameters fix
+    it; the reference for the constructor's check by the decision table."""
+    if case not in range(1, 10):
+        return False
+    z, q = (None if v is None else F(v) for v in (zeta2, q))
+    cs = None if cos_sin is None else tuple(map(F, cos_sin))
+    c, s = cs or (1, 0)
+    if c * c + s * s != 1:
+        return False
+    if case == 3 and (z in (0, 1, -1) or q == 0):
+        return False
+    if case in (4, 5) and z == 0:
+        return False
+    # |q| = 4 is the scalar case 4, whose zeta^2 = +-1 is always given
+    if case == 4 and q is not None and (abs(q) < 4 or abs(q) == 4 and z is None):
+        return False
+    if case == 9 and (0 in (cs or ()) or q is not None and not 0 < abs(q) < 4):
+        return False
+    if q is None or (cs if case in (8, 9) else z) is None and case not in (1, 2, 6, 7):
+        return True
+    # trace and determinant of the printed matrix
+    if case in (3, 4, 5):
+        tr, det = {3: (z - 1 / z, -1), 4: (z + 1 / z, 1), 5: (z, 0)}[case]
+    else:
+        tr, det = {1: (0, 0), 2: (0, -1), 6: (0, 0), 7: (0, 1), 8: (c + 1, c), 9: (2 * c, 1)}[case]
+    return q == (F(tr * abs(tr), abs(det)) if det else F((tr > 0) - (tr < 0)))
 
 
 # -- covering maps by the trace formula -----------------------------------

@@ -206,9 +206,13 @@ def test_extensions_classify(tmp_path):
     # a hair from a case boundary: zeta^2 near 1, cos phi near 0
     rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-30", "1", "1", "0"], tmp_path)
     assert rc == EXIT_OK and doc["case"] == 3
-    rc, doc = run_cli(["extensions", "classify", "--matrix", "1e-400", "1", "-1", "1e-400"],
-                      tmp_path)
-    assert rc == EXIT_OK and doc["case"] == 9
+    # cos and sin follow the rule of zeta^2 and rescale: null where no finite
+    # nonzero binary64 value exists, never the 0.0 that case 9 excludes
+    for entries, cos_sin in ((("1e-400", 1, -1, "1e-400"), [None, 1.0]),
+                             ((1, "1e-400", "-1e-400", 1), [1.0, None]),
+                             ((1, "1e-200", "-1e-200", 1), [1.0, 1e-200])):
+        rc, doc = run_cli(["extensions", "classify", "--matrix", *map(str, entries)], tmp_path)
+        assert rc == EXIT_OK and doc["case"] == 9 and doc["cos_sin"] == cos_sin, entries
     # sqrt|det| is taken from the exact det, which lies outside binary64 here
     for entry, root in (("1e200", 1e200), ("1e-200", 1e-200)):
         rc, doc = run_cli(["extensions", "classify", "--matrix", entry, "0", "0", entry], tmp_path)

@@ -29,8 +29,8 @@ from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
                      coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
-                     full_coboundary_classes, keyed_domain_rows, newton_algebra,
-                     span_contains)
+                     full_coboundary_classes, invariant_dimension, keyed_domain_rows,
+                     newton_algebra, span_contains)
 
 F = Fraction
 
@@ -627,6 +627,23 @@ def test_invariant_cochains_of_the_levi_factor(G):
     assert centre == [x.coeffs for x in G.centralizer(levi)]
     assert span_contains(centre, G.trace_c().coeffs) is not None
     assert invariant_cochains(G, 1).dim == 10
+
+
+@pytest.mark.parametrize("selector", ["newstein", "newstein2"]
+                         + [f"newstein-ext:{case}" for case in range(1, 10)])
+def test_invariant_dimensions_match_the_weight_count(selector):
+    """The invariant cochains of degrees 0-2 are as many as Weyl's formula
+    counts from the Cartan weights, which solves no kernel."""
+    alg = load_algebra(selector)
+    dims = [invariant_cochains(alg, k).dim for k in range(3)]
+    assert dims == [invariant_dimension(alg, k, "adjoint") for k in range(3)]
+    assert dims == {"newstein": [1, 10, 42], "newstein2": [2, 41, 201]}.get(selector, [2, 13, 55])
+
+
+def test_trivial_invariant_dimensions_by_weights(G):
+    """Hom(Lambda^k r, R)^s: the unit, the dual of the metric trace of C, and
+    two invariant 2-forms."""
+    assert [invariant_dimension(G, k, "trivial") for k in range(3)] == [1, 1, 2]
 
 
 @pytest.mark.parametrize("k,dim", [(0, 1), (1, 10)])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.extensions import (ExtensionClass, ExtensionMatrix, InvalidExtensionParameter,
                                  canonical_matrices, case_matrix, classify,
                                  derivation_from_matrix, equivalent)
+
+from oracles import hand_written_extension_rules
 
 F = Fraction
 
@@ -123,6 +126,27 @@ def test_q_contradicting_the_parameters_is_refused(case, params, q):
     """ExtensionClass(3, zeta2=2) is diag(2, -1/2), whose q is 9/4, not 7."""
     with pytest.raises(InvalidExtensionParameter, match="contradicts"):
         ExtensionClass(case, q=q, **params)
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_constructor_decides_as_the_hand_written_rules(case):
+    """The constructor's one check, that the matrix its parameters fix is of
+    its own case and q, accepts and refuses exactly what the case-by-case
+    rule list does, on a grid of exact and float parameters."""
+    zetas = [None, 0, 1, -1, 2, -2, F(1, 2), 4, 1e-30, 0.0, 1.0, -1.0, 0.5, 2.5]
+    qs = [None, 0, 3, -3, 4, -4, 5, 7, F(9, 4), F(25, 4), F(36, 25), F(-36, 25)]
+    points = [None, (F(3, 5), F(4, 5)), (0, 1), (1, 0), (-1, 0), (F(1, 2), F(1, 2)),
+              (F(-3, 5), F(4, 5)), (0.6, 0.8)]
+    decisions = set()
+    for z, q, cs in product(zetas, qs, points):
+        try:
+            ExtensionClass(case, zeta2=z, cos_sin=cs, q=q)
+            valid = True
+        except InvalidExtensionParameter:
+            valid = False
+        assert valid == hand_written_extension_rules(case, z, cs, q), (case, z, cs, q)
+        decisions.add(valid)
+    assert decisions == ({True, False} if case in range(1, 10) else {False})
 
 
 def test_q_agreeing_with_the_parameters_is_kept():

@@ -121,6 +121,12 @@ def test_element_and_sum_drop_cancelled_terms(G):
     assert (x + (-x)).coeffs == {} and (x - x).coeffs == {}
 
 
+def test_elements_are_unhashable(G):
+    """== compares the coefficient dict, which can change, so no hash."""
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(G.basis_element(lb.T(1)))
+
+
 def test_bracket_vec_with_zero_coefficient_matches_brute_force(G):
     alg = sl2()
     x, y = {0: F(0), 1: F(1)}, {2: F(1)}        # 0 h + e and f

@@ -45,7 +45,9 @@ CASES = {
     "reduction-degree-3": (ValueError, "degrees 0, 1 and 2", lambda G: invariant_cochains(G, 3)),
     "case-0": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(0)),
     "case-10": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(10)),
-    "case-4-small-q": (InvalidExtensionParameter, r"\|q\| > 4", lambda G: ExtensionClass(4, q=3)),
+    "case-4-small-q": (InvalidExtensionParameter,
+                       "case 4 excludes q = 3: its matrix falls in case 9",
+                       lambda G: ExtensionClass(4, q=3)),
     "label-kind": (ValueError, "unknown label kind", lambda G: lb.BasisLabel("X")),
     "one-parameter-K": (ValueError, "no one-parameter subgroup",
                         lambda G: one_parameter(lb.K, 0.5)),
