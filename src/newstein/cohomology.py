@@ -44,8 +44,8 @@ from .liealg import LieAlgebra
 class InternalCheckError(ArithmeticError):
     """A consistency check of the computation failed, not one of its inputs.
 
-    Raised for d o d != 0, a negative Betti number and modular ranks that
-    disagree across primes.
+    Raised for d o d != 0, a negative Betti number, modular ranks that
+    disagree across primes and ``verify-all`` routes that disagree.
     """
 
 

@@ -75,15 +75,17 @@ class ExtensionMatrix:
 class ExtensionClass:
     """One of the nine canonical extension cases, with exact parameters.
 
-    ``zeta2`` is the eigenvalue parameter for cases 3-5 (the constructor and
-    classifier work with zeta^2 directly; negative values are allowed).  For
-    cases 8-9 the angle enters through an exact point (cos phi, sin phi) on
-    the unit circle.  Either is ``None`` when it is irrational; then ``q``,
-    the scale invariant tr|tr|/|det| of the plane matrix (sign tr when
-    det = 0), still fixes the class.  Parameters that fix a matrix (q alone
-    does for cases 3, 4 and 9) must fix one of this class: of its case by
-    :func:`classify`'s table, bar the case-8 slot that no printed matrix
-    realizes, and of its q.  ``note`` carries empirical flags.
+    ``zeta2`` is the eigenvalue parameter for cases 3-5 and the rescaled
+    double eigenvalue q/4 of the case-8 slot (the constructor and classifier
+    work with zeta^2 directly; negative values are allowed).  For cases 8-9
+    the angle enters through an exact point (cos phi, sin phi) on the unit
+    circle; no other case takes either.  Either is ``None`` when it is
+    irrational; then ``q``, the scale invariant tr|tr|/|det| of the plane
+    matrix (sign tr when det = 0), still fixes the class.  Parameters that
+    fix a matrix (q alone does for cases 3, 4, 5 and 9) must fix one of this
+    class: of its case by :func:`classify`'s table, bar the case-8 slot that
+    no printed matrix realizes, and of its q.  The slot itself, case 8 with
+    no (cos, sin), has q = +-4.  ``note`` carries empirical flags.
     """
 
     case: int
@@ -102,6 +104,13 @@ class ExtensionClass:
         c, s = self.cos_sin or (1, 0)
         if c * c + s * s != 1:
             raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
+        slot = self.case == 8 and self.cos_sin is None
+        if self.zeta2 is not None and self.case not in (3, 4, 5) and not slot:
+            raise InvalidExtensionParameter(f"case {self.case} has no zeta^2")
+        if self.cos_sin is not None and self.case not in (8, 9):
+            raise InvalidExtensionParameter(f"case {self.case} has no (cos, sin)")
+        if slot and self.q is not None and abs(self.q) != 4:   # tr^2 = 4 det there
+            raise InvalidExtensionParameter(f"the case-8 slot has q = +-4, not {self.q}")
         try:
             L = case_matrix(self)
         except InvalidExtensionParameter:   # no parameters, so no matrix to check
@@ -137,15 +146,16 @@ def case_matrix(cls: ExtensionClass) -> ExtensionMatrix:
     """Canonical matrix of the class.
 
     With its parameters (zeta^2 for cases 3-5, (cos, sin) for 8-9) this is
-    the matrix read off the case's bracket list.  Cases 3, 4 and 9 with only
-    ``q`` give the rational companion matrix [[0, -d], [1, q]], d = -|q| for
-    case 3 and +|q| for 4 and 9, whose tr|tr|/|det| is q.  Raises
+    the matrix read off the case's bracket list.  Cases 3, 4, 5 and 9 with
+    only ``q`` give the rational companion matrix [[0, -d], [1, q]], d = -|q|
+    for case 3, 0 for 5 and +|q| for 4 and 9, whose tr|tr|/|det| is q (sign q
+    for case 5, so only q = +-1 is of that case).  Raises
     ``InvalidExtensionParameter`` when neither is there, as in the flagged
     case-8 slot of :func:`classify`.
     """
     params = cls.cos_sin if cls.case in (8, 9) else cls.zeta2
-    if params is None and cls.case in (3, 4, 9) and cls.q is not None:
-        d = -abs(cls.q) if cls.case == 3 else abs(cls.q)
+    if params is None and cls.case in (3, 4, 5, 9) and cls.q is not None:
+        d = {3: -abs(cls.q), 5: 0}.get(cls.case, abs(cls.q))
         return ExtensionMatrix.from_rows(((0, -d), (1, cls.q)))
     if params is None and cls.case in (3, 4, 5, 8, 9):
         raise InvalidExtensionParameter(f"case {cls.case} needs its parameters")

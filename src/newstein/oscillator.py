@@ -145,7 +145,8 @@ def second_order_exact(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndar
 
 @dataclass
 class OscillatorOperator:
-    """A matrix on a Fock basis with truncation metadata."""
+    """A matrix on a Fock basis with truncation metadata.  ``hermitian=True`` is
+    checked as M - M^dagger, which on a real M is M - M.T with no complex copy."""
 
     matrix: np.ndarray
     basis: FockBasis
@@ -164,8 +165,8 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
                        basis: FockBasis) -> OscillatorOperator:
     """The displayed internal operator at fixed xi, as a matrix.
 
-    Scalar sectors (T', C) return multiples of the identity; A and Q return
-    the displayed multiplication and differentiation operators with the
+    T' and C are real multiples of the identity; A and Q are the displayed
+    multiplication (real) and differentiation (complex) operators with the
     (m0, alpha) conversion factors made explicit: in dimensionless variables
     z = (m0/sqrt(alpha)) u and i d/dz = -(sqrt(alpha)/m0) p.
     """
@@ -186,7 +187,7 @@ def internal_generator(X: BasisLabel, xi: np.ndarray, params: RepParams,
         mat = -scale * xl[mu - 1] * _quadrature(basis, i - 1, "p")
     else:
         raise ValueError(f"label {X} is not in the internal sector")
-    return OscillatorOperator(mat.astype(complex, copy=False), basis, hermitian=True)
+    return OscillatorOperator(mat, basis, hermitian=True)
 
 
 def _energies(params: RepParams, basis: FockBasis) -> np.ndarray:
@@ -204,8 +205,7 @@ def hamiltonian_K(params: RepParams, basis: FockBasis) -> OscillatorOperator:
     and N/2 + ell/2 on the top degree N, where the truncated raising
     operators vanish.
     """
-    return OscillatorOperator(np.diag(_energies(params, basis)).astype(complex), basis,
-                              hermitian=True)
+    return OscillatorOperator(np.diag(_energies(params, basis)), basis, hermitian=True)
 
 
 def _casimir(kind: str, params: RepParams, xi: np.ndarray,
@@ -234,7 +234,7 @@ def _casimir(kind: str, params: RepParams, xi: np.ndarray,
         r = a.T + sign * a
         total += r @ r
     total *= -(params.alpha / params.m0**2) * gl.mink(xl, xl) * sign / 2
-    return OscillatorOperator(total.astype(complex), basis, hermitian=True)
+    return OscillatorOperator(total, basis, hermitian=True)
 
 
 def casimir_MN(params: RepParams, xi: np.ndarray, basis: FockBasis) -> OscillatorOperator:
@@ -250,13 +250,13 @@ def casimir_MA(params: RepParams, xi: np.ndarray, basis: FockBasis) -> Oscillato
 def minus_laplacian(params: RepParams, basis: FockBasis) -> np.ndarray:
     """-m0^2 Laplacian_z as an exactly projected matrix (= alpha sum p_u^2)."""
     total = sum(_second_order(basis, mode, -1.0) for mode in range(3))
-    return params.alpha * total.astype(complex)
+    return params.alpha * total
 
 
 def z_squared_scaled(params: RepParams, basis: FockBasis) -> np.ndarray:
     """(alpha^2/m0^2) z^(2) as an exactly projected matrix (= alpha sum u^2)."""
     total = sum(_second_order(basis, mode, 1.0) for mode in range(3))
-    return params.alpha * total.astype(complex)
+    return params.alpha * total
 
 
 def W_operator(k: float, params: RepParams, basis: FockBasis) -> OscillatorOperator:

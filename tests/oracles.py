@@ -298,15 +298,26 @@ def invariant_dimension(alg, k: int, module: str) -> int:
 
 def hand_written_extension_rules(case, zeta2=None, cos_sin=None, q=None) -> bool:
     """Whether ``ExtensionClass(case, zeta2, cos_sin, q)`` is valid by a rule
-    list stated case by case: the excluded zeta^2, (cos, sin) and q of each
-    case, then q against the case's printed matrix when the parameters fix
-    it; the reference for the constructor's check by the decision table."""
+    list stated case by case: the cases that take zeta^2 and (cos, sin), the
+    excluded zeta^2, (cos, sin) and q of each case, then q against the
+    case's printed matrix when the parameters fix it; the reference for the
+    constructor's check by the decision table."""
     if case not in range(1, 10):
         return False
     z, q = (None if v is None else F(v) for v in (zeta2, q))
     cs = None if cos_sin is None else tuple(map(F, cos_sin))
     c, s = cs or (1, 0)
     if c * c + s * s != 1:
+        return False
+    slot = case == 8 and cs is None
+    if z is not None and case not in (3, 4, 5) and not slot:
+        return False
+    if cs is not None and case not in (8, 9):
+        return False
+    if slot and q is not None and abs(q) != 4:
+        return False
+    # q alone fixes case 5's [[0, 0], [1, q]], whose q is sign q (case 6 at q = 0)
+    if case == 5 and z is None and q is not None and abs(q) != 1:
         return False
     if case == 3 and (z in (0, 1, -1) or q == 0):
         return False

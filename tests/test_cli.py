@@ -119,6 +119,24 @@ def test_failed_internal_check_is_a_mismatch(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim,reduction,message", [
+    ("h1-adjoint", "h1_via_reduction", "invariant reduction 7, modular direct 8"),
+    ("h2-adjoint", "h2_via_reduction", "invariant reduction 7, direct exact 8"),
+])
+def test_verify_routes_that_disagree_fail_the_check(monkeypatch, capsys, tmp_path,
+                                                    claim, reduction, message):
+    """A reduction that disagrees with the direct route is an internal failure:
+    exit 1, with both values named, and no report."""
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(cli, reduction, lambda G: SimpleNamespace(betti=7))
+    monkeypatch.setattr(cli, "betti", lambda *args, **kwargs: SimpleNamespace(betti=8))
+    rc, doc = run_cli(["verify-all", "--only", claim], tmp_path)
+    assert rc == EXIT_MISMATCH and doc is None
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and message in err
+
+
 def test_arithmetic_error_from_input_is_invalid_parameters():
     assert main(["extensions", "classify", "--matrix", "1/0", "0", "0", "0"]) == EXIT_BAD_PARAMS
 
@@ -388,7 +406,7 @@ def test_verify_only_accepts_every_registered_claim(tmp_path, monkeypatch):
 def test_exact_claims_match_golden(expected):
     claims = cli.run_verification(expected["claim"])
     assert len(claims) == 1
-    got = json.dumps(claims[0], indent=1, default=cli._json_default)
+    got = json.dumps(claims[0], indent=1)
     assert got == json.dumps(expected, indent=1)
 
 

@@ -781,6 +781,15 @@ def test_h2_reduction_agrees_with_direct_on_midsize_subalgebra():
     assert red.betti == direct.betti
 
 
+def test_negative_betti_number_aborts(monkeypatch):
+    """Ranks larger than the cochain space are the engine's fault and raise."""
+    from newstein.exactla import SparseExactMatrix
+
+    monkeypatch.setattr(SparseExactMatrix, "rank_exact", lambda self: 10)
+    with pytest.raises(InternalCheckError, match="negative Betti number"):
+        betti(sl2(), CoefficientModule.trivial(), 1, method="exact")
+
+
 def test_modular_disagreement_aborts():
     """Persistent rank disagreement across primes raises, never silently."""
     from newstein.cohomology import _unanimous_rank

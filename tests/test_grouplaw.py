@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from newstein import grouplaw as gl
 from newstein import labels as lb
 from newstein.algebras import build_extended, build_newstein
 from newstein.grouplaw import (ExtendedGroupElement, GroupElement, OffShellError,
-                               SectionSingularityError, boost_section, commutator_coords,
-                               compose, compose_extended, element_distance, expm2,
-                               identity, inverse, inverse_extended, log_coords,
+                               SectionSingularityError, StabilizerError, boost_section,
+                               commutator_coords, compose, compose_extended,
+                               element_distance, expm2, identity, inverse, inverse_extended,
+                               log_coords,
                                one_parameter, random_element, rotation_section, shell_point,
                                sl2_generator, so3_rep, sphere_point, spin_generator, spin_rep,
                                vector_rep, wigner_phase)
@@ -353,6 +355,23 @@ def test_wigner_phase_additive_on_stabilizer():
     p2 = wigner_phase(rot(t2), xi0, pole, m0, lam)[0]
     p12 = wigner_phase(rot(t1) @ rot(t2), xi0, pole, m0, lam)[0]
     assert p1 + p2 == pytest.approx(p12)
+
+
+@pytest.mark.parametrize("section,wrong,match", [
+    ("boost_section", lambda real: lambda xi, m0: real(xi, m0) @ np.diag([2.0, 0.5]),
+     "not unitary"),
+    ("rotation_section", lambda real: lambda eta, lam: np.eye(2, dtype=complex),
+     "does not stabilize the pole"),
+], ids=["boost", "rotation"])
+def test_wigner_phase_refuses_inconsistent_sections(monkeypatch, section, wrong, match):
+    """A boost section off by a non-unitary factor makes the Wigner element
+    non-unitary; a rotation section that ignores eta leaves it off the pole's
+    stabilizer.  Both raise instead of returning an angle."""
+    monkeypatch.setattr(gl, section, wrong(getattr(gl, section)))
+    Lam = expm2(0.4 * sl2_generator(1, 4) + 0.7 * sl2_generator(2, 3))
+    xi = shell_point([0.4, 0.1, -0.3], 1.0)
+    with pytest.raises(StabilizerError, match=match):
+        wigner_phase(Lam, xi, sphere_point([0.3, -0.2, 0.9], 1.0), 1.0, 1.0)
 
 
 def test_one_parameter_c_slot(G):

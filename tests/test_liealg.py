@@ -121,6 +121,12 @@ def test_element_and_sum_drop_cancelled_terms(G):
     assert (x + (-x)).coeffs == {} and (x - x).coeffs == {}
 
 
+def test_element_repr(G):
+    assert repr(G.element({})) == "0"
+    assert repr(G.basis_element(lb.T(1))) == "T1"
+    assert repr(G.element({lb.T(2): 1, lb.T(1): F(1, 2)})) == "(1/2)*T1 + T2"
+
+
 def test_elements_are_unhashable(G):
     """== compares the coefficient dict, which can change, so no hash."""
     with pytest.raises(TypeError, match="unhashable"):

@@ -161,6 +161,21 @@ def test_hamiltonian_hermitian_and_scalar_ops(basis, params):
     assert np.abs(op0.matrix - (-params.m0) * np.eye(basis.dim)).max() == 0
 
 
+def test_real_formulas_give_real_matrices(params):
+    """Only Q = i d/dz and W(k) have complex formulas; every other Fock
+    operator stays float64."""
+    basis = FockBasis(4)
+    xi = gl.shell_point([0.3, -0.1, 0.4], params.m0)
+    real = [hamiltonian_K(params, basis).matrix, casimir_MN(params, xi, basis).matrix,
+            casimir_MA(params, xi, basis).matrix, minus_laplacian(params, basis),
+            z_squared_scaled(params, basis)]
+    real += [internal_generator(X, xi, params, basis).matrix
+             for X in (lb.Tp(4), lb.C(1, 2), lb.A(1, 1))]
+    assert [m.dtype for m in real] == [np.float64] * 8
+    assert internal_generator(lb.Q(1, 1), xi, params, basis).matrix.dtype == np.complex128
+    assert W_operator(0.37, params, basis).matrix.dtype == np.complex128
+
+
 def test_internal_bracket_representation(basis, params):
     G = build_newstein()
     xi = gl.shell_point([0.2, 0.4, -0.1], params.m0)

@@ -1,5 +1,7 @@
 """Every documented refusal raises its own exception type."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,9 @@ def _foreign_centralizer(G):
     return heisenberg3().centralizer([sl2().basis_element("h")])
 
 
+THREE_FOUR_FIVE = (Fraction(3, 5), Fraction(4, 5))
+
+
 def _point():
     return SamplePoint(xi=np.array([0.0, 0.0, 0.0, 1.0]), eta=np.array([0.0, 0.0, 1.0]),
                        z=np.zeros(3))
@@ -48,6 +53,16 @@ CASES = {
     "case-4-small-q": (InvalidExtensionParameter,
                        "case 4 excludes q = 3: its matrix falls in case 9",
                        lambda G: ExtensionClass(4, q=3)),
+    "case-5-large-q": (InvalidExtensionParameter, "q = 7 contradicts",
+                       lambda G: ExtensionClass(5, q=7)),
+    "case-8-slot-q": (InvalidExtensionParameter, r"case-8 slot has q = \+-4, not 0",
+                      lambda G: ExtensionClass(8, q=0)),
+    "case-1-zeta2": (InvalidExtensionParameter, "case 1 has no zeta",
+                     lambda G: ExtensionClass(1, zeta2=5, cos_sin=(0, 1))),
+    "case-2-cos-sin": (InvalidExtensionParameter, r"case 2 has no \(cos, sin\)",
+                       lambda G: ExtensionClass(2, cos_sin=THREE_FOUR_FIVE)),
+    "case-9-zeta2": (InvalidExtensionParameter, "case 9 has no zeta",
+                     lambda G: ExtensionClass(9, zeta2=2, cos_sin=THREE_FOUR_FIVE)),
     "label-kind": (ValueError, "unknown label kind", lambda G: lb.BasisLabel("X")),
     "one-parameter-K": (ValueError, "no one-parameter subgroup",
                         lambda G: one_parameter(lb.K, 0.5)),
@@ -67,6 +82,10 @@ CASES = {
                        lambda G: OscillatorOperator(np.zeros((2, 2)), FockBasis(1))),
     "operator-not-hermitian": (ValueError, "flagged hermitian", lambda G: OscillatorOperator(
         np.triu(np.ones((4, 4))), FockBasis(1), hermitian=True)),
+    # symmetric but not Hermitian: M == M.T, M != M^dagger
+    "operator-not-hermitian-complex": (ValueError, "flagged hermitian",
+                                       lambda G: OscillatorOperator(
+                                           1j * np.ones((4, 4)), FockBasis(1), hermitian=True)),
     "external-generator-K": (ValueError, "no external generator",
                              lambda G: external_generator(lb.K, _point(), RepParams())),
 }
