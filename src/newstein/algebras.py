@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import labels as lb
 from .exactla import _bump
-from .extensions import ExtensionClass, case_matrix, derivation_from_matrix, sample_class
+from .extensions import ExtensionMatrix, canonical_matrices, classify, derivation_from_matrix
 from .labels import BasisLabel, metric
 from .liealg import LieAlgebra, SparseVec
 
@@ -123,26 +123,29 @@ def build_newstein2() -> NewSteinAlgebra:
     return _build_from_labels("newstein2", lb.basis_labels(internal=(1, 2)))
 
 
-def build_extended(cls: ExtensionClass | int, *, as_printed: bool = False,
+def build_extended(L: ExtensionMatrix | int, *, as_printed: bool = False,
                    base: NewSteinAlgebra | None = None) -> NewSteinAlgebra:
-    """Adjoin K acting on the (A, Q, C) span per the chosen canonical case.
+    """Adjoin K acting on each (A, Q) plane by the matrix L, and on C.
 
-    An integer case takes the parameters of ``extensions.sample_class``.
-    By default [K, C] carries the trace coefficient beta + gamma', which is
+    An integer case takes ``extensions.canonical_matrices()[case]``; the
+    algebra is named ``newstein-ext:<case>``, for a matrix by its class.  By
+    default [K, C] carries the trace coefficient beta + gamma', which is
     what the Leibniz rule forces and what every printed case except (8)
-    displays.  ``as_printed=True`` keeps case (8)'s displayed [K, C] = 2C
-    verbatim; the resulting table fails the Jacobi identity unless
-    cos phi = 1, and the failure is left observable on purpose.
+    displays.  ``as_printed=True`` keeps the integer case (8)'s displayed
+    [K, C] = 2C verbatim; the resulting table fails the Jacobi identity,
+    and the failure is left observable on purpose.
     """
-    if isinstance(cls, int):
-        cls = sample_class(cls)
+    if isinstance(L, int):
+        case, L = L, canonical_matrices()[L]
+    else:
+        case, as_printed = classify(L).case, False
     base = base if base is not None else build_newstein()
-    phi = derivation_from_matrix(case_matrix(cls), base)
-    if as_printed and cls.case == 8:
+    phi = derivation_from_matrix(L, base)
+    if as_printed and case == 8:
         phi.update({pos: {pos: _F(2)} for pos, lab in enumerate(base.labels) if lab.kind == "C"})
     # stored pair is (pos, K) with pos < K, i.e. [e_pos, K] = -[K, e_pos]
     k_column = {(pos, base.dim): {m: -c for m, c in img.items()} for pos, img in phi.items()}
-    return NewSteinAlgebra(f"newstein-ext:{cls.case}", [*base.labels, lb.K],
+    return NewSteinAlgebra(f"newstein-ext:{case}", [*base.labels, lb.K],
                            {**base.constants, **k_column})
 
 

@@ -11,10 +11,11 @@ with K commuting with everything purely external or purely internal
 (L, T, T', J).  Equivalence is the real Jordan type of L after rescaling K
 by a positive factor, which sorts every such matrix into one of nine
 canonical cases.  Every decision is exact: the rescaling keeps sign det,
-sign tr and q = tr|tr|/|det|, so the case and q fix the class (sign tr when
-det = 0).  A class whose zeta^2 or cos phi is irrational is built from the
-rational companion matrix [[0, -d], [1, q]], with d = sign(det) |q|, which
-has the same case and q.  Floats appear only in :func:`display`.
+sign tr and q = tr|tr|/|det| (sign tr when det = 0), so a class is just its
+case and q, valid by one rule on |q| per case, and zeta^2, (cos, sin) and
+the Jordan type are read off that pair.  A class whose zeta^2 or cos phi is
+irrational has the rational companion matrix [[0, -d], [1, q]], with
+d = sign(det) |q|, as its matrix.  Floats appear only in :func:`display`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .liealg import LieAlgebra, SparseVec
 
 
 class InvalidExtensionParameter(ValueError):
-    """Raised for excluded parameter values, whose matrix is another case's."""
+    """Raised for a case outside 1..9, or a q outside its case's range."""
 
 
 @dataclass(frozen=True)
@@ -71,62 +72,54 @@ class ExtensionMatrix:
         return not any((self.beta, self.beta_p, self.gamma, self.gamma_p))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionClass:
-    """One of the nine canonical extension cases, with exact parameters.
+    """One of the nine canonical extension cases with its exact invariant.
 
-    ``zeta2`` is the eigenvalue parameter for cases 3-5 and the rescaled
-    double eigenvalue q/4 of the case-8 slot (the constructor and classifier
-    work with zeta^2 directly; negative values are allowed).  For cases 8-9
-    the angle enters through an exact point (cos phi, sin phi) on the unit
-    circle; no other case takes either.  Either is ``None`` when it is
-    irrational; then ``q``, the scale invariant tr|tr|/|det| of the plane
-    matrix (sign tr when det = 0), still fixes the class.  Parameters that
-    fix a matrix (q alone does for cases 3, 4, 5 and 9) must fix one of this
-    class: of its case by :func:`classify`'s table, bar the case-8 slot that
-    no printed matrix realizes, and of its q.  The slot itself, case 8 with
-    no (cos, sin), has q = +-4.  ``note`` carries empirical flags.
+    q is tr|tr|/|det| of the plane matrix (sign tr when det = 0), and the
+    class is valid iff |q| obeys its case's rule in ``_Q_RANGE``.  zeta^2,
+    (cos, sin), the Jordan type and the note are read off (case, q); zeta^2
+    and (cos, sin) are ``None`` when irrational.
     """
 
     case: int
-    zeta2: Fraction | None = None
-    cos_sin: tuple | None = None
-    q: Fraction | None = None
-    jordan_type: str = ""
-    note: str = ""
+    q: Fraction
 
     def __post_init__(self):
-        if self.case not in range(1, 10):
+        object.__setattr__(self, "q", Fraction(self.q))
+        if self.case not in _Q_RANGE:
             raise InvalidExtensionParameter(f"case {self.case} not in 1..9")
-        self.zeta2, self.q = (None if v is None else Fraction(v) for v in (self.zeta2, self.q))
-        if self.cos_sin is not None:
-            self.cos_sin = tuple(map(Fraction, self.cos_sin))
-        c, s = self.cos_sin or (1, 0)
-        if c * c + s * s != 1:
-            raise InvalidExtensionParameter("(cos, sin) must lie on the unit circle")
-        slot = self.case == 8 and self.cos_sin is None
-        if self.zeta2 is not None and self.case not in (3, 4, 5) and not slot:
-            raise InvalidExtensionParameter(f"case {self.case} has no zeta^2")
-        if self.cos_sin is not None and self.case not in (8, 9):
-            raise InvalidExtensionParameter(f"case {self.case} has no (cos, sin)")
-        if slot and self.q is not None and abs(self.q) != 4:   # tr^2 = 4 det there
-            raise InvalidExtensionParameter(f"the case-8 slot has q = +-4, not {self.q}")
-        try:
-            L = case_matrix(self)
-        except InvalidExtensionParameter:   # no parameters, so no matrix to check
-            return
-        except ZeroDivisionError:
-            L = None
-        if self.case != 8 and (found := L and _case(L)) != self.case:
-            given = ", ".join(f"{n} = {v}" for n, v in (
-                ("zeta^2", self.zeta2), ("(cos, sin)", self.cos_sin and "(%s, %s)" % self.cos_sin),
-                ("q", self.q)) if v is not None)
-            why = f"falls in case {found}" if L else "divides by zero"
-            raise InvalidExtensionParameter(f"case {self.case} excludes {given}: its matrix {why}")
-        if self.q is not None and L.q != self.q:
-            raise InvalidExtensionParameter(f"q = {self.q} contradicts the parameters, "
-                                            f"whose matrix has q = {L.q}")
+        rule, holds = _Q_RANGE[self.case]
+        if not holds(abs(self.q)):
+            raise InvalidExtensionParameter(f"case {self.case} has {rule}, not q = {self.q}")
 
+    @property
+    def zeta2(self) -> Fraction | None:
+        # rescaled, the nonzero eigenvalue of case 5 is q, the double one of the case-8 slot q/4
+        if self.case in (3, 4):
+            return _from_q(self.case, self.q, _rational_sqrt)
+        return {5: self.q, 8: self.q / 4}.get(self.case)
+
+    @property
+    def cos_sin(self) -> tuple | None:
+        return _from_q(9, self.q, _rational_sqrt) if self.case == 9 else None
+
+    @property
+    def jordan_type(self) -> str:
+        return "scalar" if self.case == 4 and abs(self.q) == 4 else _JORDAN_TYPE[self.case]
+
+    @property
+    def note(self) -> str:
+        return "" if self.case != 8 else ("no printed case realizes a defective unit eigenvalue; "
+                                          "assigned to the remaining slot (8) empirically")
+
+
+_Q_ZERO = ("q = 0", lambda a: a == 0)
+# Each case's rule on |q| = tr^2/|det|; |q| = 4 is the scalar +-I in case 4
+_Q_RANGE = {1: _Q_ZERO, 2: _Q_ZERO, 3: ("q != 0", lambda a: a != 0),
+            4: ("|q| >= 4", lambda a: a >= 4), 5: ("|q| = 1", lambda a: a == 1),
+            6: _Q_ZERO, 7: _Q_ZERO, 8: ("|q| = 4", lambda a: a == 4),
+            9: ("0 < |q| < 4", lambda a: 0 < a < 4)}
 
 # Each case's rows [[beta, beta'], [gamma, gamma']] as a function of zeta^2, cos phi, sin phi
 _CASE_ROWS = {
@@ -143,22 +136,17 @@ _CASE_ROWS = {
 
 
 def case_matrix(cls: ExtensionClass) -> ExtensionMatrix:
-    """Canonical matrix of the class.
-
-    With its parameters (zeta^2 for cases 3-5, (cos, sin) for 8-9) this is
-    the matrix read off the case's bracket list.  Cases 3, 4, 5 and 9 with
-    only ``q`` give the rational companion matrix [[0, -d], [1, q]], d = -|q|
-    for case 3, 0 for 5 and +|q| for 4 and 9, whose tr|tr|/|det| is q (sign q
-    for case 5, so only q = +-1 is of that case).  Raises
-    ``InvalidExtensionParameter`` when neither is there, as in the flagged
-    case-8 slot of :func:`classify`.
-    """
-    params = cls.cos_sin if cls.case in (8, 9) else cls.zeta2
-    if params is None and cls.case in (3, 4, 5, 9) and cls.q is not None:
-        d = {3: -abs(cls.q), 5: 0}.get(cls.case, abs(cls.q))
+    """A matrix of the class: the case's printed one when zeta^2 or (cos, sin)
+    is rational (+-I at |q| = 4 in case 4), else the companion matrix
+    [[0, -d], [1, q]], d = -|q| for case 3 and +|q| for 4 and 9.  The
+    case-8 slot, which no printed matrix realizes, raises
+    ``InvalidExtensionParameter``."""
+    if cls.case == 8:
+        raise InvalidExtensionParameter("the case-8 slot has no printed matrix")
+    params = cls.cos_sin if cls.case == 9 else cls.zeta2
+    if params is None and cls.case in (3, 4, 9):
+        d = -abs(cls.q) if cls.case == 3 else abs(cls.q)
         return ExtensionMatrix.from_rows(((0, -d), (1, cls.q)))
-    if params is None and cls.case in (3, 4, 5, 8, 9):
-        raise InvalidExtensionParameter(f"case {cls.case} needs its parameters")
     return ExtensionMatrix.from_rows(_CASE_ROWS[cls.case](cls.zeta2, *(cls.cos_sin or (0, 0))))
 
 
@@ -197,19 +185,10 @@ def classify(L: ExtensionMatrix) -> ExtensionClass:
       case (8) bracket list never realizes this Jordan type
 
     Every decision is exact.  Rescaling K by a positive factor keeps
-    q = tr|tr|/|det| (sign tr when det = 0), so case and q fix the class;
-    zeta^2 and (cos, sin) are reported when rational and are ``None``
-    otherwise.
+    q = tr|tr|/|det| (sign tr when det = 0), so the class is (case, q);
+    its zeta^2 and (cos, sin) are rational or ``None``.
     """
-    case, q = _case(L), L.q
-    # rescaled, the nonzero eigenvalue of case 5 is q, the double one of the case-8 slot q/4
-    zeta2 = _from_q(case, q, _rational_sqrt) if case in (3, 4) else {5: q, 8: q / 4}.get(case)
-    return ExtensionClass(case, zeta2=zeta2, q=q,
-                          cos_sin=_from_q(9, q, _rational_sqrt) if case == 9 else None,
-                          jordan_type="scalar" if case == 4 and not L.discriminant
-                          else _JORDAN_TYPE[case],
-                          note="" if case != 8 else "no printed case realizes a defective unit "
-                          "eigenvalue; assigned to the remaining slot (8) empirically")
+    return ExtensionClass(_case(L), L.q)
 
 
 _JORDAN_TYPE = {1: "zero", 2: "real pair (1, -1)", 3: "real pair (z, -1/z)",
@@ -257,12 +236,11 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 def equivalent(L1: ExtensionMatrix, L2: ExtensionMatrix) -> bool:
     """Whether the two matrices define equivalent extensions.
 
-    True iff they have the same case and the same exact invariant q: within
-    a case, q fixes the rescaled real Jordan type up to each case's
-    identification (eigenvalue swap for cases 3-4, orientation of the
-    complex pair for case 9).
+    True iff they have the same class (case, q): within a case, q fixes the
+    rescaled real Jordan type up to each case's identification (eigenvalue
+    swap for cases 3-4, orientation of the complex pair for case 9).
     """
-    return _case(L1) == _case(L2) and L1.q == L2.q
+    return classify(L1) == classify(L2)
 
 
 def display(L: ExtensionMatrix) -> dict:
@@ -309,22 +287,8 @@ def _sqrt(x: Fraction) -> float:
     return math.ldexp(math.sqrt(x / Fraction(4) ** k), k)
 
 
-def sample_class(case: int) -> ExtensionClass:
-    """The case with its sample parameters.
-
-    zeta^2 = 2 for cases 3-5 and (cos, sin) = (3/5, 4/5) for cases 8-9.
-    """
-    if case in (3, 4, 5):
-        return ExtensionClass(case, zeta2=Fraction(2))
-    if case in (8, 9):
-        return ExtensionClass(case, cos_sin=(Fraction(3, 5), Fraction(4, 5)))
-    return ExtensionClass(case)
-
-
 def canonical_matrices() -> dict[int, ExtensionMatrix]:
-    """One representative matrix per case, read off the bracket lists.
-
-    Parameters are those of :func:`sample_class`; the case-8 entry is its
-    printed form, which classifies elsewhere (see :func:`classify`).
-    """
-    return {case: case_matrix(sample_class(case)) for case in range(1, 10)}
+    """Each case's printed matrix at zeta^2 = 2 and (cos, sin) = (3/5, 4/5);
+    the case-8 one classifies elsewhere (see :func:`classify`)."""
+    return {case: ExtensionMatrix.from_rows(rows(Fraction(2), Fraction(3, 5), Fraction(4, 5)))
+            for case, rows in _CASE_ROWS.items()}

@@ -106,17 +106,6 @@ def _quadrature(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
     return (a + a.T) / math.sqrt(2) if kind == "u" else 1j * (a.T - a) / math.sqrt(2)
 
 
-def ladder_matrices(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Dimensionless position and momentum matrices (u_j, p_j), j = 1..3.
-
-    u = (a + a^dag)/sqrt(2) and p = i (a^dag - a)/sqrt(2); both Hermitian on
-    the whole truncated space, with the canonical commutator holding on the
-    interior subspace.
-    """
-    return ([_quadrature(basis, mode, "u") for mode in range(3)],
-            [_quadrature(basis, mode, "p") for mode in range(3)])
-
-
 def _second_order(basis: FockBasis, mode: int, sign: float) -> np.ndarray:
     """Exactly projected u^2 (sign +1) or p^2 (sign -1) of one mode.
 
@@ -131,16 +120,6 @@ def _second_order(basis: FockBasis, mode: int, sign: float) -> np.ndarray:
     out[top, low] = val
     out[low, top] = val
     return out
-
-
-def second_order_exact(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exactly projected u_j^2 and p_j^2 matrices (no truncated products).
-
-    u^2 = n + 1/2 + (raising^2 + lowering^2)/2 per mode; p^2 flips the sign
-    of the off-diagonal part.
-    """
-    return ([_second_order(basis, mode, 1.0) for mode in range(3)],
-            [_second_order(basis, mode, -1.0) for mode in range(3)])
 
 
 @dataclass

@@ -4,10 +4,12 @@ Everything here recomputes results from first principles with dense exact
 arithmetic and the textbook differential formula, or (for the covering
 maps) with 2x2 matrix products and traces, or (for the invariant cochain
 counts) with weights and Weyl's character formula, deliberately sharing no
-code path with the package's engines.  The exception is the last
-section: ``coboundary_matrix``, ``keyed_domain_rows``, ``integer_matrix``,
-``full_coboundary_classes`` and ``generator_casimir``, thin wrappers over
-those engines that only tests call.
+code path with the package's engines.  The exceptions are
+``extension_class_realized``, which sorts its witness matrices with
+``classify``, and the last section: ``coboundary_matrix``,
+``keyed_domain_rows``, ``integer_matrix``, ``full_coboundary_classes``,
+``generator_casimir``, ``ladder_matrices`` and ``second_order_exact``, thin
+wrappers over those engines that only tests call.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import numpy as np
 
 from newstein.cohomology import CochainComplex, CoefficientModule, reduction_data
 from newstein.exactla import Echelon, SparseExactMatrix
+from newstein.extensions import ExtensionMatrix, classify
 from newstein import labels as lb
 from newstein.labels import BasisLabel
 from newstein.liealg import LieAlgebra
-from newstein.oscillator import FockBasis, OscillatorOperator, RepParams, internal_generator
+from newstein.oscillator import (FockBasis, OscillatorOperator, RepParams, _quadrature,
+                                 _second_order, internal_generator)
 
 F = Fraction
 
@@ -293,49 +297,20 @@ def invariant_dimension(alg, k: int, module: str) -> int:
     return sum(sign * mult[shift] for shift, sign in shifts.items())
 
 
-# -- the extension cases by hand-written rules ------------------------------
+# -- the extension classes by witness matrices ------------------------------
 
 
-def hand_written_extension_rules(case, zeta2=None, cos_sin=None, q=None) -> bool:
-    """Whether ``ExtensionClass(case, zeta2, cos_sin, q)`` is valid by a rule
-    list stated case by case: the cases that take zeta^2 and (cos, sin), the
-    excluded zeta^2, (cos, sin) and q of each case, then q against the
-    case's printed matrix when the parameters fix it; the reference for the
-    constructor's check by the decision table."""
-    if case not in range(1, 10):
-        return False
-    z, q = (None if v is None else F(v) for v in (zeta2, q))
-    cs = None if cos_sin is None else tuple(map(F, cos_sin))
-    c, s = cs or (1, 0)
-    if c * c + s * s != 1:
-        return False
-    slot = case == 8 and cs is None
-    if z is not None and case not in (3, 4, 5) and not slot:
-        return False
-    if cs is not None and case not in (8, 9):
-        return False
-    if slot and q is not None and abs(q) != 4:
-        return False
-    # q alone fixes case 5's [[0, 0], [1, q]], whose q is sign q (case 6 at q = 0)
-    if case == 5 and z is None and q is not None and abs(q) != 1:
-        return False
-    if case == 3 and (z in (0, 1, -1) or q == 0):
-        return False
-    if case in (4, 5) and z == 0:
-        return False
-    # |q| = 4 is the scalar case 4, whose zeta^2 = +-1 is always given
-    if case == 4 and q is not None and (abs(q) < 4 or abs(q) == 4 and z is None):
-        return False
-    if case == 9 and (0 in (cs or ()) or q is not None and not 0 < abs(q) < 4):
-        return False
-    if q is None or (cs if case in (8, 9) else z) is None and case not in (1, 2, 6, 7):
-        return True
-    # trace and determinant of the printed matrix
-    if case in (3, 4, 5):
-        tr, det = {3: (z - 1 / z, -1), 4: (z + 1 / z, 1), 5: (z, 0)}[case]
-    else:
-        tr, det = {1: (0, 0), 2: (0, -1), 6: (0, 0), 7: (0, 1), 8: (c + 1, c), 9: (2 * c, 1)}[case]
-    return q == (F(tr * abs(tr), abs(det)) if det else F((tr > 0) - (tr < 0)))
+def extension_class_realized(case, q) -> bool:
+    """Whether some matrix has the class (case, q), by a hand-written list
+    of witnesses that :func:`classify` sorts: the companion matrices
+    [[0, -d], [1, q]] for d in {-|q|, 0, |q|, -1, 1}, sign(q) I, and the
+    Jordan block [[s, 1], [0, s]] with s = sign q."""
+    q = F(q)
+    s = (q > 0) - (q < 0)
+    witnesses = [((0, -d), (1, q)) for d in (-abs(q), 0, abs(q), -1, 1)]
+    witnesses += [((s, 0), (0, s)), ((s, 1), (0, s))]
+    return any((c.case, c.q) == (case, q)
+               for c in (classify(ExtensionMatrix.from_rows(w)) for w in witnesses))
 
 
 # -- covering maps by the trace formula -----------------------------------
@@ -466,3 +441,24 @@ def generator_casimir(kind: str, params: RepParams, xi: np.ndarray,
             gmn = 1.0 if mu < 4 else -1.0
             mat -= gmn * x @ x
     return OscillatorOperator(mat, basis, hermitian=True)
+
+
+def ladder_matrices(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Dimensionless position and momentum matrices (u_j, p_j), j = 1..3.
+
+    u = (a + a^dag)/sqrt(2) and p = i (a^dag - a)/sqrt(2); both Hermitian on
+    the whole truncated space, with the canonical commutator holding on the
+    interior subspace.
+    """
+    return ([_quadrature(basis, mode, "u") for mode in range(3)],
+            [_quadrature(basis, mode, "p") for mode in range(3)])
+
+
+def second_order_exact(basis: FockBasis) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exactly projected u_j^2 and p_j^2 matrices (no truncated products).
+
+    u^2 = n + 1/2 + (raising^2 + lowering^2)/2 per mode; p^2 flips the sign
+    of the off-diagonal part.
+    """
+    return ([_second_order(basis, mode, 1.0) for mode in range(3)],
+            [_second_order(basis, mode, -1.0) for mode in range(3)])

@@ -9,7 +9,8 @@ from newstein import labels as lb
 from newstein.algebras import (beta_cocycle, bracket_of_labels, build_extended, build_newstein,
                                build_newstein2)
 from newstein.cohomology import CochainComplex, CoefficientModule
-from newstein.extensions import ExtensionClass, InvalidExtensionParameter, case_matrix, sample_class
+from newstein.extensions import (ExtensionClass, ExtensionMatrix, InvalidExtensionParameter,
+                                 canonical_matrices)
 from newstein.liealg import LieAlgebra
 
 from oracles import dense_jacobi_check
@@ -136,18 +137,9 @@ def test_hand_evaluated_examples(G):
 # -- extensions ----------------------------------------------------------
 
 
-def _sample_class(case):
-    kwargs = {}
-    if case in (3, 4, 5):
-        kwargs["zeta2"] = F(2)
-    if case in (8, 9):
-        kwargs["cos_sin"] = (F(3, 5), F(4, 5))
-    return ExtensionClass(case, **kwargs)
-
-
 @pytest.mark.parametrize("case", range(1, 10))
 def test_extended_passes_jacobi(case):
-    ext = build_extended(_sample_class(case))
+    ext = build_extended(case)
     assert ext.dim == 52
     assert ext.jacobi_check() == []
 
@@ -173,7 +165,7 @@ def test_extended_case7_brackets():
 
 def test_k_commutes_with_external_and_internal(G):
     for case in range(1, 10):
-        ext = build_extended(_sample_class(case))
+        ext = build_extended(case)
         k = ext.index[lb.K]
         for j, lab in enumerate(ext.labels):
             if getattr(lab, "kind", None) in ("L", "J", "T", "Tp"):
@@ -185,7 +177,7 @@ def test_ad_k_is_same_two_by_two_on_every_plane(case):
     """ad K acts on each (A_{i rho}, Q_{i rho}) plane by the case's matrix."""
     ext = build_extended(case)
     e = ext.basis_element
-    want = case_matrix(sample_class(case)).rows()
+    want = canonical_matrices()[case].rows()
     for i in range(1, 4):
         for m in range(1, 5):
             ka = ext.bracket(e(lb.K), e(lb.A(i, m)))
@@ -199,7 +191,7 @@ def test_ad_k_is_same_two_by_two_on_every_plane(case):
 
 def test_c_coefficient_is_trace_of_plane_matrix():
     for case in range(1, 10):
-        ext = build_extended(_sample_class(case))
+        ext = build_extended(case)
         e = ext.basis_element
         ka = ext.bracket(e(lb.K), e(lb.A(1, 1)))
         kq = ext.bracket(e(lb.K), e(lb.Q(1, 1)))
@@ -209,14 +201,16 @@ def test_c_coefficient_is_trace_of_plane_matrix():
 
 
 def test_case8_as_printed_fails_jacobi_unless_cos_is_one():
-    ext = build_extended(_sample_class(8), as_printed=True)
+    ext = build_extended(8, as_printed=True)
     violations = ext.jacobi_check()
     assert violations != []
     k = ext.index[lb.K]
     assert all(k in triple for triple in violations)
-    # cos phi = 1 degenerates to the identity action, and the printed
-    # [K, C] = 2C becomes the trace rule again
-    ok = build_extended(ExtensionClass(8, cos_sin=(F(1), F(0))), as_printed=True)
+    # cos phi = 1 degenerates to the identity action I, whose trace rule
+    # already gives the printed [K, C] = 2C
+    ok = build_extended(ExtensionMatrix.from_rows(((1, 0), (0, 1))))
+    e = ok.basis_element
+    assert ok.bracket(e(lb.K), e(lb.C(1, 2))) == 2 * e(lb.C(1, 2))
     assert ok.jacobi_check() == []
 
 
@@ -226,27 +220,19 @@ def test_jacobi_check_equals_the_dense_triple_loop(G):
     printed case-8 matrix."""
     for alg in [G, build_newstein2(), *(build_extended(c, base=G) for c in range(1, 10))]:
         assert alg.jacobi_check() == dense_jacobi_check(alg) == [], alg.name
-    printed = build_extended(_sample_class(8), base=G, as_printed=True)
+    printed = build_extended(8, base=G, as_printed=True)
     violations = printed.jacobi_check()
     assert violations == dense_jacobi_check(printed)
     assert len(violations) == 48
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(InvalidExtensionParameter):
-        ExtensionClass(3, zeta2=F(1))
-    with pytest.raises(InvalidExtensionParameter):
-        ExtensionClass(4, zeta2=F(0))
-    with pytest.raises(InvalidExtensionParameter):
-        ExtensionClass(9, cos_sin=(F(0), F(1)))
-    with pytest.raises(InvalidExtensionParameter):
-        ExtensionClass(9, cos_sin=(F(1, 2), F(1, 2)))
-    # diag(-1, 1) is case 2 and +-I is case 4: neither is a case-3 or case-9 matrix
-    with pytest.raises(InvalidExtensionParameter):
-        ExtensionClass(3, zeta2=F(-1))
-    for cos in (F(1), F(-1)):
+    """The excluded parameters, by their q: zeta^2 = +-1 of case 3 is
+    diag(+-1, -+1), q = 0; cos phi = 0 of case 9 is q = 0, and cos phi = +-1
+    is +-I, q = +-4.  The table refuses each."""
+    for case, q in ((3, 0), (9, 0), (9, 4), (9, -4)):
         with pytest.raises(InvalidExtensionParameter):
-            ExtensionClass(9, cos_sin=(cos, F(0)))
+            ExtensionClass(case, q)
 
 
 # -- planar variant ------------------------------------------------------

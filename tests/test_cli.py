@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newstein import cli
+from newstein import grouplaw as gl
 from newstein.cli import (EXIT_BAD_PARAMS, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                           EXIT_UNKNOWN_ALGEBRA, main)
 
@@ -450,6 +452,33 @@ def test_numerical_claim_statuses(tmp_path, name, claimed, method, status):
     claim = doc["claims"][0]
     assert (claim["claim"], claim["claimed"], claim["method"], claim["status"]) == (
         name, claimed, method, status)
+
+
+def test_master_oracle_skips_singular_section_points(monkeypatch):
+    """A sample point inside a section's exclusion cone is skipped, and the
+    homomorphism check runs over the rest."""
+    real, skipped = cli.iur_apply, []
+
+    def iur_apply(g, f, p):
+        at = real(g, f, p)
+
+        def value(xi, eta, z):
+            if not skipped or np.array_equal(xi, skipped[0]):
+                skipped.append(xi)
+                raise gl.SectionSingularityError("in the exclusion cone")
+            return at(xi, eta, z)
+        return value
+
+    monkeypatch.setattr(cli, "iur_apply", iur_apply)
+    doc = cli.CLAIMS["master-oracle"](None)
+    assert doc["computed"] is True and len(skipped) == 20   # one point, 10 pairs x 2 functions
+
+
+def test_output_goes_to_stdout_without_out(capsys):
+    assert main(["extensions", "classify", "--matrix", "0", "1", "-1", "0"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["case"] == 7
+    assert captured.err == "case (7): complex pair (i, -i)\n"
 
 
 def test_oracle_generators_table(tmp_path):

@@ -1,8 +1,8 @@
 """Classification of the nine extension cases and the derivation calculus."""
 
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -13,7 +13,7 @@ from newstein.extensions import (ExtensionClass, ExtensionMatrix, InvalidExtensi
                                  canonical_matrices, case_matrix, classify,
                                  derivation_from_matrix, equivalent)
 
-from oracles import hand_written_extension_rules
+from oracles import extension_class_realized
 
 F = Fraction
 
@@ -37,6 +37,14 @@ def conj(L, P):
     n10 = (m10 * d - m11 * c) / det
     n11 = (-m10 * b + m11 * a) / det
     return ExtensionMatrix(n00, n01, n10, n11)
+
+
+def _printed(case, zeta2=None, cos_sin=None):
+    """The case's bracket-list matrix at zeta^2 (cases 3-5) or (cos, sin) (case 9)."""
+    z, (c, s) = zeta2, cos_sin or (None, None)
+    rows = {3: lambda: ((z, 0), (0, -1 / z)), 4: lambda: ((z, 0), (0, 1 / z)),
+            5: lambda: ((z, 0), (0, 0)), 9: lambda: ((c, s), (-s, c))}
+    return ExtensionMatrix.from_rows(rows[case]()) if case in rows else canonical_matrices()[case]
 
 
 def test_zero_matrix_is_case_one():
@@ -72,12 +80,12 @@ def test_canonical_matrices_classify_to_their_own_cases():
 
 
 def test_case3_and_case4_parameters_recovered():
-    c3 = classify(case_matrix(ExtensionClass(3, zeta2=F(2))))
+    c3 = classify(_printed(3, zeta2=F(2)))
     assert c3.case == 3 and c3.zeta2 == 2
-    c4 = classify(case_matrix(ExtensionClass(4, zeta2=F(2))))
+    c4 = classify(_printed(4, zeta2=F(2)))
     assert c4.case == 4 and c4.zeta2 == 2
     # eigenvalue-swap identification: zeta^2 = 1/2 reports the dominant 2
-    c4b = classify(case_matrix(ExtensionClass(4, zeta2=F(1, 2))))
+    c4b = classify(_printed(4, zeta2=F(1, 2)))
     assert c4b.zeta2 == 2
     # negative pairs are case 4 with negative zeta^2
     c4n = classify(ExtensionMatrix.from_rows(((-2, 0), (0, F(-1, 2)))))
@@ -85,7 +93,7 @@ def test_case3_and_case4_parameters_recovered():
 
 
 def test_case9_parameters_recovered_exactly_for_rational_points():
-    c9 = classify(case_matrix(ExtensionClass(9, cos_sin=(F(3, 5), F(4, 5)))))
+    c9 = classify(_printed(9, cos_sin=(F(3, 5), F(4, 5))))
     assert c9.case == 9
     assert c9.cos_sin == (F(3, 5), F(4, 5))
 
@@ -101,9 +109,13 @@ def test_defective_unipotent_is_flagged_into_slot_eight():
 
 @pytest.mark.parametrize("case", [3, 4, 5, 8, 9])
 def test_case_matrix_refuses_missing_parameters(case):
-    """zeta^2 for cases 3-5 and (cos, sin) for 8-9 have no default."""
-    with pytest.raises(InvalidExtensionParameter, match="needs its parameters"):
-        case_matrix(ExtensionClass(case))
+    """q, which carries zeta^2 for cases 3-5 and (cos, sin) for 8-9, has no
+    default; the case-8 slot, whose q is +-4, still has no matrix."""
+    with pytest.raises(TypeError):
+        ExtensionClass(case)
+    if case == 8:
+        with pytest.raises(InvalidExtensionParameter, match="no printed matrix"):
+            case_matrix(ExtensionClass(8, 4))
 
 
 @pytest.mark.parametrize("case,params", [
@@ -112,10 +124,17 @@ def test_case_matrix_refuses_missing_parameters(case):
     (9, {"cos_sin": (0.0, 1.0)}), (9, {"cos_sin": (1.0, 0.0)}), (9, {"cos_sin": (-1.0, 0.0)}),
 ])
 def test_case_matrix_refuses_floats_on_excluded_values(case, params):
-    """A float is accepted by the constructor, but on an excluded value the
-    case's matrix is another case's (or undefined), so case_matrix refuses it."""
-    with pytest.raises(InvalidExtensionParameter, match="require|exclude"):
-        case_matrix(ExtensionClass(case, **params))
+    """An excluded parameter, also as a float, names no class of its case:
+    its printed matrix divides by zero (zeta^2 = 0 of cases 3 and 4), or its
+    q is outside the case's table (q = 0 for zeta^2 = +-1 of case 3, zeta^2
+    = 0 of case 5 and cos phi = 0 of case 9; q = +-4 for cos phi = +-1)."""
+    try:
+        q = _printed(case, **params).q
+    except ZeroDivisionError:
+        assert case in (3, 4) and params == {"zeta2": 0.0}
+        return
+    with pytest.raises(InvalidExtensionParameter, match=f"case {case} has"):
+        ExtensionClass(case, q)
 
 
 @pytest.mark.parametrize("case,params,q", [
@@ -123,42 +142,77 @@ def test_case_matrix_refuses_floats_on_excluded_values(case, params):
     (7, {}, -1), (9, {"cos_sin": (F(3, 5), F(4, 5))}, 1),
 ])
 def test_q_contradicting_the_parameters_is_refused(case, params, q):
-    """ExtensionClass(3, zeta2=2) is diag(2, -1/2), whose q is 9/4, not 7."""
-    with pytest.raises(InvalidExtensionParameter, match="contradicts"):
-        ExtensionClass(case, q=q, **params)
+    """A class is (case, q), so parameters and a q can no longer disagree:
+    the parameters' matrix has another q (diag(2, -1/2), case 3 at
+    zeta^2 = 2, has q = 9/4, not 7), and the q given is refused by its case's
+    table or names a class that reports its own parameters."""
+    assert _printed(case, **params).q != q
+    if not params:   # cases 1, 2 and 7 take only q = 0
+        with pytest.raises(InvalidExtensionParameter):
+            ExtensionClass(case, q)
+        return
+    cls = ExtensionClass(case, q)
+    assert all(getattr(cls, name) != value for name, value in params.items()), cls
 
 
 @pytest.mark.parametrize("case", range(11))
 def test_constructor_decides_as_the_hand_written_rules(case):
-    """The constructor's one check, that the matrix its parameters fix is of
-    its own case and q, accepts and refuses exactly what the case-by-case
-    rule list does, on a grid of exact and float parameters."""
-    zetas = [None, 0, 1, -1, 2, -2, F(1, 2), 4, 1e-30, 0.0, 1.0, -1.0, 0.5, 2.5]
-    qs = [None, 0, 3, -3, 4, -4, 5, 7, F(9, 4), F(25, 4), F(36, 25), F(-36, 25)]
-    points = [None, (F(3, 5), F(4, 5)), (0, 1), (1, 0), (-1, 0), (F(1, 2), F(1, 2)),
-              (F(-3, 5), F(4, 5)), (0.6, 0.8)]
+    """The constructor's q table accepts exactly the (case, q) that one of a
+    hand-written list of witness matrices realizes, on a grid of exact and
+    float q; every accepted class but the case-8 slot also has a matrix of
+    its own class."""
+    qs = sorted({F(n, d) for n in range(-25, 26) for d in range(1, 9)})
     decisions = set()
-    for z, q, cs in product(zetas, qs, points):
+    for q in qs + [0.0, -4.0, 2.5, 1e-30]:
         try:
-            ExtensionClass(case, zeta2=z, cos_sin=cs, q=q)
+            cls = ExtensionClass(case, q)
             valid = True
         except InvalidExtensionParameter:
             valid = False
-        assert valid == hand_written_extension_rules(case, z, cs, q), (case, z, cs, q)
+        assert valid == extension_class_realized(case, q), (case, q)
+        if valid and case != 8:
+            assert classify(case_matrix(cls)) == cls, cls
         decisions.add(valid)
     assert decisions == ({True, False} if case in range(1, 10) else {False})
 
 
 def test_q_agreeing_with_the_parameters_is_kept():
-    """q is class-invariant: zeta^2 = 1/2 and 2 give the same case-4 class."""
+    """q is class-invariant: zeta^2 = 1/2 and 2 give the same case-4 class,
+    which reports zeta^2 = 2; (cos, sin) = (3/5, 4/5) gives q = 36/25."""
     for z in (F(1, 2), F(2)):
-        assert ExtensionClass(4, zeta2=z, q=F(25, 4)).q == F(25, 4)
-    assert ExtensionClass(9, cos_sin=(F(3, 5), F(4, 5)), q=F(36, 25)).q == F(36, 25)
+        assert classify(_printed(4, zeta2=z)) == ExtensionClass(4, F(25, 4))
+    assert ExtensionClass(4, F(25, 4)).zeta2 == 2
+    nine = classify(_printed(9, cos_sin=(F(3, 5), F(4, 5))))
+    assert nine == ExtensionClass(9, F(36, 25)) and nine.cos_sin == (F(3, 5), F(4, 5))
+
+
+def test_a_class_is_exactly_its_case_and_q():
+    """The fields are (case, q), frozen; the slot's zeta^2 = q/4 is read off
+    q, so a slot class with another zeta^2, such as zeta^2 = 5 at q = 4,
+    cannot be written."""
+    assert [f.name for f in fields(ExtensionClass)] == ["case", "q"]
+    with pytest.raises(TypeError):
+        ExtensionClass(8, zeta2=5, q=4)
+    slot = ExtensionClass(8, 4)
+    assert slot.zeta2 == 1 and slot == classify(ExtensionMatrix.from_rows(((1, 1), (0, 1))))
+    with pytest.raises(FrozenInstanceError):
+        slot.q = F(5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scalar_case4_class_is_plus_or_minus_identity(sign):
+    """(4, +-4) is the class of +-I: it builds, and its matrix is +-I."""
+    cls = ExtensionClass(4, 4 * sign)
+    identity = ExtensionMatrix.from_rows(((sign, 0), (0, sign)))
+    assert case_matrix(cls) == identity
+    assert classify(identity) == cls
+    assert (cls.zeta2, cls.jordan_type) == (sign, "scalar")
 
 
 def test_every_classified_class_holds_its_matrix_q():
-    """classify builds valid classes (the constructor checks q against the
-    parameters), and each one's q is the input's and its matrix's."""
+    """classify builds valid classes (its case's table holds the matrix's q),
+    and each one's q is the input's; but for the slot it has a matrix of
+    its own class."""
     rng = random.Random(11)
     mats = list(canonical_matrices().values()) + [
         ExtensionMatrix(*(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)))
@@ -167,19 +221,22 @@ def test_every_classified_class_holds_its_matrix_q():
         cls = classify(L)
         assert cls.q == L.q, L
         if cls.case != 8:
-            assert case_matrix(cls).q == cls.q, (L, cls)
+            assert classify(case_matrix(cls)) == cls, (L, cls)
 
 
 def test_classified_boundary_matrices_build_their_own_case():
     """Near a case boundary the exact class stays in its case, so it builds
-    that case; only the defective slot has no matrix and refuses."""
+    that case; only the defective slot's class has no matrix and refuses,
+    while the defective matrix itself builds an algebra named by its slot."""
     for entries, case in ((("1e-30", 1, 1, 0), 3), (("1e-17", 1, 1, 0), 3),
                           (("1e-400", 1, -1, "1e-400"), 9)):
         cls = classify(ExtensionMatrix(*map(F, entries)))
-        assert cls.case == case and classify(case_matrix(cls)).case == case
-        assert build_extended(cls).name == f"newstein-ext:{case}"
+        assert cls.case == case and classify(case_matrix(cls)) == cls
+        assert build_extended(case_matrix(cls)).name == f"newstein-ext:{case}"
+    defective = ExtensionMatrix.from_rows(((1, 1), (0, 1)))
     with pytest.raises(InvalidExtensionParameter):
-        build_extended(classify(ExtensionMatrix.from_rows(((1, 1), (0, 1)))))
+        case_matrix(classify(defective))
+    assert build_extended(defective).name == "newstein-ext:8"
 
 
 def test_equivalence_is_exact():
@@ -198,12 +255,12 @@ def test_irrational_and_boundary_classes_rebuild_exactly(G, entries):
     L = ExtensionMatrix(*map(F, entries))
     cls = classify(L)
     assert equivalent(L, case_matrix(cls)), cls
-    assert build_extended(cls, base=G).jacobi_check() == []
+    assert build_extended(case_matrix(cls), base=G).jacobi_check() == []
 
 
 def test_case_matrix_round_trips_through_classify_seeded():
-    """classify(case_matrix(c)).case == c.case for c the class of a scaled
-    integer conjugate of a case-1..7 or case-9 matrix (the printed case-8
+    """classify(case_matrix(c)) == c for c the class of a scaled integer
+    conjugate of a printed case-1..7 or case-9 matrix (the printed case-8
     matrix classifies as case 4, and the defective slot has no matrix)."""
     rng = random.Random(2020)
     params = {3: [F(2), F(1, 3), F(-5, 2)], 4: [F(2), F(-1, 2), F(1), F(-1)],
@@ -214,20 +271,20 @@ def test_case_matrix_round_trips_through_classify_seeded():
     while count < 300:
         case = rng.choice([1, 2, 3, 4, 5, 6, 7, 9])
         if case in (3, 4, 5):
-            base = ExtensionClass(case, zeta2=rng.choice(params[case]))
+            base = _printed(case, zeta2=rng.choice(params[case]))
         elif case == 9:
-            base = ExtensionClass(case, cos_sin=rng.choice(params[case]))
+            base = _printed(case, cos_sin=rng.choice(params[case]))
         else:
-            base = ExtensionClass(case)
+            base = canonical_matrices()[case]
         P = ((F(rng.randint(-5, 5)), F(rng.randint(-5, 5))),
              (F(rng.randint(-5, 5)), F(rng.randint(-5, 5))))
         if P[0][0] * P[1][1] - P[0][1] * P[1][0] == 0:
             continue
         k = rng.randint(1, 4)
-        M = conj(case_matrix(base), P)
+        M = conj(base, P)
         got = classify(ExtensionMatrix(k * M.beta, k * M.beta_p, k * M.gamma, k * M.gamma_p))
         assert got.case == case, (base, P, k)
-        assert classify(case_matrix(got)).case == got.case, (base, P, k, got)
+        assert classify(case_matrix(got)) == got, (base, P, k, got)
         seen.add(case)
         count += 1
     assert seen == {1, 2, 3, 4, 5, 6, 7, 9}
@@ -350,7 +407,7 @@ def test_roundtrip_build_matches_direct_extension_up_to_plane_basis_change(G):
         k = (abs(L.det / M.det) if L.det else (L.trace / M.trace) ** 2 if L.trace else F(1))
         assert _similar(_square(L), _square(M, k)), (L, cls)
         assert (sign(L.det), sign(L.trace)) == (sign(M.det), sign(M.trace)), (L, cls)
-        ext = build_extended(cls, base=G)
+        ext = build_extended(M, base=G)
         assert ext.jacobi_check() == []
 
 

@@ -13,9 +13,9 @@ from newstein.oscillator import (FockBasis, RepParams, W_operator, WaveFunction,
                                  free_mass_check,
                                  gaussian_polynomial_test_functions, generator_oracle,
                                  hamiltonian_K, internal_generator, iur_apply,
-                                 ladder_matrices, minus_laplacian, random_sample_points,
-                                 second_order_exact, spectrum, z_squared_scaled)
-from oracles import generator_casimir
+                                 minus_laplacian, random_sample_points, spectrum,
+                                 z_squared_scaled)
+from oracles import generator_casimir, ladder_matrices, second_order_exact
 
 
 @pytest.fixture(scope="module")
