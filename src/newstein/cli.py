@@ -24,8 +24,7 @@ import numpy as np
 
 from . import grouplaw as gl
 from . import labels as lb
-from .algebras import (NewSteinAlgebra, build_extended, build_newstein, build_newstein2,
-                       heisenberg3, sl2)
+from .algebras import build_extended, build_newstein, build_newstein2, heisenberg3, sl2
 from .cohomology import (CoefficientModule, InternalCheckError, betti, h1_via_reduction,
                          h2_via_reduction, reduction_data)
 from .extensions import ExtensionMatrix, canonical_matrices, classify, display
@@ -98,24 +97,12 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    if args.via_reduction and args.degree not in (1, 2):
-        raise ValueError(f"--via-reduction computes --degree 1 or 2, not {args.degree}")
-    if args.via_reduction and args.method != "exact":
-        raise ValueError("--via-reduction is exact only; drop --method modular")
-    if args.via_reduction and args.coeffs != "adjoint":
-        raise ValueError("--via-reduction computes adjoint cohomology; "
-                         "give --coeffs adjoint")
     alg = load_algebra(args.algebra)
     if violations := alg.jacobi_check():
         raise ValueError(f"{alg.name!r} breaks the Jacobi identity on basis triple {violations[0]}")
-    if args.via_reduction:
-        if not isinstance(alg, NewSteinAlgebra):
-            raise ValueError("--via-reduction needs the structured algebra family")
-        report = (h1_via_reduction if args.degree == 1 else h2_via_reduction)(alg)
-    else:
-        coeffs = (CoefficientModule.trivial() if args.coeffs == "trivial"
-                  else CoefficientModule.adjoint(alg))
-        report = betti(alg, coeffs, args.degree, method=args.method)
+    coeffs = (CoefficientModule.trivial() if args.coeffs == "trivial"
+              else CoefficientModule.adjoint(alg))
+    report = betti(alg, coeffs, args.degree, method=args.method)
     doc = {"command": "cohomology"}
     doc.update(report.as_dict())
     _emit(doc, args.out)
@@ -297,7 +284,12 @@ def _jacobi_newstein(G):
 def _center_dim(G):
     r = betti(G, CoefficientModule.adjoint(G), 0, method="exact")
     cen = G.centralizer([G.basis_element(l) for l in G.labels])
-    ok = len(cen) == 1 and all(G.labels[k].kind == "C" for k in cen[0].coeffs)
+    if len(cen) != r.betti:
+        raise InternalCheckError(f"center-dim: H^0 by rank {r.betti}, "
+                                 f"centralizer dimension {len(cen)}")
+    trace = G.trace_c()
+    k0 = next(iter(trace.coeffs))
+    ok = len(cen) == 1 and cen[0] == cen[0].coeffs.get(k0, 0) / trace.coeffs[k0] * trace
     return dict(claimed=1, computed=r.betti if ok else -1, method="exact",
                 note="generator proportional to the metric trace of C")
 
@@ -600,31 +592,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobi", help="verify the Jacobi identity exactly")
     p.add_argument("--algebra", default="newstein")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_jacobi)
 
-    p = sub.add_parser("cohomology", help="Betti numbers by exact or modular rank")
+    p = sub.add_parser("cohomology", help="Betti numbers by exact or modular rank or reduction")
     p.add_argument("--algebra", default="newstein")
     p.add_argument("--coeffs", choices=["trivial", "adjoint"], default="trivial")
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--method", choices=["exact", "modular"], default="exact")
-    p.add_argument("--via-reduction", action="store_true",
-                   help="use the exact invariant ideal-complex reduction (adjoint, degree 1 or 2)")
-    p.add_argument("--out")
+    p.add_argument("--method", choices=["exact", "modular", "reduction"], default="exact")
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("extensions", help="classify a 2x2 extension matrix")
     p.add_argument("action", choices=["classify"])
     p.add_argument("--matrix", nargs=4, required=True,
                    metavar=("BETA", "BETAP", "GAMMA", "GAMMAP"))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_extensions)
 
     p = sub.add_parser("grouplaw", help="seeded associativity and inverse check")
     p.add_argument("action", choices=["check"])
     p.add_argument("--seed", type=int, default=2161)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_grouplaw)
 
     p = sub.add_parser("spectrum", help="mass spectrum rows of the evolution generator")
@@ -632,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--m0", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="historical-time evolution of a state file")
@@ -642,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, default=0.0)
     p.add_argument("--m0", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("oracle", help="generator discrepancy table")
@@ -653,27 +637,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.1)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--j", type=float, default=0.0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-all", help="claim-by-claim verification report")
     p.add_argument("--only", help="run a single named claim: " + ", ".join(CLAIMS))
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_all)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     _SUBPARSERS.update(sub.choices)
     return parser
 
 
 def _option_tokens(action, value) -> list[str]:
-    """One ``--config`` entry as the tokens of the flag it names."""
+    """One ``--config`` entry as the tokens of the option it names."""
     opt = action.option_strings[-1]
     def scalar(v):
         return isinstance(v, (str, int, float)) and not isinstance(v, bool)
-    if action.nargs == 0:
-        if value is True:
-            return [opt]
-    elif action.nargs is None:
+    if action.nargs is None:
         if scalar(value):
             return [f"{opt}={value}"]
     elif isinstance(value, list) and all(map(scalar, value)):

@@ -255,14 +255,33 @@ def _unanimous_rank(mat: SparseExactMatrix, primes: list[int]) -> tuple[int, lis
 
 def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
           method: str = "exact", primes: list[int] | None = None) -> CohomologyReport:
-    """dim H^k(alg, coeffs) with the requested rank method.
+    """dim H^k(alg, coeffs) by exact or modular rank, or by ``reduction_data``.
 
     Degrees are capped at 3 for large algebras: the next cochain space runs
-    past desk scale there (about 10^6 dimensions at degree four for the
+    past desk scale (about 10^6 dimensions at degree four for the
     51-dimensional algebra).  Both differentials are built along the
     smaller side of d_k, and the d o d check, which always runs, composes
-    those rows.
+    those rows.  The reduction needs adjoint coefficients, k = 1 or 2 and a
+    ``NewSteinAlgebra``, and builds no full complex.
     """
+    if method == "reduction":
+        if coeffs.kind != "adjoint":
+            raise ValueError(f"the reduction computes adjoint cohomology, not {coeffs.kind}")
+        if k not in (1, 2):
+            raise ValueError(f"the reduction computes degree 1 or 2, not {k}")
+        if not isinstance(alg, NewSteinAlgebra):
+            raise ValueError("the reduction needs the structured algebra family")
+        data = reduction_data(alg, k)
+        cx = data.invariant.complex
+        return CohomologyReport(
+            algebra=alg.name, module="adjoint", degree=k,
+            dim_prev=cx.dim_c(k - 1), dim_here=cx.dim_c(k), dim_next=cx.dim_c(k + 1),
+            rank_prev=data.boundary_dim, rank_here=cx.dim_c(k) - len(data.cocycles),
+            betti=data.betti,
+            method="invariant-reduction-exact",
+            notes=f"invariant cochains {data.invariant.dim}, invariant cocycles "
+                  f"{len(data.cocycles)}, of which coboundaries {data.boundary_dim}",
+        )
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > 3 and alg.dim > 20:
@@ -523,27 +542,14 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 
 
-def _reduction_report(alg: NewSteinAlgebra, k: int, data: ReductionData) -> CohomologyReport:
-    cx = data.invariant.complex
-    return CohomologyReport(
-        algebra=alg.name, module="adjoint", degree=k,
-        dim_prev=cx.dim_c(k - 1), dim_here=cx.dim_c(k), dim_next=cx.dim_c(k + 1),
-        rank_prev=data.boundary_dim, rank_here=cx.dim_c(k) - len(data.cocycles),
-        betti=data.betti,
-        method="invariant-reduction-exact",
-        notes=f"invariant cochains {data.invariant.dim}, invariant cocycles "
-              f"{len(data.cocycles)}, of which coboundaries {data.boundary_dim}",
-    )
-
-
 def h1_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
     """dim H^1(alg, alg) through the invariant ideal complex, exact."""
-    return _reduction_report(alg, 1, reduction_data(alg, 1))
+    return betti(alg, CoefficientModule.adjoint(alg), 1, method="reduction")
 
 
 def h2_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
     """dim H^2(alg, alg) through the invariant ideal complex, exact."""
-    return _reduction_report(alg, 2, reduction_data(alg, 2))
+    return betti(alg, CoefficientModule.adjoint(alg), 2, method="reduction")
 
 
 def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:

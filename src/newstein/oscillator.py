@@ -522,11 +522,9 @@ def _boost_generator(i: int, pt: SamplePoint, params: RepParams, d: int,
                                  -e2 * x3 / w])
         else:
             flow_eta = np.array([-x1 * e2 / w, (x1 * e1 + x3 * e3) / w, -e2 * x3 / w])
-    elif i == 3:
+    else:
         smult = s * (e1 * x2 - x1 * e2) / den
         flow_eta = np.array([-e3 * x1 / w, -e3 * x2 / w, (e1 * x1 + e2 * x2) / w])
-    else:
-        raise ValueError(f"boost index {i}")
     flow_xi = np.zeros(3)
     flow_xi[i - 1] = x4
     return GeneratorAction(smult * eye, flow_xi, flow_eta, np.zeros(3))

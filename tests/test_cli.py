@@ -10,8 +10,12 @@ import pytest
 
 from newstein import cli
 from newstein import grouplaw as gl
+from newstein import labels as lb
+from newstein.algebras import build_newstein, sl2
 from newstein.cli import (EXIT_BAD_PARAMS, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                           EXIT_UNKNOWN_ALGEBRA, main)
+from newstein.cohomology import CoefficientModule, InternalCheckError, betti
+from newstein.liealg import LieAlgebra
 
 # verify-all claims whose values are exact, hence the same on every machine
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_all_exact.json").read_text())
@@ -139,6 +143,22 @@ def test_verify_routes_that_disagree_fail_the_check(monkeypatch, capsys, tmp_pat
     assert "internal check failed" in err and message in err
 
 
+def test_center_dim_needs_the_trace_of_c_as_generator(monkeypatch):
+    """A one-dimensional centralizer spanned by C_11 alone is not the claimed
+    center, though its support is C labels: the claim reports -1."""
+    monkeypatch.setattr(LieAlgebra, "centralizer",
+                        lambda self, gens: [self.basis_element(lb.C(1, 1))])
+    (doc,) = cli.run_verification("center-dim")
+    assert (doc["computed"], doc["status"]) == (-1, "mismatch")
+
+
+def test_center_dim_routes_that_disagree_fail_the_check(monkeypatch):
+    monkeypatch.setattr(LieAlgebra, "centralizer",
+                        lambda self, gens: [self.trace_c(), self.basis_element(lb.C(1, 1))])
+    with pytest.raises(InternalCheckError, match=r"H\^0 by rank 1, centralizer dimension 2"):
+        cli.run_verification("center-dim")
+
+
 def test_arithmetic_error_from_input_is_invalid_parameters():
     assert main(["extensions", "classify", "--matrix", "1/0", "0", "0", "0"]) == EXIT_BAD_PARAMS
 
@@ -173,45 +193,57 @@ def test_cohomology_subcommand(tmp_path):
                        "--degree", "2", "--method", "modular"], tmp_path)
     assert rc == EXIT_OK and doc["betti"] == 2 and len(doc["primes"]) >= 3
     rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
-                       "--degree", "1", "--via-reduction"], tmp_path)
+                       "--degree", "1", "--method", "reduction"], tmp_path)
     assert rc == EXIT_OK and doc["betti"] == 8
 
 
 @pytest.mark.parametrize("degree", ["0", "3"])
 def test_reduction_outside_degrees_one_and_two_is_invalid(tmp_path, capsys, degree):
     rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
-                       "--degree", degree, "--via-reduction"], tmp_path)
+                       "--degree", degree, "--method", "reduction"], tmp_path)
     assert rc == EXIT_BAD_PARAMS and doc is None
-    assert "--degree 1 or 2" in capsys.readouterr().err
+    assert "degree 1 or 2" in capsys.readouterr().err
 
 
-def test_reduction_with_modular_method_is_invalid(tmp_path, capsys):
-    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction",
-                       "--method", "modular"], tmp_path)
-    assert rc == EXIT_BAD_PARAMS and doc is None
-    assert "exact only" in capsys.readouterr().err
+def test_reduction_method_reports_the_exact_invariant_reduction(tmp_path):
     rc, doc = run_cli(["cohomology", "--coeffs", "adjoint", "--degree", "1",
-                       "--via-reduction", "--method", "exact"], tmp_path)
+                       "--method", "reduction"], tmp_path)
     assert rc == EXIT_OK and doc["method"] == "invariant-reduction-exact"
+
+
+def _cohomology_methods():
+    cli.build_parser()
+    return next(a.choices for a in cli._SUBPARSERS["cohomology"]._actions if a.dest == "method")
+
+
+@pytest.mark.parametrize("method", _cohomology_methods())
+def test_every_cohomology_method_is_accepted_by_betti(method):
+    """A --method choice that betti does not compute on any algebra would be a dead route."""
+    for alg in (sl2(), build_newstein()):
+        try:
+            report = betti(alg, CoefficientModule.adjoint(alg), 1, method=method)
+        except ValueError:
+            continue
+        assert report.betti == (0 if alg.dim == 3 else 8)
+        return
+    pytest.fail(f"betti computes --method {method} on no algebra")
 
 
 @pytest.mark.parametrize("coeffs", [[], ["--coeffs", "trivial"]], ids=["default", "trivial"])
 def test_reduction_without_adjoint_coefficients_is_invalid(tmp_path, capsys, coeffs):
-    rc, doc = run_cli(["cohomology", "--degree", "1", "--via-reduction"] + coeffs, tmp_path)
+    rc, doc = run_cli(["cohomology", "--degree", "1", "--method", "reduction"] + coeffs, tmp_path)
     assert rc == EXIT_BAD_PARAMS and doc is None
-    assert "--coeffs adjoint" in capsys.readouterr().err
+    assert "adjoint cohomology, not trivial" in capsys.readouterr().err
 
 
 def test_cohomology_note_names_the_computed_module_and_degree(tmp_path, capsys):
     rc, doc = run_cli(["cohomology", "--algebra", "newstein", "--coeffs", "adjoint",
-                       "--degree", "1", "--via-reduction"], tmp_path)
+                       "--degree", "1", "--method", "reduction"], tmp_path)
     assert rc == EXIT_OK and (doc["module"], doc["degree"]) == ("adjoint", 1)
     assert "H^1(newstein, adjoint) = 8" in capsys.readouterr().err
 
 
 def test_file_selector_roundtrip(tmp_path):
-    from newstein.algebras import build_newstein
-
     path = tmp_path / "g.json"
     build_newstein().save(path)
     rc, doc = run_cli(["jacobi", "--algebra", f"file:{path}"], tmp_path)
@@ -509,13 +541,11 @@ H3 = ["cohomology", "--algebra", "h3"]
     ("[1]", GROUPLAW, EXIT_BAD_PARAMS, "JSON object"),
     (None, GROUPLAW, EXIT_IO, "none.json"),
     ('{"coeffs": "bogus"}', H3, EXIT_BAD_PARAMS, "invalid choice: 'bogus'"),
-    ('{"via_reduction": "no"}', H3, EXIT_BAD_PARAMS, "--via-reduction"),
-    ('{"via_reduction": false}', H3, EXIT_BAD_PARAMS, "--via-reduction"),
     ('{"count": 2.5}', ["grouplaw", "check"], EXIT_BAD_PARAMS, "invalid int value: '2.5'"),
     ('{"degree": 2.5}', H3, EXIT_BAD_PARAMS, "invalid int value: '2.5'"),
     ('{"count": true}', ["grouplaw", "check"], EXIT_BAD_PARAMS, "True"),
 ], ids=["invalid-json", "unknown-key", "not-an-object", "missing-file", "wrong-choice",
-        "flag-not-boolean", "flag-false", "float-count", "float-degree", "boolean-count"])
+        "float-count", "float-degree", "boolean-count"])
 def test_config_file_errors(tmp_path, capsys, text, argv, code, needle):
     cfg = tmp_path / "none.json"
     if text is not None:
@@ -533,8 +563,8 @@ def test_config_supplies_required_options_and_flags(tmp_path, capsys):
     assert rc == EXIT_OK and doc["cutoff"] == 4
     rc, doc = run_cli(["--config", str(cfg), "spectrum", "--ell", "0.5", "--cutoff", "3"], tmp_path)
     assert rc == EXIT_OK and doc["cutoff"] == 3
-    # a flag key takes true; the reduction then refuses h3, as with the typed flag
-    cfg.write_text(json.dumps({"via_reduction": True, "coeffs": "adjoint", "degree": 1}))
+    # a choice key names the route; the reduction then refuses h3, as a typed --method does
+    cfg.write_text(json.dumps({"method": "reduction", "coeffs": "adjoint", "degree": 1}))
     assert main(["--config", str(cfg), *H3]) == EXIT_BAD_PARAMS
     assert "structured algebra family" in capsys.readouterr().err
     # a multi-value option takes a list

@@ -5,7 +5,8 @@ import pytest
 
 from newstein import labels as lb
 from newstein.algebras import build_newstein, heisenberg3, sl2
-from newstein.cohomology import CochainComplex, CoefficientModule, betti, invariant_cochains
+from newstein.cohomology import (CochainComplex, CoefficientModule, betti, h1_via_reduction,
+                                 invariant_cochains)
 from newstein.extensions import ExtensionClass, InvalidExtensionParameter
 from newstein.grouplaw import one_parameter, rotation_section, sphere_point
 from newstein.liealg import LieAlgebra, MismatchedAlgebraError
@@ -43,6 +44,10 @@ CASES = {
     "negative-degree": (ValueError, "non-negative",
                         lambda G: betti(sl2(), CoefficientModule.trivial(), -1)),
     "reduction-degree-3": (ValueError, "degrees 0, 1 and 2", lambda G: invariant_cochains(G, 3)),
+    "reduction-unstructured": (ValueError, "structured algebra family",
+                               lambda G: h1_via_reduction(heisenberg3())),
+    "reduction-method-unstructured": (ValueError, "structured algebra family", lambda G: betti(
+        sl2(), CoefficientModule.adjoint(sl2()), 1, method="reduction")),
     "case-0": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(0, 0)),
     "case-10": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(10, 0)),
     "case-3-zero-q": (InvalidExtensionParameter, r"case 3 has q != 0, not q = 0",
