@@ -370,7 +370,7 @@ def _case8_printed(G):
 
 @_registered("group-law")
 def _group_law(G):
-    assoc, _, ext = group_law_deviations(2161, 1000)
+    assoc, inv, ext = group_law_deviations(2161, 1000)
     worst = max(assoc, ext)
     pairs = [(lb.L(1, 2), lb.T(2)), (lb.A(1, 1), lb.Q(1, 2)), (lb.J(1, 2), lb.A(1, 3)),
              (lb.L(1, 4), lb.L(2, 4)), (lb.T(1), lb.Tp(1))]
@@ -381,7 +381,7 @@ def _group_law(G):
                 for k, c in G.bracket_basis(G.index[x], G.index[y]).items()}
         for key in set(got) | set(want):
             sc_dev = max(sc_dev, abs(got.get(key, 0.0) - want.get(key, 0.0)))
-    ok = worst <= 1e-9 and sc_dev <= 1e-5
+    ok = max(worst, inv) <= 1e-9 and sc_dev <= 1e-5
     return dict(claimed=True, computed=bool(ok), method="seeded-numerical",
                 note=f"associativity {worst:.2e}, derivative {sc_dev:.2e}")
 

@@ -50,26 +50,33 @@ class InternalCheckError(ArithmeticError):
 
 
 class CoefficientModule:
-    """Trivial or adjoint coefficients.
+    """Trivial coefficients, or the adjoint module of ``algebra``.
 
     ``action(t)`` returns the sparse columns of rho(e_t) on the module basis
     (input index -> output vector).  The columns are shared between calls
     and are read-only.
     """
 
-    def __init__(self, kind: str, dim: int, action):
-        self.kind = kind
-        self.dim = dim
-        self.action = action
+    def __init__(self, algebra: LieAlgebra | None = None):
+        self.algebra = algebra
+        self.kind = "trivial" if algebra is None else "adjoint"
+        self.dim = 1 if algebra is None else algebra.dim
+        self.action = (lambda t: {}) if algebra is None else algebra.ad_columns
 
     @classmethod
     def trivial(cls) -> "CoefficientModule":
-        return cls("trivial", 1, lambda t: {})
+        return cls()
 
     @classmethod
     def adjoint(cls, alg: LieAlgebra) -> "CoefficientModule":
         """ad on the algebra itself, read from its shared adjoint table."""
-        return cls("adjoint", alg.dim, alg.ad_columns)
+        return cls(alg)
+
+    def _check_module_of(self, alg: LieAlgebra) -> None:
+        """Refuse a module of another algebra; equal labels and constants are the same one."""
+        if (other := self.algebra) not in (None, alg) and (
+                (other.labels, other.constants) != (alg.labels, alg.constants)):
+            raise ValueError(f"coefficients of {other.name!r} do not act on {alg.name!r}")
 
 
 class CochainComplex:
@@ -83,6 +90,7 @@ class CochainComplex:
 
     def __init__(self, alg: LieAlgebra, coeffs: CoefficientModule,
                  arg_indices: list[int] | None = None):
+        coeffs._check_module_of(alg)
         self.alg = alg
         self.coeffs = coeffs
         self.args = list(range(alg.dim)) if arg_indices is None else sorted(arg_indices)
@@ -106,7 +114,7 @@ class CochainComplex:
             self._acting[m].append((t, {mp: int(c * D) for mp, c in col.items()}))
 
     def wedges(self, k: int) -> list[tuple[int, ...]]:
-        return list(combinations(self.args, k))
+        return list(combinations(self.args, k)) if k >= 0 else []
 
     def dim_c(self, k: int) -> int:
         if k < 0:
@@ -264,6 +272,10 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
     those rows.  The reduction needs adjoint coefficients, k = 1 or 2 and a
     ``NewSteinAlgebra``, and builds no full complex.
     """
+    if method not in ("exact", "modular", "reduction"):
+        raise ValueError(f"unknown method {method!r}")
+    if primes is not None and method != "modular":
+        raise ValueError(f"primes apply to the modular method, not to {method!r}")
     if method == "reduction":
         if coeffs.kind != "adjoint":
             raise ValueError(f"the reduction computes adjoint cohomology, not {coeffs.kind}")
@@ -271,61 +283,48 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
             raise ValueError(f"the reduction computes degree 1 or 2, not {k}")
         if not isinstance(alg, NewSteinAlgebra):
             raise ValueError("the reduction needs the structured algebra family")
+        coeffs._check_module_of(alg)
         data = reduction_data(alg, k)
         cx = data.invariant.complex
-        return CohomologyReport(
-            algebra=alg.name, module="adjoint", degree=k,
-            dim_prev=cx.dim_c(k - 1), dim_here=cx.dim_c(k), dim_next=cx.dim_c(k + 1),
-            rank_prev=data.boundary_dim, rank_here=cx.dim_c(k) - len(data.cocycles),
-            betti=data.betti,
-            method="invariant-reduction-exact",
-            notes=f"invariant cochains {data.invariant.dim}, invariant cocycles "
-                  f"{len(data.cocycles)}, of which coboundaries {data.boundary_dim}",
-        )
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    if k > 3 and alg.dim > 20:
-        raise ValueError("degree capped at 3 for large algebras")
-    cx = CochainComplex(alg, coeffs)
-    if method == "modular":
-        used = primes if primes is not None else random_primes(3, seed=k + alg.dim)
-        if len(used) < 3 or len(set(used)) != len(used):
-            raise ValueError("modular method needs at least 3 distinct primes")
-        if composite := [p for p in used if not _is_prime(p)]:
-            raise ValueError(f"moduli {composite} are not prime")
-        if dividing := [p for p in used if cx.scale % p == 0]:
-            raise ValueError(f"primes {dividing} divide the common denominator {cx.scale} "
-                             "of the constants; modular rank needs primes that do not")
-    elif method != "exact":
-        raise ValueError(f"unknown method {method!r}")
-
-    # rank is orientation-free; the codomain of d_k is no larger than its
-    # domain only for k >= (n - 1) / 2, which the degree cap keeps to small
-    # algebras
-    by_domain = cx.dim_c(k + 1) > cx.dim_c(k)
-    build = cx.d_matrix_by_domain if by_domain else cx.d_matrix
-    d_here = build(k)
-    d_prev = build(k - 1) if k >= 1 else None
-    if d_prev is not None:
+        rank_prev, rank_here = data.boundary_dim, cx.dim_c(k) - len(data.cocycles)
+        method, used = "invariant-reduction-exact", []
+        notes = (f"invariant cochains {data.invariant.dim}, invariant cocycles "
+                 f"{len(data.cocycles)}, of which coboundaries {data.boundary_dim}")
+    else:
+        if k < 0:
+            raise ValueError("degree must be non-negative")
+        if k > 3 and alg.dim > 20:
+            raise ValueError("degree capped at 3 for large algebras")
+        cx = CochainComplex(alg, coeffs)
+        if method == "modular":
+            used = primes if primes is not None else random_primes(3, seed=k + alg.dim)
+            if len(used) < 3 or len(set(used)) != len(used):
+                raise ValueError("modular method needs at least 3 distinct primes")
+            if composite := [p for p in used if not _is_prime(p)]:
+                raise ValueError(f"moduli {composite} are not prime")
+            if dividing := [p for p in used if cx.scale % p == 0]:
+                raise ValueError(f"primes {dividing} divide the common denominator {cx.scale} "
+                                 "of the constants; modular rank needs primes that do not")
+        # rank is orientation-free; the codomain of d_k is no larger than its
+        # domain only for k >= (n - 1) / 2, which the degree cap keeps to small
+        # algebras
+        by_domain = cx.dim_c(k + 1) > cx.dim_c(k)
+        build = cx.d_matrix_by_domain if by_domain else cx.d_matrix
+        d_prev, d_here = build(k - 1), build(k)  # d_{-1} has no rows
         # d_k o d_{k-1}, or its transpose, from the rows just built
         first, second = (d_prev, d_here) if by_domain else (d_here, d_prev)
         if bad := [c for c, row in first.rows.items()
                    if _combine(lambda j: second.rows.get(j, {}), row)]:
             raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
-    notes = ""
-    if method == "exact":
-        rank_here = d_here.rank_exact()
-        rank_prev = d_prev.rank_exact() if d_prev is not None else 0
-        used = []
-    else:
-        rank_here, used_h = _unanimous_rank(d_here, used)
-        if d_prev is not None:
-            rank_prev, used_p = _unanimous_rank(d_prev, used)
+        if method == "exact":
+            rank_here, rank_prev = d_here.rank_exact(), d_prev.rank_exact()
+            used, notes = [], ""
         else:
-            rank_prev, used_p = 0, []
-        used = sorted(set(used_h) | set(used_p))
-        notes = ("modular ranks are lower bounds of the rational ranks, so this "
-                 "Betti number is a high-confidence upper-bound certificate")
+            rank_here, used_h = _unanimous_rank(d_here, used)
+            rank_prev, used_p = _unanimous_rank(d_prev, used)
+            used = sorted(set(used_h) | set(used_p))
+            notes = ("modular ranks are lower bounds of the rational ranks, so this "
+                     "Betti number is a high-confidence upper-bound certificate")
     b = cx.dim_c(k) - rank_here - rank_prev
     if b < 0:
         raise InternalCheckError("negative Betti number: rank computation inconsistent")
@@ -453,7 +452,7 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
         raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
     cx = _ideal_complex(alg)
     dim = alg.dim
-    wedges = sorted(S for j in range(max(k - 1, 0), k + 1) for S in cx.wedges(j))
+    wedges = sorted(S for j in range(k - 1, k + 1) for S in cx.wedges(j))
     widx = {S: w for w, S in enumerate(wedges)}
     basis: list[dict] = [{key: 1} for key in range(len(wedges) * dim)]
 

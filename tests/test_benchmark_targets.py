@@ -3,12 +3,15 @@
 ``perfbench/spans.py`` resolves every name in its ``TARGETS`` when a
 benchmark run starts, and ``perfbench/workloads.py`` calls the package
 through module attributes; a refactor that deletes, renames or moves one
-fails here instead of crashing the benchmark.
+fails here instead of crashing the benchmark, and so does a signature
+change that leaves one of its calls unable to bind.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
+from functools import reduce
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,7 +37,7 @@ def test_every_traced_target_resolves():
 
 
 def _package_attributes(tree: ast.Module):
-    """(module, attribute chain, line) of every dotted name that starts at a
+    """(module, attribute chain, node) of every dotted name that starts at a
     ``from newstein import ...`` binding, e.g. ``gl.compose`` or
     ``cohomology.CoefficientModule.adjoint``."""
     modules = {alias.asname or alias.name: alias.name
@@ -47,14 +50,38 @@ def _package_attributes(tree: ast.Module):
             chain.append(value.attr)
             value = value.value
         if chain and isinstance(value, ast.Name) and value.id in modules:
-            yield modules[value.id], chain[::-1], node.lineno
+            yield modules[value.id], chain[::-1], node
 
 
 def test_every_workload_attribute_resolves():
     found = list(_package_attributes(ast.parse(WORKLOADS.read_text())))
     assert {module for module, *_ in found} >= {"cohomology", "grouplaw", "oscillator"}
-    for module, chain, line in found:
+    for module, chain, node in found:
         obj = importlib.import_module(f"newstein.{module}")
         for attr in chain:
-            assert hasattr(obj, attr), f"workloads.py:{line}: newstein.{module}.{'.'.join(chain)}"
+            assert hasattr(obj, attr), (
+                f"workloads.py:{node.lineno}: newstein.{module}.{'.'.join(chain)}")
             obj = getattr(obj, attr)
+
+
+def test_every_workload_call_binds():
+    """Each call of a package name binds to its signature: as many positional
+    arguments and the same keyword names (partially where ``**`` unpacks)."""
+    tree = ast.parse(WORKLOADS.read_text())
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bound = 0
+    for module, chain, func in _package_attributes(tree):
+        if (call := calls.get(id(func))) is None:
+            continue
+        target = reduce(getattr, chain, importlib.import_module(f"newstein.{module}"))
+        sig = inspect.signature(target)
+        args = [None] * len(call.args)
+        kwargs = {kw.arg: None for kw in call.keywords if kw.arg is not None}
+        bind = sig.bind_partial if len(kwargs) < len(call.keywords) else sig.bind
+        try:
+            bind(*args, **kwargs)
+        except TypeError as err:
+            raise AssertionError(f"workloads.py:{call.lineno}: newstein.{module}."
+                                 f"{'.'.join(chain)}: {err}") from None
+        bound += 1
+    assert bound >= 100

@@ -506,6 +506,14 @@ def test_master_oracle_skips_singular_section_points(monkeypatch):
     assert doc["computed"] is True and len(skipped) == 20   # one point, 10 pairs x 2 functions
 
 
+def test_group_law_claim_gates_on_the_inverse(monkeypatch):
+    """g g^-1 = e is part of the group law: a bad inverse fails the claim
+    even when both associativity deviations vanish."""
+    monkeypatch.setattr(cli, "group_law_deviations", lambda seed, count: (0.0, 1.0, 0.0))
+    doc = cli.CLAIMS["group-law"](build_newstein())
+    assert doc["computed"] is False
+
+
 def test_output_goes_to_stdout_without_out(capsys):
     assert main(["extensions", "classify", "--matrix", "0", "1", "-1", "0"]) == EXIT_OK
     captured = capsys.readouterr()

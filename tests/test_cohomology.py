@@ -60,6 +60,36 @@ def test_small_algebra_betti_and_oracle(alg_name, module, k, expected):
     assert betti(alg, coeffs, k, method="modular").betti == expected
 
 
+def _small(alg_name, module):
+    alg = heisenberg3() if alg_name == "h3" else sl2()
+    return alg, (CoefficientModule.trivial() if module == "trivial"
+                 else CoefficientModule.adjoint(alg))
+
+
+@pytest.mark.parametrize("alg_name,module", [
+    ("h3", "trivial"), ("h3", "adjoint"), ("sl2", "trivial"), ("sl2", "adjoint")])
+def test_degree_minus_one_is_the_zero_space(alg_name, module):
+    """C^-1 = 0: no wedges, and d_-1 has no rows in either orientation."""
+    cx = CochainComplex(*_small(alg_name, module))
+    assert cx.wedges(-1) == [] and cx.dim_c(-1) == 0
+    by_domain, by_codomain = cx.d_matrix_by_domain(-1), cx.d_matrix(-1)
+    assert (by_domain.nrows, by_domain.ncols, by_domain.rows) == (0, cx.dim_c(0), {})
+    assert (by_codomain.nrows, by_codomain.ncols, by_codomain.rows) == (cx.dim_c(0), 0, {})
+
+
+@pytest.mark.parametrize("alg_name,module,rank_here,b", [
+    ("h3", "trivial", 0, 1), ("h3", "adjoint", 2, 1),
+    ("sl2", "trivial", 0, 1), ("sl2", "adjoint", 3, 0)])
+def test_degree_zero_betti_by_exact_and_modular_rank(alg_name, module, rank_here, b):
+    """H^0 through the same path as every degree, with d_-1 of rank 0."""
+    alg, coeffs = _small(alg_name, module)
+    for method, primes in (("exact", []),
+                           ("modular", [163612963, 193556537, 225854971])):
+        r = betti(alg, coeffs, 0, method=method)
+        assert r.as_dict()["dim_cochains"] == [0, coeffs.dim, 3 * coeffs.dim]
+        assert (r.rank_prev, r.rank_here, r.betti, r.primes) == (0, rank_here, b, primes)
+
+
 def _assert_d_matrices_match_brute_force(alg, degrees):
     for module in ("trivial", "adjoint"):
         coeffs = (CoefficientModule.trivial() if module == "trivial"

@@ -48,6 +48,16 @@ CASES = {
                                lambda G: h1_via_reduction(heisenberg3())),
     "reduction-method-unstructured": (ValueError, "structured algebra family", lambda G: betti(
         sl2(), CoefficientModule.adjoint(sl2()), 1, method="reduction")),
+    "primes-exact": (ValueError, "modular method, not to 'exact'", lambda G: betti(
+        heisenberg3(), CoefficientModule.trivial(), 1, method="exact", primes=[4, 6, 8])),
+    "primes-reduction": (ValueError, "modular method, not to 'reduction'", lambda G: betti(
+        G, CoefficientModule.adjoint(G), 1, method="reduction", primes=[4, 6, 8])),
+    "foreign-module-degree-0": (ValueError, "of 'sl2' do not act on 'h3'", lambda G: betti(
+        heisenberg3(), CoefficientModule.adjoint(sl2()), 0)),
+    "foreign-module-degree-1": (ValueError, "of 'sl2' do not act on 'h3'", lambda G: betti(
+        heisenberg3(), CoefficientModule.adjoint(sl2()), 1)),
+    "foreign-module-reduction": (ValueError, "of 'sl2' do not act on 'newstein'", lambda G: betti(
+        G, CoefficientModule.adjoint(sl2()), 1, method="reduction")),
     "case-0": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(0, 0)),
     "case-10": (InvalidExtensionParameter, "not in 1..9", lambda G: ExtensionClass(10, 0)),
     "case-3-zero-q": (InvalidExtensionParameter, r"case 3 has q != 0, not q = 0",
