@@ -363,6 +363,12 @@ def _intersect_kernel(basis: list[dict], image_of):
     image coordinates; each component is an independent exact null-space
     problem, and a lone vector with a nonzero image has no kernel.
     Combinations come out primitive.
+
+    A component's shape is its member images with each key replaced by its
+    rank among the component's sorted keys.  ``kernel_basis`` orders its
+    columns by sorted key and reads only the values, so its combinations
+    depend on the shape alone: each shape is solved once per call and its
+    combinations serve every component of that shape.
     """
     images = [image_of(vec) for vec in basis]
     uf = _UnionFind(len(basis))
@@ -377,11 +383,18 @@ def _intersect_kernel(basis: list[dict], image_of):
     for idx in range(len(basis)):
         groups.setdefault(uf.find(idx), []).append(idx)
     out = []
+    solved: dict[tuple, list] = {}     # shape -> its kernel combinations
     for members in groups.values():
-        if all(not images[i] for i in members):
-            out.extend(basis[i] for i in members)
+        if len(members) == 1:
+            if not images[members[0]]:
+                out.append(basis[members[0]])
             continue
-        for combo in kernel_basis([images[i] for i in members]) if len(members) > 1 else ():
+        rank = {key: r for r, key in enumerate(sorted({key for i in members for key in images[i]}))}
+        shape = tuple(tuple(sorted((rank[key], v) for key, v in images[i].items()))
+                      for i in members)
+        if (combos := solved.get(shape)) is None:
+            combos = solved[shape] = kernel_basis([dict(img) for img in shape])
+        for combo in combos:
             if vec := _combine(lambda local: basis[members[local]], combo):
                 out.append(_normalize(vec))
     return out
@@ -474,7 +487,13 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
 
         @cache
         def image_of_wedge(w):
-            """Argument part at module index 0: {widx[T] * dim: coefficient}."""
+            """Argument part at module index 0, split as (the coefficient on S
+            itself, {widx[T] * dim: coefficient} for T != S).
+
+            T = S only where y = x, so the split-off coefficient sums diagonal
+            entries of ad g on the ideal; ad g on m, placed on S, shares no
+            key with the rest.
+            """
             img: dict[int, int] = {}
             S = wedges[w]
             for p, x in enumerate(S):
@@ -485,13 +504,15 @@ def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
                     if q < len(rest) and rest[q] == y:
                         continue
                     _bump(img, widx[rest[:q] + (y,) + rest[q:]] * dim, c if (p + q) & 1 else -c)
-            return img
+            return img.pop(w * dim, 0), img
 
         def image_of_coord(key):
             w, m = divmod(key, dim)
+            own, rest = image_of_wedge(w)
             img = {key - m + mp: c for mp, c in ad_cols.get(m, {}).items()}
-            for t, c in image_of_wedge(w).items():
-                _bump(img, t + m, c)
+            img.update({t + m: c for t, c in rest.items()})
+            if own:
+                _bump(img, key, own)
             return img
 
         def image_of(vec):
