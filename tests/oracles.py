@@ -58,6 +58,23 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
+def dense_rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Plain dense Gaussian elimination over GF(p), every entry reduced mod p."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if f := rows[i][col] * inv % p:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def dense_nullspace(vectors: list[dict]) -> list[list[Fraction]]:
     """Basis of {x : sum_i x[i] * vectors[i] = 0}, one per free column of the RREF."""
     keys = list(dict.fromkeys(k for vec in vectors for k in vec))

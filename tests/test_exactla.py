@@ -1,11 +1,14 @@
 """Sparse exact linear algebra against dense brute force."""
 
+import copy
 import random
 from fractions import Fraction
 
+import pytest
+
 from newstein.exactla import Echelon, kernel_basis, random_primes
 
-from oracles import dense_rank, integer_matrix, span_contains
+from oracles import dense_rank, dense_rank_mod_p, integer_matrix, span_contains
 
 F = Fraction
 
@@ -41,6 +44,37 @@ def test_rank_mod_p_can_undershoot_on_bad_prime():
     assert m.rank_exact() == 1
     assert m.rank_mod_p(7) == 0
     assert m.rank_mod_p(5) == 1
+
+
+def dense(rows: list[dict], ncols: int) -> list[list[int]]:
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+P = 7
+# rank_mod_p reduces a row mod p only where it reads its lead or makes it a
+# pivot, so each case puts a multiple of p, or a residue far from (-p/2, p/2],
+# where an unreduced entry could be mistaken for a nonzero one
+DELAYED_REDUCTION = {
+    "lead 0 mod p": [{0: 1, 5: P}],
+    "lead 0 mod p, alone": [{3: -2 * P}],
+    "off-lead 0 mod p": [{0: P, 5: 1}, {5: 1}],
+    "lead 0 mod p after an update": [{0: 1, 1: 1}, {0: 1 + P, 1: 1}],
+    "negative entries": [{0: -3, 2: -P - 1}, {0: -2 * P + 1, 2: -5}, {1: -1, 2: -P}],
+    "far above p": [{0: P ** 9 + 2, 3: 10 ** 40}, {0: 10 ** 30, 3: P ** 12 - 1}, {2: 3 * P ** 5}],
+    "lead not +-1": [{0: 2, 1: 3}, {0: 5, 1: 4}, {0: 1, 1: 5, 2: 2}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DELAYED_REDUCTION))
+def test_rank_mod_p_on_delayed_reduction_corners(case):
+    rows = DELAYED_REDUCTION[case]
+    full = dense(rows, 1 + max(c for row in rows for c in row))
+    mat = integer_matrix(full)
+    kept = copy.deepcopy(mat.rows)
+    for p in (2, 3, P, 11):
+        assert mat.rank_mod_p(p) == dense_rank_mod_p(full, p)
+    assert mat.rank_exact() == dense_rank(full)
+    assert mat.rows == kept
 
 
 def test_kernel_basis_exact():

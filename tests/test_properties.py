@@ -4,12 +4,14 @@ A rational change of basis leaves the Jacobi identity and every Betti
 number unchanged; the coboundary squares to zero, its matrices are the
 brute-force ones times the complex's common denominator D, and exact and
 modular ranks agree.  The fraction-free eliminator is checked against the
-dense rational oracles: ``Echelon`` and ``SparseExactMatrix`` ranks against
-``dense_rank``, ``Echelon`` membership against ``span_contains`` and
+dense oracles: ``Echelon`` and ``SparseExactMatrix`` ranks against
+``dense_rank`` in any row and column order, modular ranks against
+``dense_rank_mod_p``, ``Echelon`` membership against ``span_contains`` and
 ``kernel_basis`` against the rational kernel.  Definitions survive a JSON
 round trip.
 """
 
+import copy
 import json
 from fractions import Fraction
 from math import gcd
@@ -25,8 +27,8 @@ from newstein.exactla import Echelon, kernel_basis, random_primes
 from newstein.extensions import ExtensionMatrix, classify
 from newstein.liealg import LieAlgebra
 
-from oracles import (brute_betti, brute_d_matrix, dense_rank, integer_matrix,
-                     rational_kernel_basis, span_contains)
+from oracles import (brute_betti, brute_d_matrix, dense_rank, dense_rank_mod_p,
+                     integer_matrix, rational_kernel_basis, span_contains)
 
 F = Fraction
 PRIME = random_primes(1, seed=0)[0]
@@ -149,6 +151,39 @@ def test_echelon_rank_equals_sparse_rank(data):
     for row in rows:
         ech.insert({c: F(v) for c, v in enumerate(row) if v})
     assert ech.rank == mat.rank_exact() == dense_rank(rows)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_rank_is_free_of_row_and_column_order(data):
+    """The ranks pivot on each row's last column in stored order; renumbering
+    the columns from the other end or permuting the rows must not matter.
+    Up to 6 x 6 with entries in [-4, 4] a nonzero minor is below Hadamard's
+    (4 sqrt 6)^6 < 2^20 < PRIME, so the rank mod PRIME is the rational one."""
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    rank = dense_rank(rows)
+    for variant in (rows, [row[::-1] for row in rows], [rows[i] for i in order],
+                    [rows[i][::-1] for i in order]):
+        mat = integer_matrix(variant)
+        assert mat.rank_exact() == mat.rank_mod_p(PRIME) == rank
+
+
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=60, deadline=None)
+def test_rank_mod_small_p_equals_dense_gf_p(data, p):
+    """Small primes make leads that vanish mod p without vanishing; neither
+    rank changes the stored rows."""
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-3 * p, 3 * p), min_size=ncols,
+                                       max_size=ncols), min_size=nrows, max_size=nrows))
+    mat = integer_matrix(rows)
+    kept = copy.deepcopy(mat.rows)
+    assert mat.rank_mod_p(p) == dense_rank_mod_p(rows, p)
+    assert mat.rank_exact() == dense_rank(rows)
+    assert mat.rows == kept
 
 
 entries = st.one_of(st.integers(-4, 4),
