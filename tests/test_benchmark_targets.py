@@ -4,13 +4,15 @@
 benchmark run starts, and ``perfbench/workloads.py`` calls the package
 through module attributes; a refactor that deletes, renames or moves one
 fails here instead of crashing the benchmark, and so does a signature
-change that leaves one of its calls unable to bind.
+change that leaves one of its calls unable to bind, or a change of route
+that leaves a traced name uncalled by every workload.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -19,21 +21,41 @@ SPANS = PERFBENCH / "spans.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_resolves():
-    spans = _spans_module()
+    spans = _load("perfbench_spans", SPANS)
     bindings = spans.snapshot()
     for module, attr in spans.TARGETS:
         name = attr.rpartition(".")[2]
         assert any(n == name for _, n, _ in bindings), f"newstein.{module}.{attr}"
     assert all(callable(original) for *_, original in bindings)
     assert len(bindings) >= len(spans.TARGETS)
+
+
+def test_every_traced_target_is_called_by_a_workload():
+    """A target that resolves but that no workload calls reports zero calls
+    and zero time for ever, and the benchmark's self-test refuses it; one
+    set-up and one pass of every workload, traced, must call each."""
+    spans = _load("perfbench_spans", SPANS)
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    tracer = spans.Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        for setup, tasks in workloads.WORKLOADS.values():
+            inputs = setup(1)
+            for task in tasks:
+                task(inputs, workloads.REFERENCES, lambda *args: None)
+    finally:
+        tracer.uninstall()
+    called = {name for calls in tracer.calls.values() for name in calls}
+    assert [spans.span_name(*t) for t in spans.TARGETS
+            if spans.span_name(*t) not in called] == []
 
 
 def _package_attributes(tree: ast.Module):

@@ -823,6 +823,51 @@ def test_invariant_cochains_are_annihilated_by_every_levi_generator(name, kept):
             assert not any(g in T for T, _ in cx.d_apply(f)), (alg.labels[g], f)
 
 
+@pytest.mark.parametrize("name", [f"newstein-ext:{c}" for c in range(1, 10)] + ["levi-rescaled"])
+def test_generator_order_keeps_two_j_and_three_l_generators(name):
+    """J's ad is sparser than L's, so the J's come first, and the same five
+    generators are kept however K extends the algebra or the Levi basis is
+    rescaled."""
+    alg = (_levi_rescaled(load_algebra("newstein")) if name == "levi-rescaled"
+           else load_algebra(name))
+    assert ([str(alg.labels[i]) for i in _generator_order(alg)]
+            == ["J12", "J13", "L12", "L13", "L14"])
+
+
+class _SplitAlgebra(NewSteinAlgebra):
+    """An algebra whose first three basis vectors span its Levi factor; it
+    declares the split and nothing else of the family."""
+
+    levi_indices = [0, 1, 2]
+
+
+def _sl2_on_irreducible(n: int) -> _SplitAlgebra:
+    """sl2 ⋉ V_n with plain labels h, e, f, v0..vn: h.v_i = (n - 2i) v_i,
+    e.v_i = i v_(i-1), f.v_i = (n - i) v_(i+1)."""
+    constants = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    for i in range(n + 1):
+        constants[(0, 3 + i)] = {3 + i: n - 2 * i}
+        constants[(1, 3 + i)] = {2 + i: i}
+        if i < n:
+            constants[(2, 3 + i)] = {4 + i: n - i}
+    return _SplitAlgebra(f"sl2-V{n}", ["h", "e", "f"] + [f"v{i}" for i in range(n + 1)],
+                         constants)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("k", [1, 2])
+def test_reduction_on_sl2_semidirect_irreducible_needs_no_structured_labels(n, k):
+    """The reduction reads the Levi split and the brackets, never a label
+    kind: on sl2 ⋉ V_n it gives direct exact H^1 = 1, and H^2 = 1 for even n
+    and 0 for odd n."""
+    alg = _sl2_on_irreducible(n)
+    assert alg.jacobi_check() == []
+    direct = betti(alg, CoefficientModule.adjoint(alg), k, method="exact").betti
+    assert direct == (1 if k == 1 or n % 2 == 0 else 0)
+    assert reduction_data(alg, k).betti == direct
+    assert betti(alg, CoefficientModule.adjoint(alg), k, method="reduction").betti == direct
+
+
 def test_invariant_one_cocycles_with_zero_translation_parts_are_derivations(G):
     """Killing the four translation parameters leaves the extension family."""
     data = reduction_data(G, 1)
@@ -887,12 +932,16 @@ def test_h2_reduction_agrees_with_direct_on_midsize_subalgebra():
 
 
 def test_negative_betti_number_aborts(monkeypatch):
-    """Ranks larger than the cochain space are the engine's fault and raise."""
+    """Ranks larger than the cochain space are the engine's fault and raise,
+    from the first negative value on: a rank of 10, and one too many on d_1
+    with nothing on the empty d_0, which is exactly b = -1."""
     from newstein.exactla import SparseExactMatrix
 
-    monkeypatch.setattr(SparseExactMatrix, "rank_exact", lambda self: 10)
-    with pytest.raises(InternalCheckError, match="negative Betti number"):
-        betti(sl2(), CoefficientModule.trivial(), 1, method="exact")
+    orig = SparseExactMatrix.rank_exact
+    for rank in (lambda self: 10, lambda self: orig(self) + bool(self.rows)):
+        monkeypatch.setattr(SparseExactMatrix, "rank_exact", rank)
+        with pytest.raises(InternalCheckError, match="negative Betti number"):
+            betti(sl2(), CoefficientModule.trivial(), 1, method="exact")
 
 
 def test_modular_disagreement_aborts():
@@ -967,9 +1016,12 @@ def test_modular_rejects_repeated_primes():
               primes=[p, 1048589])
 
 
-@pytest.mark.parametrize("moduli, named", [([15, 21, 33], [15, 21, 33]), ([1, 3, 5], [1])])
+@pytest.mark.parametrize("moduli, named", [([15, 21, 33], [15, 21, 33]), ([1, 3, 5], [1]),
+                                           ([8321, 1048583, 1048589], [8321])])
 def test_modular_rejects_moduli_that_are_not_prime(moduli, named):
-    """The upper-bound argument needs a field; 15, 21, 33 gave Betti 0 without one."""
+    """The upper-bound argument needs a field; 15, 21, 33 gave Betti 0 without one.
+    8321 = 53 * 157 passes trial division and is a strong probable prime to
+    base 2, so only the later Miller-Rabin witnesses refuse it."""
     with pytest.raises(ValueError, match=re.escape(f"moduli {named} are not prime")):
         betti(sl2(), CoefficientModule.adjoint(sl2()), 1, method="modular", primes=moduli)
 
