@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb, lcm
-from operator import getitem
 
 from .algebras import NewSteinAlgebra
 from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _is_prime, _normalize,
@@ -122,11 +121,23 @@ class CochainComplex:
         return comb(len(self.args), k) * self.coeffs.dim
 
     def d_basis(self, S: tuple[int, ...], m: int) -> dict:
-        """Column of D * d applied to the basis cochain at (S, m)."""
+        """Column of D * d applied to the basis cochain at (S, m), keyed
+        (wedge, module index).
+
+        Sign rule, the one definition of d (``d_matrix_by_domain`` places the
+        same entries).  The slot s_x of x in a wedge W is the number of
+        elements of W below x.  Action part: each entry v * e_mp of
+        D rho(e_t) e_m, t not in S, adds (-1)^(s_t) * v at (S + {t}, mp),
+        s_t the slot of t in S, since removing t from that wedge leaves S.
+        Bracket part: write S = R + {c}; each constant [e_a, e_b] with
+        v * e_c in it (a < b; a, b not in R) adds (-1)^(s_a + s_b + 1 + s_c) * v
+        at (R + {a, b}, m), the slots taken in R: a and b sit at indices s_a
+        and s_b + 1 of that wedge, and reading the coefficient at S moves c
+        past s_c places.  Below, q, ia, ib and p are s_t, s_a, s_b and s_c.
+        """
         out: dict = {}
         n = len(S)
-        # action part: t enters the sorted S at position q, so removing it
-        # from T leaves exactly S with sign (-1)^q; every key (T, mp) is new
+        # action part; every key (T, mp) is new
         for t, col in self._acting[m]:
             q = bisect_left(S, t)
             if q < n and S[q] == t:
@@ -134,7 +145,7 @@ class CochainComplex:
             T = S[:q] + (t,) + S[q:]
             for mp, c in col.items():
                 out[T, mp] = -c if q & 1 else c
-        # bracket part, inline: a _bump call per term slows the d_3(trivial) build
+        # bracket part
         n -= 1
         for p, c_idx in enumerate(S):
             pairs = self._by_target.get(c_idx)
@@ -148,9 +159,6 @@ class CochainComplex:
                 ib = bisect_left(rest, b, ia)
                 if ib < n and rest[ib] == b:
                     continue
-                # a < b sit at positions ia and ib + 1 of the sorted T, so
-                # w([T_i,T_j], rest) picks up (-1)^{ia+ib+1}, and reading the
-                # coefficient at S moves the target past p slots
                 key = (rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:], m)
                 if v := out.pop(key, 0) + (-coeff if (ia + ib + 1 + p) & 1 else coeff):
                     out[key] = v
@@ -171,31 +179,127 @@ class CochainComplex:
     def d_matrix_by_domain(self, k: int) -> SparseExactMatrix:
         """Transpose of D * d_k, one row per nonzero domain column (same rank).
 
-        Positions are on the lexicographic wedge bases, module index fastest.
-        A codomain wedge's position is its lexicographic rank, in closed
-        form (the combinatorial number system): for T = (t_0 < .. < t_{r-1})
-        at local argument positions q_i among n arguments it is
-        C(n, r) - 1 - sum_i C(n - 1 - q_i, r - i), so no table of the
-        codomain wedges is built.  Eliminating along the smaller side keeps
-        the big second-degree computations tractable: at full scale the
-        domain has 65k rows while the codomain has over a million.
+        Rows are stored in ascending domain position; positions are on the
+        lexicographic wedge bases, module index fastest.  Eliminating along
+        the smaller side keeps the big second-degree computations tractable:
+        at full scale the domain has 65k rows while the codomain has over a
+        million.  Entries follow the sign rule of ``d_basis``.
+
+        A wedge's position is its lexicographic rank, in closed form (the
+        combinatorial number system): for (t_0 < .. < t_{r-1}) at local
+        argument positions q_i among n arguments it is
+        C(n, r) - 1 - sum_i C(n - 1 - q_i, r - i), so no table of the wedges
+        is built.  A term depends on the element and on its index in the
+        wedge.
+
+        The bracket part is built by walking the (k-1)-wedges R in order:
+        each constant with a, b, c not in R is placed once, at row
+        R + {c} and column R + {a, b}.  For each R the slots, and the sums of
+        R's terms for each slot where c, or a and b, enter, are taken once,
+        so an entry's position adds only the entering elements' own terms.
+        Two rests reach the same (S, T) where T = S + {x} and ad x has
+        diagonal entries at two elements of S, so entries are summed with
+        zeros dropped.  The part of each domain wedge S is kept at module
+        index 0; module index m copies it shifted by m and adds the action
+        part, from one table of the positions of S + {t} per S.  With one
+        module index the part is the row itself.
         """
-        dimM, n, r = self.coeffs.dim, len(self.args), k + 1
-        top = (comb(n, r) - 1) * dimM
-        # tables[i][t]: the i-th term of the rank sum, times dimM, for argument t
-        tables = [{t: comb(n - 1 - q, r - i) * dimM for q, t in enumerate(self.args)}
-                  for i in range(r)]
+        dimM, n = self.coeffs.dim, len(self.args)
         mat = SparseExactMatrix(self.dim_c(k), self.dim_c(k + 1))
-        for dom, (S, m) in enumerate(product(self.wedges(k), range(dimM))):
-            if col := self.d_basis(S, m):
-                mat.rows[dom] = {top + mp - sum(map(getitem, tables, T)): v
-                                 for (T, mp), v in col.items()}
+        if k < 0:
+            return mat
+        loc = {t: q for q, t in enumerate(self.args)}
+        # neg_S[i][q], neg_T[i][q]: minus the term of local argument q at index i
+        # of a k-wedge's rank and of a (k+1)-wedge's position (times dimM)
+        neg_S = [[-comb(n - 1 - q, k - i) for q in range(n)] for i in range(k)]
+        neg_T = [[-comb(n - 1 - q, k + 1 - i) * dimM for q in range(n)] for i in range(k + 1)]
+        top_S, top_T = comb(n, k) - 1, (comb(n, k + 1) - 1) * dimM
+        slots = [[i] * n for i in range(k + 1)]
+        by_target = [(loc[c], [(loc[a], loc[b], v) for a, b, v in pairs])
+                     for c, pairs in self._by_target.items()]
+        parts: list = [{} for _ in range(comb(n, k))]
+        for R in combinations(range(n), k - 1) if k else ():
+            slot = _slots(R, slots)
+            row_at = _slot_sums(R, neg_S, top_S)
+            col_at = [_slot_sums(R, neg_T, top_T, sa) for sa in range(k)]
+            # the own terms of a at index s_a and of b at index s_b + 1 of T
+            own_a, own_b = _by_slot(R, neg_T), _by_slot(R, neg_T[1:])
+            for c, pairs in by_target:
+                if (sc := slot[c]) is None:
+                    continue
+                part = parts[row_at[sc] + neg_S[sc][c]]
+                for a, b, v in pairs:
+                    sa, sb = slot[a], slot[b]
+                    if sa is None or sb is None:
+                        continue
+                    key = col_at[sa][sb] + own_a[a] + own_b[b]
+                    if not (sa + sb + sc) & 1:
+                        v = -v
+                    if w := part.get(key, 0) + v:
+                        part[key] = w
+                    else:
+                        del part[key]
+        # acting[m]: (t, (D rho(e_t) e_m, its negative)) at local positions t
+        acting = [[(loc[t], (col, {mp: -v for mp, v in col.items()})) for t, col in at_m]
+                  for at_m in self._acting]
+        acts = any(acting)
+        for w, S in enumerate(combinations(range(n), k)):
+            part, parts[w] = parts[w], None
+            if acts:
+                slot = _slots(S, slots)
+                # shift[t]: the position of S + {t} at module index 0
+                base = _slot_sums(S, neg_T, top_T)
+                shift = [None if s is None else base[s] + own
+                         for s, own in zip(slot, _by_slot(S, neg_T))]
+            for m, at_m in enumerate(acting):
+                row = part if dimM == 1 else {key + m: v for key, v in part.items()}
+                for t, cols in at_m:
+                    if (s := slot[t]) is None:
+                        continue
+                    at = shift[t]
+                    for mp, v in cols[s & 1].items():
+                        if x := row.get(at + mp, 0) + v:
+                            row[at + mp] = x
+                        else:
+                            del row[at + mp]
+                if row:
+                    mat.rows[w * dimM + m] = row
         return mat
 
     def dd_violations(self, k: int) -> list:
         """Basis cochains at degree k with d(d(.)) != 0 (must be empty)."""
         return [(S, m) for S, m in product(self.wedges(k), range(self.coeffs.dim))
                 if self.d_apply(self.d_basis(S, m))]
+
+
+def _by_slot(W: tuple[int, ...], tables: list[list]) -> list:
+    """tables[s][x] for each local argument x, s its slot in the wedge W (the
+    elements of W below x; W[j] itself reads tables[j]): one slice per gap."""
+    out, lo = [], 0
+    for j, x in enumerate(W):
+        out += tables[j][lo:x + 1]
+        lo = x + 1
+    return out + tables[len(W)][lo:]
+
+
+def _slots(W: tuple[int, ...], slots: list[list[int]]) -> list:
+    """The slot of each local argument in the wedge W, None on W itself;
+    ``slots[s]`` is a list of s's."""
+    slot = _by_slot(W, slots)
+    for x in W:
+        slot[x] = None
+    return slot
+
+
+def _slot_sums(W: tuple[int, ...], neg: list[list[int]], top: int, *entered: int) -> list[int]:
+    """sums[s] = top + sum_j neg[i_j][W[j]], i_j the index of W[j] once one
+    element enters W at slot s and one at each slot in ``entered``.  From
+    s = len(W) down, each step moves one more element of W up one index."""
+    idx = [j + sum(j >= e for e in entered) for j in range(len(W))]
+    sums = [top + sum([neg[i][x] for i, x in zip(idx, W)])]
+    for i, x in zip(reversed(idx), reversed(W)):
+        sums.append(sums[-1] + neg[i + 1][x] - neg[i][x])
+    return sums[::-1]
 
 
 @dataclass

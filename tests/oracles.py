@@ -401,9 +401,12 @@ def coboundary_matrix(alg: LieAlgebra, coeffs: CoefficientModule, k: int) -> Spa
 
 
 def keyed_domain_rows(cx: CochainComplex, k: int) -> dict[int, dict[int, int]]:
-    """The rows of ``cx.d_matrix_by_domain(k)``, each codomain key (T, mp)
+    """The rows of ``cx.d_matrix_by_domain(k)``, in ascending domain order:
+    ``cx.d_basis(S, m)`` for every (S, m) in turn, each codomain key (T, mp)
     placed by a dict from every (k+1)-wedge to its position in the listed
-    wedge order; the reference for the closed-form wedge rank."""
+    wedge order.  The reference for the builder, which places each
+    constant once per (k-1)-wedge at closed-form wedge ranks; this walks
+    every column and every wedge by key."""
     dimM = cx.coeffs.dim
     start = {T: q * dimM for q, T in enumerate(cx.wedges(k + 1))}
     rows = {}

@@ -115,10 +115,11 @@ def test_coboundary_matrix_matches_brute_force():
 
 
 def test_domain_rows_match_keyed_positions(G):
-    """The closed-form wedge rank puts every entry of d_matrix_by_domain
-    where a dict over the listed codomain wedges puts it: full and
-    subalgebra complexes, trivial and adjoint coefficients, degrees past
-    the top wedge on h3 and sl2, and the large trivial builds and the
+    """d_matrix_by_domain holds the rows d_basis gives, each entry where a
+    dict over the listed codomain wedges puts it, stored in ascending domain
+    order (both ranks eliminate in stored order): full and subalgebra
+    complexes, trivial and adjoint coefficients, degrees past the top wedge
+    on h3 and sl2, and the large trivial builds, the adjoint complex and the
     ideal complex of the 51-dim algebra."""
     cases = []
     for alg, sub in ((heisenberg3(), [1, 2]), (sl2(), [0, 1])):
@@ -126,11 +127,14 @@ def test_domain_rows_match_keyed_positions(G):
             cases += [(CochainComplex(alg, coeffs, args), k)
                       for args in (None, sub) for k in (0, 1, 2, 3)]
     trivial, ideal = CochainComplex(G, CoefficientModule.trivial()), _ideal_complex(G)
-    cases += [(trivial, 2), (trivial, 3), (ideal, 0), (ideal, 1)]
+    adjoint = CochainComplex(G, CoefficientModule.adjoint(G))
+    cases += [(trivial, 2), (trivial, 3), (ideal, 0), (ideal, 1), (adjoint, 0), (adjoint, 1)]
     for cx, k in cases:
         mat = cx.d_matrix_by_domain(k)
+        where = (cx.alg.name, cx.coeffs.kind, cx.args, k)
         assert (mat.nrows, mat.ncols) == (cx.dim_c(k), cx.dim_c(k + 1))
-        assert mat.rows == keyed_domain_rows(cx, k), (cx.alg.name, cx.coeffs.kind, cx.args, k)
+        assert mat.rows == keyed_domain_rows(cx, k), where
+        assert list(mat.rows) == sorted(mat.rows), where
 
 
 def _interleaved_sum() -> LieAlgebra:
