@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, lcm
 
 from .algebras import NewSteinAlgebra
@@ -44,7 +44,8 @@ class InternalCheckError(ArithmeticError):
     """A consistency check of the computation failed, not one of its inputs.
 
     Raised for d o d != 0, a negative Betti number, modular ranks that
-    disagree across primes and ``verify-all`` routes that disagree.
+    disagree across primes, invariant coboundaries outside the span of the
+    invariant cocycles and ``verify-all`` routes that disagree.
     """
 
 
@@ -267,9 +268,19 @@ class CochainComplex:
         return mat
 
     def dd_violations(self, k: int) -> list:
-        """Basis cochains at degree k with d(d(.)) != 0 (must be empty)."""
-        return [(S, m) for S, m in product(self.wedges(k), range(self.coeffs.dim))
-                if self.d_apply(self.d_basis(S, m))]
+        """Basis cochains (S, m) at degree k with d(d(.)) != 0, in basis order
+        (must be empty): ``betti``'s check, ``_dd_failures``, on the rows of
+        ``d_matrix_by_domain(k)`` and ``(k + 1)``, failing positions keyed."""
+        bad = _dd_failures(self.d_matrix_by_domain(k), self.d_matrix_by_domain(k + 1))
+        wedges, dimM = self.wedges(k), self.coeffs.dim
+        return [(wedges[p // dimM], p % dimM) for p in bad]
+
+
+def _dd_failures(first: SparseExactMatrix, second: SparseExactMatrix) -> list:
+    """The rows of ``first``, in order, whose composition with the rows of
+    ``second`` (sum_j row[j] * second.rows[j]) is nonzero."""
+    return [c for c, row in first.rows.items()
+            if _combine(lambda j: second.rows.get(j, {}), row)]
 
 
 def _by_slot(W: tuple[int, ...], tables: list[list]) -> list:
@@ -417,8 +428,7 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
         d_prev, d_here = build(k - 1), build(k)  # d_{-1} has no rows
         # d_k o d_{k-1}, or its transpose, from the rows just built
         first, second = (d_prev, d_here) if by_domain else (d_here, d_prev)
-        if bad := [c for c, row in first.rows.items()
-                   if _combine(lambda j: second.rows.get(j, {}), row)]:
+        if bad := _dd_failures(first, second):
             raise InternalCheckError(f"d o d != 0 at degree {k - 1}: {bad[:3]}")
         if method == "exact":
             rank_here, rank_prev = d_here.rank_exact(), d_prev.rank_exact()
@@ -650,8 +660,10 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     invariant (k-1)-cochains: the Levi factor acts completely reducibly, so
     taking invariants commutes with cohomology.  Those images seed one
     echelon; each cocycle it still accepts is a class, so the count does
-    not depend on the cocycle basis.  One ``invariant_cochains`` call
-    solves both degrees on one ideal complex.
+    not depend on the cocycle basis.  Each image is an invariant cocycle,
+    so the echelon must end at the cocycle count; any other rank raises
+    ``InternalCheckError``.  One ``invariant_cochains`` call solves both
+    degrees on one ideal complex.
     """
     inv = invariant_cochains(alg, k)
     cx = inv.complex
@@ -660,6 +672,9 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     for phi in inv.below:
         ech.insert(cx.d_apply(phi))
     residual = [z for z in cocycles if ech.insert(z) is not None]
+    if ech.rank != len(cocycles):
+        raise InternalCheckError(f"invariant coboundaries leave the span of the {len(cocycles)} "
+                                 f"invariant {k}-cocycles: echelon rank {ech.rank}")
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 
 

@@ -7,9 +7,10 @@ counts) with weights and Weyl's character formula, deliberately sharing no
 code path with the package's engines.  The exceptions are
 ``extension_class_realized``, which sorts its witness matrices with
 ``classify``, and the last section: ``coboundary_matrix``,
-``keyed_domain_rows``, ``integer_matrix``, ``full_coboundary_classes``,
-``generator_casimir``, ``ladder_matrices`` and ``second_order_exact``, thin
-wrappers over those engines that only tests call.
+``keyed_domain_rows``, ``keyed_dd_violations``, ``integer_matrix``,
+``full_coboundary_classes``, ``generator_casimir``, ``ladder_matrices`` and
+``second_order_exact``, thin wrappers over those engines that only tests
+call.
 """
 
 from __future__ import annotations
@@ -414,6 +415,15 @@ def keyed_domain_rows(cx: CochainComplex, k: int) -> dict[int, dict[int, int]]:
         if col := cx.d_basis(S, m):
             rows[dom] = {start[T] + mp: v for (T, mp), v in col.items()}
     return rows
+
+
+def keyed_dd_violations(cx: CochainComplex, k: int) -> list:
+    """The basis cochains (S, m) at degree k, in basis order, whose
+    ``cx.d_apply(cx.d_basis(S, m))`` is nonzero.  The reference for
+    ``cx.dd_violations``, which composes the by-domain rows of d_k and
+    d_{k+1}; this composes keyed columns one basis cochain at a time."""
+    return [(S, m) for S, m in product(cx.wedges(k), range(cx.coeffs.dim))
+            if cx.d_apply(cx.d_basis(S, m))]
 
 
 def integer_matrix(rows: list[list]) -> SparseExactMatrix:

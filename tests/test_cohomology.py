@@ -29,8 +29,8 @@ from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
                      coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
-                     full_coboundary_classes, invariant_dimension, keyed_domain_rows,
-                     newton_algebra, span_contains)
+                     full_coboundary_classes, invariant_dimension, keyed_dd_violations,
+                     keyed_domain_rows, newton_algebra, span_contains)
 
 F = Fraction
 
@@ -227,11 +227,15 @@ def test_betti_rejects_a_non_jacobi_bracket(module, k):
     betti composes the two differentials it builds, both along the smaller
     side of d_k: the domain in the adjoint case, the codomain in the two
     trivial ones.  The cases put the defect at degrees 0, 1 and 2.
+    ``dd_violations`` composes by-domain rows and names the same basis
+    cochains, in the same order, as the keyed composition of the oracle.
     """
     bad = LieAlgebra("non-jacobi", ["a", "b", "c", "z"], {(0, 1): {1: F(1)}, (1, 2): {0: F(1)}})
     assert bad.jacobi_check() == [(0, 1, 2)]
     coeffs = CoefficientModule.trivial() if module == "trivial" else CoefficientModule.adjoint(bad)
-    assert CochainComplex(bad, coeffs).dd_violations(k - 1)
+    cx = CochainComplex(bad, coeffs)
+    violations = cx.dd_violations(k - 1)
+    assert violations and violations == keyed_dd_violations(cx, k - 1)
     with pytest.raises(InternalCheckError, match="d o d"):
         betti(bad, coeffs, k)
 
@@ -382,6 +386,18 @@ def test_h2_class_count_does_not_depend_on_cocycle_basis(G, h2_data, monkeypatch
     assert data.betti == 2 and data.boundary_dim == 2
     assert data.cocycles is mixed
     assert all(any(z is m for m in mixed) for z in data.residual_classes)
+
+
+def test_reduction_refuses_coboundaries_outside_the_cocycles(G, h2_data, monkeypatch):
+    """The coboundaries of the invariant one-cochains (rank 2) must lie in
+    the span of the invariant 2-cocycles; a cocycle step that returns none
+    leaves them outside it, which raises."""
+    from newstein import cohomology
+
+    monkeypatch.setattr(cohomology, "invariant_cochains", lambda alg, k: h2_data.invariant)
+    monkeypatch.setattr(cohomology, "_intersect_kernel", lambda basis, image_of: [])
+    with pytest.raises(InternalCheckError, match="echelon rank 2"):
+        reduction_data(G, 2)
 
 
 def test_reduction_builds_one_ideal_complex(G, monkeypatch):
