@@ -75,22 +75,6 @@ def bracket_of_labels(x: BasisLabel, y: BasisLabel) -> dict[BasisLabel, Fraction
 class NewSteinAlgebra(LieAlgebra):
     """The 51-dimensional algebra (or its 41-dimensional planar variant)."""
 
-    @property
-    def levi_indices(self) -> list[int]:
-        """Positions of the Levi factor [s, s], s the L/J span: the targets of
-        the brackets inside s.  That is sl(2,C) + su(2), or sl(2,C) alone in
-        the planar variant, whose one J_12 is abelian."""
-        s = {i for i, lab in enumerate(self.labels) if lab.kind in ("L", "J")}
-        return sorted({k for (i, j), vec in self.constants.items()
-                       if i in s and j in s for k in vec})
-
-    @property
-    def ideal_indices(self) -> list[int]:
-        """Positions of the radical, the complement of the Levi factor: T, T',
-        A, Q, C, and J_12 in the planar variant or K in the extensions."""
-        levi = set(self.levi_indices)
-        return [i for i in range(self.dim) if i not in levi]
-
     def trace_c(self):
         """The element g^{mu nu} C_{mu nu} = C_11 + C_22 + C_33 - C_44."""
         return self.element({lb.C(m, m): metric(m, m) for m in range(1, 5)})

@@ -33,7 +33,6 @@ from functools import cache
 from itertools import combinations
 from math import comb, lcm
 
-from .algebras import NewSteinAlgebra
 from .exactla import (Echelon, SparseExactMatrix, _bump, _combine, _is_prime, _normalize,
                       kernel_basis, random_primes)
 from .labels import BasisLabel
@@ -385,7 +384,7 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
     51-dimensional algebra).  Both differentials are built along the
     smaller side of d_k, and the d o d check, which always runs, composes
     those rows.  The reduction needs adjoint coefficients, k = 1 or 2 and a
-    ``NewSteinAlgebra``, and builds no full complex.
+    basis-aligned Levi split (``levi_indices``), and builds no full complex.
     """
     if method not in ("exact", "modular", "reduction"):
         raise ValueError(f"unknown method {method!r}")
@@ -396,8 +395,6 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
             raise ValueError(f"the reduction computes adjoint cohomology, not {coeffs.kind}")
         if k not in (1, 2):
             raise ValueError(f"the reduction computes degree 1 or 2, not {k}")
-        if not isinstance(alg, NewSteinAlgebra):
-            raise ValueError("the reduction needs the structured algebra family")
         coeffs._check_module_of(alg)
         data = reduction_data(alg, k)
         cx = data.invariant.complex
@@ -529,7 +526,7 @@ class InvariantCochainSpace:
         return len(self.basis)
 
 
-def _generator_order(alg: NewSteinAlgebra) -> list[int]:
+def _generator_order(alg: LieAlgebra) -> list[int]:
     """Levi generators, sparsest ad first (stable; plain index order measured
     7-9 % slower), less each in the span of the kept ones and their pairwise
     brackets: the annihilator of a cochain is a subalgebra, so a skipped
@@ -545,11 +542,11 @@ def _generator_order(alg: NewSteinAlgebra) -> list[int]:
     return kept
 
 
-def _ideal_complex(alg: NewSteinAlgebra) -> CochainComplex:
+def _ideal_complex(alg: LieAlgebra) -> CochainComplex:
     return CochainComplex(alg, CoefficientModule.adjoint(alg), alg.ideal_indices)
 
 
-def invariant_cochains(alg: NewSteinAlgebra, k: int) -> InvariantCochainSpace:
+def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
     """Bases of the Levi-invariant cochains Hom(Lambda^k r, algebra) and
     Hom(Lambda^(k-1) r, algebra) of the radical r, exact.
 
@@ -653,7 +650,7 @@ class ReductionData:
         return len(self.cocycles) - self.boundary_dim
 
 
-def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
+def reduction_data(alg: LieAlgebra, k: int) -> ReductionData:
     """H^k of the Levi-invariant subcomplex of the ideal complex.
 
     Among the invariant cocycles, the coboundaries are exactly d of the
@@ -678,17 +675,17 @@ def reduction_data(alg: NewSteinAlgebra, k: int) -> ReductionData:
     return ReductionData(inv, cocycles, len(cocycles) - len(residual), residual)
 
 
-def h1_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
+def h1_via_reduction(alg: LieAlgebra) -> CohomologyReport:
     """dim H^1(alg, alg) through the invariant ideal complex, exact."""
     return betti(alg, CoefficientModule.adjoint(alg), 1, method="reduction")
 
 
-def h2_via_reduction(alg: NewSteinAlgebra) -> CohomologyReport:
+def h2_via_reduction(alg: LieAlgebra) -> CohomologyReport:
     """dim H^2(alg, alg) through the invariant ideal complex, exact."""
     return betti(alg, CoefficientModule.adjoint(alg), 2, method="reduction")
 
 
-def six_parameter_cochain_family(alg: NewSteinAlgebra) -> list[dict]:
+def six_parameter_cochain_family(alg: LieAlgebra) -> list[dict]:
     """The six-parameter invariant family on the ideal, as cochain vectors.
 
     Generators (alpha, alpha', beta, beta', gamma, gamma'): T -> T, T' -> T',

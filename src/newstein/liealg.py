@@ -137,6 +137,55 @@ class LieAlgebra:
         """
         return self._ad[i]
 
+    # -- Levi split ------------------------------------------------------
+
+    @cached_property
+    def _split(self) -> tuple[list[int], list[int]]:
+        """(Levi positions, radical positions), computed on first use.
+
+        The radical is the Killing-orthogonal of [g, g] (Cartan's criterion):
+        the kernel of x -> kappa(x, [e_i, e_j]) over the stored constants.
+        kappa(e_a, e_b) = tr(ad e_a ad e_b) pairs each entry (m, n) of ad e_a
+        with the entries (n, m) of the ad table.  The Levi positions are the
+        others; since the radical is an ideal, a subalgebra on them is a Levi
+        factor.  ``ValueError`` unless the radical is spanned by basis vectors
+        and the Levi positions span a subalgebra.
+        """
+        by_entry: dict[tuple[int, int], list] = {}  # (m, n) -> (a, (ad e_a)_mn)
+        for a, cols in enumerate(self._ad):
+            for n, col in cols.items():
+                for m, c in col.items():
+                    by_entry.setdefault((m, n), []).append((a, c))
+        killing: list[SparseVec] = [{} for _ in range(self.dim)]
+        for (m, n), entries in by_entry.items():
+            for b, d in by_entry.get((n, m), ()):
+                for a, c in entries:
+                    _bump(killing[a], b, c * d)
+        # column a: kappa(e_a, [e_i, e_j]) keyed by (i, j); kappa is symmetric
+        columns: list[dict] = [{} for _ in range(self.dim)]
+        for key, vec in self.constants.items():
+            for k, c in vec.items():
+                for a, kappa in killing[k].items():
+                    _bump(columns[a], key, c * kappa)
+        kernel = kernel_basis(columns)
+        ideal = {i for vec in kernel for i in vec}
+        if len(ideal) != len(kernel):
+            raise ValueError(f"the radical of {self.name!r} is not spanned by basis vectors")
+        levi = [i for i in range(self.dim) if i not in ideal]
+        if any(k in ideal for i in levi for j in levi for k in self._ad[i].get(j, ())):
+            raise ValueError(f"the Levi positions of {self.name!r} do not span a subalgebra")
+        return levi, sorted(ideal)
+
+    @property
+    def levi_indices(self) -> list[int]:
+        """Basis positions of a Levi factor, a semisimple subalgebra."""
+        return list(self._split[0])
+
+    @property
+    def ideal_indices(self) -> list[int]:
+        """Basis positions of the radical, the complement of the Levi factor."""
+        return list(self._split[1])
+
     def centralizer(self, generators: list["AlgebraElement"]) -> list["AlgebraElement"]:
         """Basis of {x : [g, x] = 0 for every listed g}, exact null space."""
         for g in generators:

@@ -198,13 +198,14 @@ def brute_betti(alg: LieAlgebra, k: int, module: str) -> int:
     return dim_k - r_here - r_prev
 
 
-def einstein_algebra() -> LieAlgebra:
-    """The 14-dimensional subalgebra spanned by L, T, T' (positive control)."""
+def einstein_algebra(with_c: bool = False) -> LieAlgebra:
+    """The 14-dimensional subalgebra spanned by L, T, T' (positive control),
+    or with ``with_c`` the 24-dimensional one spanned by L, T, T', C."""
     from newstein.algebras import build_newstein
 
     G = build_newstein()
-    keep = [i for i, lab in enumerate(G.labels)
-            if getattr(lab, "kind", None) in ("L", "T", "Tp")]
+    kinds = ("L", "T", "Tp", "C") if with_c else ("L", "T", "Tp")
+    keep = [i for i, lab in enumerate(G.labels) if getattr(lab, "kind", None) in kinds]
     pos = {old: new for new, old in enumerate(keep)}
     constants = {}
     for (i, j), vec in G.constants.items():
@@ -212,10 +213,11 @@ def einstein_algebra() -> LieAlgebra:
             entries = {}
             for t, c in vec.items():
                 if t not in pos:
-                    raise AssertionError("L+T+T' should close")
+                    raise AssertionError(f"{'+'.join(kinds)} should close")
                 entries[pos[t]] = c
             constants[(pos[i], pos[j])] = entries
-    return LieAlgebra("einstein", [G.labels[i] for i in keep], constants)
+    return LieAlgebra("einstein-c" if with_c else "einstein", [G.labels[i] for i in keep],
+                      constants)
 
 
 def newton_algebra() -> LieAlgebra:
@@ -252,6 +254,45 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     labels = [f"{lab}.1" for lab in g1.labels] + [f"{lab}.2" for lab in g2.labels]
     return LieAlgebra(f"{g1.name}+{g2.name}", labels, {**g1.constants, **shifted})
 
+
+
+def levi_rescaled(G: LieAlgebra) -> LieAlgebra:
+    """G with its first and last Levi generator (an L and a J of the
+    51-dim algebra) rescaled by 1/2 and 1/5, which puts those denominators
+    into their invariance operators."""
+    s = {G.levi_indices[0]: F(1, 2), G.levi_indices[-1]: F(1, 5)}
+    return LieAlgebra("scaled", list(G.labels), {
+        (i, j): {k: s.get(i, 1) * s.get(j, 1) * c / s.get(k, 1) for k, c in vec.items()}
+        for (i, j), vec in G.constants.items()})
+
+
+def rebased(alg: LieAlgebra, name: str, t: int, s: int) -> LieAlgebra:
+    """alg in the basis with e_t replaced by e_t + e_s (s != t), its
+    constants re-expressed exactly (e_t = e'_t - e'_s)."""
+    new = [{i: 1} for i in range(alg.dim)]
+    new[t] = {t: 1, s: 1}
+
+    def coords(vec):
+        out = dict(vec)
+        if t in vec:
+            out[s] = out.get(s, 0) - vec[t]
+        return out
+
+    return LieAlgebra(name, list(alg.labels), {
+        (i, j): coords(alg.bracket_vec(new[i], new[j]))
+        for i in range(alg.dim) for j in range(i + 1, alg.dim)})
+
+
+def sl2_on_irreducible(n: int) -> LieAlgebra:
+    """sl2 ⋉ V_n with plain labels h, e, f, v0..vn: h.v_i = (n - 2i) v_i,
+    e.v_i = i v_(i-1), f.v_i = (n - i) v_(i+1)."""
+    constants = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    for i in range(n + 1):
+        constants[(0, 3 + i)] = {3 + i: n - 2 * i}
+        constants[(1, 3 + i)] = {2 + i: i}
+        if i < n:
+            constants[(2, 3 + i)] = {4 + i: n - i}
+    return LieAlgebra(f"sl2-V{n}", ["h", "e", "f"] + [f"v{i}" for i in range(n + 1)], constants)
 
 # -- invariant cochain counts by weights ------------------------------------
 

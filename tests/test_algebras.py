@@ -1,19 +1,21 @@
 """Constructors: the 51-dim algebra, its extensions, the planar variant."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
 from newstein import labels as lb
 from newstein.algebras import (beta_cocycle, bracket_of_labels, build_extended, build_newstein,
-                               build_newstein2)
+                               build_newstein2, heisenberg3, sl2)
 from newstein.cohomology import CochainComplex, CoefficientModule
 from newstein.extensions import (ExtensionClass, ExtensionMatrix, InvalidExtensionParameter,
                                  canonical_matrices)
 from newstein.liealg import LieAlgebra
 
-from oracles import dense_jacobi_check
+from oracles import (dense_jacobi_check, dense_rank, einstein_algebra, levi_rescaled, rebased,
+                     sl2_on_irreducible)
 
 F = Fraction
 
@@ -68,21 +70,42 @@ def test_levi_part_closes_and_factors_commute(G):
                 assert not G.bracket_basis(i, j)
 
 
-@pytest.mark.parametrize("build,levi_kinds,extra", [
-    (build_newstein, {"L", "J"}, set()),
-    (build_newstein2, {"L"}, {"J"}),
-    (lambda: build_extended(7), {"L", "J"}, {"K"}),
-], ids=["newstein", "newstein2", "newstein-ext:7"])
-def test_levi_factor_is_perfect_and_radical_is_its_ideal_complement(build, levi_kinds, extra):
-    """The Levi factor is [s, s] of the L/J span s; the planar J_12 and K
-    land in the radical, which is an ideal complementing it."""
+_RADICAL = {"T", "Tp", "C", "A", "Q"}
+# builder, then the kinds of the Levi and radical positions as the L/J label
+# rule gave them (a plain label is its own kind)
+_SPLITS = {
+    "newstein": (build_newstein, {"L", "J"}, _RADICAL),
+    "newstein2": (build_newstein2, {"L"}, _RADICAL | {"J"}),
+    **{f"newstein-ext:{c}": (partial(build_extended, c), {"L", "J"}, _RADICAL | {"K"})
+       for c in range(1, 10)},
+    "levi-rescaled": (lambda: levi_rescaled(build_newstein()), {"L", "J"}, _RADICAL),
+    # e_T1 -> e_T1 + e_T2 (positions 6 and 7)
+    "sheared": (lambda: rebased(build_newstein(), "sheared", 6, 7), {"L", "J"}, _RADICAL),
+    "einstein-c": (partial(einstein_algebra, with_c=True), {"L"}, {"T", "Tp", "C"}),
+    **{f"sl2-V{n}": (partial(sl2_on_irreducible, n), {"h", "e", "f"},
+                     {f"v{i}" for i in range(n + 1)}) for n in range(1, 6)},
+    "h3": (heisenberg3, set(), {"p", "q", "z"}),
+    "sl2": (sl2, {"h", "e", "f"}, set()),
+}
+
+
+@pytest.mark.parametrize("name", _SPLITS)
+def test_levi_factor_is_perfect_and_radical_is_its_ideal_complement(name):
+    """The computed split is the label rule's: the Levi factor is [s, s] of
+    the L/J span s, and the planar J_12 and K land in the radical, an ideal
+    complementing it.  The Levi factor is perfect and its Killing form is
+    nondegenerate (Cartan's criterion for semisimplicity)."""
+    build, levi_kinds, ideal_kinds = _SPLITS[name]
     alg = build()
-    levi, ideal = set(alg.levi_indices), set(alg.ideal_indices)
-    assert {alg.labels[i].kind for i in levi} == levi_kinds
-    assert {alg.labels[i].kind for i in ideal} == {"T", "Tp", "C", "A", "Q"} | extra
-    assert levi | ideal == set(range(alg.dim)) and not levi & ideal
-    assert {k for i in levi for j in levi for k in alg.bracket_basis(i, j)} == levi
+    levi, ideal = alg.levi_indices, alg.ideal_indices
+    kind = [getattr(lab, "kind", lab) for lab in alg.labels]
+    assert {kind[i] for i in levi} == levi_kinds and {kind[i] for i in ideal} == ideal_kinds
+    assert sorted(levi + ideal) == list(range(alg.dim))
+    assert {k for i in levi for j in levi for k in alg.bracket_basis(i, j)} == set(levi)
     assert all(k in ideal for i in range(alg.dim) for j in ideal for k in alg.bracket_basis(i, j))
+    killing = [[sum(alg.bracket_vec({a: 1}, alg.bracket_basis(b, n)).get(n, 0)
+                    for n in range(alg.dim)) for b in levi] for a in levi]
+    assert dense_rank(killing) == len(levi)
 
 
 def test_aq_bracket_is_delta_c(G):

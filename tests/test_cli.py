@@ -17,6 +17,8 @@ from newstein.cli import (EXIT_BAD_PARAMS, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
 from newstein.cohomology import CoefficientModule, InternalCheckError, betti
 from newstein.liealg import LieAlgebra
 
+from oracles import rebased, sl2_on_irreducible
+
 # verify-all claims whose values are exact, hence the same on every machine
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_all_exact.json").read_text())
 
@@ -91,6 +93,24 @@ def test_cohomology_of_a_definition_breaking_jacobi_is_invalid_parameters(tmp_pa
     assert "Jacobi identity on basis triple (0, 1, 2)" in capsys.readouterr().err
     rc, doc = run_cli(["jacobi", "--algebra", f"file:{path}"], tmp_path)
     assert rc == EXIT_MISMATCH and doc["first_violations"] == [[0, 1, 2], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("t,s,reason", [
+    (3, 0, "the radical of 'sl2-V1' is not spanned by basis vectors"),
+    (1, 3, "the Levi positions of 'sl2-V1' do not span a subalgebra"),
+], ids=["unaligned-radical", "unclosed-levi"])
+def test_reduction_on_a_split_off_the_basis_is_invalid_parameters(tmp_path, capsys, t, s, reason):
+    """sl2 ⋉ V_1 with e_t replaced by e_t + e_s is a Lie algebra whose Levi
+    split the reduction cannot take from basis positions: v0 -> v0 + h moves
+    the radical off the basis, e -> e + v0 leaves h, e, f unclosed."""
+    path = tmp_path / "g.json"
+    rebased(sl2_on_irreducible(1), "sl2-V1", t, s).save(path)
+    argv = ["cohomology", "--algebra", f"file:{path}", "--coeffs", "adjoint", "--degree", "1"]
+    rc, doc = run_cli(argv + ["--method", "reduction"], tmp_path)
+    assert rc == EXIT_BAD_PARAMS and doc is None
+    assert reason in capsys.readouterr().err
+    rc, doc = run_cli(argv, tmp_path)
+    assert rc == EXIT_OK and doc["betti"] == 1
 
 
 def test_modular_prime_dividing_the_scale_is_invalid_parameters(tmp_path, capsys):
@@ -571,10 +591,11 @@ def test_config_supplies_required_options_and_flags(tmp_path, capsys):
     assert rc == EXIT_OK and doc["cutoff"] == 4
     rc, doc = run_cli(["--config", str(cfg), "spectrum", "--ell", "0.5", "--cutoff", "3"], tmp_path)
     assert rc == EXIT_OK and doc["cutoff"] == 3
-    # a choice key names the route; the reduction then refuses h3, as a typed --method does
-    cfg.write_text(json.dumps({"method": "reduction", "coeffs": "adjoint", "degree": 1}))
+    # a choice key names the route; the reduction then refuses trivial
+    # coefficients, as a typed --method does
+    cfg.write_text(json.dumps({"method": "reduction", "coeffs": "trivial", "degree": 1}))
     assert main(["--config", str(cfg), *H3]) == EXIT_BAD_PARAMS
-    assert "structured algebra family" in capsys.readouterr().err
+    assert "adjoint cohomology, not trivial" in capsys.readouterr().err
     # a multi-value option takes a list
     cfg.write_text(json.dumps({"matrix": ["1", "0", 0, -1]}))
     rc, doc = run_cli(["--config", str(cfg), "extensions", "classify"], tmp_path)

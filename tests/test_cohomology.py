@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from newstein import labels as lb
-from newstein.algebras import (NewSteinAlgebra, beta_cocycle, build_extended,
-                               build_newstein, build_newstein2, heisenberg3, sl2)
+from newstein.algebras import (beta_cocycle, build_extended, build_newstein, build_newstein2,
+                               heisenberg3, sl2)
 from newstein.cli import load_algebra
 from newstein.cohomology import (CochainComplex, CoefficientModule, CohomologyReport,
                                  betti, h1_via_reduction,
@@ -30,7 +30,8 @@ from newstein.liealg import LieAlgebra
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
                      coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
                      full_coboundary_classes, invariant_dimension, keyed_dd_violations,
-                     keyed_domain_rows, newton_algebra, span_contains)
+                     keyed_domain_rows, levi_rescaled, newton_algebra, rebased,
+                     sl2_on_irreducible, span_contains)
 
 F = Fraction
 
@@ -455,15 +456,6 @@ def test_reduction_reports_match_golden(G):
     assert h2_via_reduction(G).as_dict() == GOLDEN_REDUCTION["2"]
 
 
-def _levi_rescaled(G):
-    """G with one L and one J generator rescaled by 1/2 and 1/5, which puts
-    those denominators into their invariance operators."""
-    s = {G.levi_indices[0]: F(1, 2), G.levi_indices[-1]: F(1, 5)}
-    return NewSteinAlgebra("scaled", list(G.labels), {
-        (i, j): {k: s.get(i, 1) * s.get(j, 1) * c / s.get(k, 1) for k, c in vec.items()}
-        for (i, j), vec in G.constants.items()})
-
-
 @pytest.mark.parametrize("name,k", [("newstein", 1), ("newstein", 2), ("ext3", 1),
                                     ("ext8", 1), ("levi-rescaled", 1)])
 def test_reduction_matches_full_coboundary_elimination(G, h2_data, name, k):
@@ -474,7 +466,7 @@ def test_reduction_matches_full_coboundary_elimination(G, h2_data, name, k):
     the coboundary step only; the split is checked against the direct
     complex by ``test_h1_reduction_matches_direct_on_every_family_selector``."""
     alg = {"newstein": G, "ext3": build_extended(3), "ext8": build_extended(8),
-           "levi-rescaled": _levi_rescaled(G)}[name]
+           "levi-rescaled": levi_rescaled(G)}[name]
     data = h2_data if (name, k) == ("newstein", 2) else reduction_data(alg, k)
     classes = full_coboundary_classes(alg, k)
     assert data.residual_classes == classes
@@ -495,7 +487,7 @@ def test_h1_reduction_with_rational_invariance_operators(case, scale):
 def test_reduction_survives_rational_levi_operators(G):
     """Rescaling one L and one J generator by 1/2 and 1/5 puts those
     denominators into their invariance operators; no count may move."""
-    scaled = _levi_rescaled(G)
+    scaled = levi_rescaled(G)
     assert CochainComplex(scaled, CoefficientModule.adjoint(scaled)).scale == 10
     assert invariant_cochains(scaled, 1).dim == 10
     red = h1_via_reduction(scaled)
@@ -537,30 +529,12 @@ def test_intersect_kernel_solves_each_component_shape_once(monkeypatch):
     assert len(solved) == 3
 
 
-def _sheared(G):
-    """G in the basis with e_T1 replaced by e_T1 + e_T2, its constants
-    re-expressed exactly (e_T1 = e'_T1 - e'_T2)."""
-    t1, t2 = G.index[lb.T(1)], G.index[lb.T(2)]
-    new = [{i: 1} for i in range(G.dim)]
-    new[t1] = {t1: 1, t2: 1}
-
-    def coords(vec):
-        out = dict(vec)
-        if t1 in vec:
-            out[t2] = out.get(t2, 0) - vec[t1]
-        return out
-
-    return NewSteinAlgebra("sheared", list(G.labels), {
-        (i, j): coords(G.bracket_vec(new[i], new[j]))
-        for i in range(G.dim) for j in range(i + 1, G.dim)})
-
-
 def test_reduction_with_a_diagonal_levi_entry_on_the_ideal(G):
     """ad L12 on the sheared basis has diagonal entries on the ideal, so the
     argument part of g . f lands on the wedge S itself, where ad g on m is
     placed too; no family selector has such an entry.  A change of basis
     moves no count."""
-    alg = _sheared(G)
+    alg = rebased(G, "sheared", G.index[lb.T(1)], G.index[lb.T(2)])
     assert alg.jacobi_check() == []
     ad = alg.ad_columns(alg.index[lb.L(1, 2)])
     assert {str(alg.labels[y]): vec[y] for y, vec in ad.items() if y in vec} == {"T1": 1, "T2": -1}
@@ -575,8 +549,6 @@ def test_h2_deformations_integrate_exactly(G):
     Turning on [T_mu, T'_nu] = C_{mu nu} (or its metric trace variant)
     produces honest Lie algebras, so the algebra is not rigid.
     """
-    from newstein.algebras import NewSteinAlgebra
-
     trace = G.trace_c().coeffs
     for variant in ("full", "trace"):
         cons = {key: dict(v) for key, v in G.constants.items()}
@@ -595,7 +567,7 @@ def test_h2_deformations_integrate_exactly(G):
                 row = cons.setdefault((lo, hi), {})
                 for t, c in entry.items():
                     row[t] = row.get(t, 0) + c
-        deformed = NewSteinAlgebra("deformed", list(G.labels), cons)
+        deformed = LieAlgebra("deformed", list(G.labels), cons)
         assert deformed.jacobi_check() == []
 
 
@@ -607,8 +579,6 @@ def test_h1_reduction_sensitivity_negative_control(G):
     first cohomology from 8 to 7 (one mixer becomes inner-like cohomologous
     to zero through the new bracket).
     """
-    from newstein.algebras import NewSteinAlgebra
-
     cons = {key: dict(v) for key, v in G.constants.items()}
     for m in range(1, 5):
         for n in range(1, 5):
@@ -616,7 +586,7 @@ def test_h1_reduction_sensitivity_negative_control(G):
             lo, hi = min(i, j), max(i, j)
             sgn = 1 if i < j else -1
             cons.setdefault((lo, hi), {})[G.index[lb.C(min(m, n), max(m, n))]] = F(sgn)
-    deformed = NewSteinAlgebra("deformed", list(G.labels), cons)
+    deformed = LieAlgebra("deformed", list(G.labels), cons)
     assert deformed.jacobi_check() == []
     red = h1_via_reduction(deformed).betti
     direct = betti(deformed, CoefficientModule.adjoint(deformed), 1,
@@ -819,7 +789,7 @@ def test_invariant_bases_reproducible_bit_exactly(name, k, basis_digest, below_d
         triples = sorted((S, m, v) for vec in vecs for (S, m), v in vec.items())
         return hashlib.sha256(";".join(f"{S},{m},{v}" for S, m, v in triples).encode()).hexdigest()
 
-    alg = (_levi_rescaled(load_algebra("newstein")) if name == "levi-rescaled"
+    alg = (levi_rescaled(load_algebra("newstein")) if name == "levi-rescaled"
            else load_algebra(name))
     inv = invariant_cochains(alg, k)
     assert (digest(inv.basis), digest(inv.below)) == (basis_digest, below_digest)
@@ -848,42 +818,24 @@ def test_generator_order_keeps_two_j_and_three_l_generators(name):
     """J's ad is sparser than L's, so the J's come first, and the same five
     generators are kept however K extends the algebra or the Levi basis is
     rescaled."""
-    alg = (_levi_rescaled(load_algebra("newstein")) if name == "levi-rescaled"
+    alg = (levi_rescaled(load_algebra("newstein")) if name == "levi-rescaled"
            else load_algebra(name))
     assert ([str(alg.labels[i]) for i in _generator_order(alg)]
             == ["J12", "J13", "L12", "L13", "L14"])
 
 
-class _SplitAlgebra(NewSteinAlgebra):
-    """An algebra whose first three basis vectors span its Levi factor; it
-    declares the split and nothing else of the family."""
-
-    levi_indices = [0, 1, 2]
-
-
-def _sl2_on_irreducible(n: int) -> _SplitAlgebra:
-    """sl2 ⋉ V_n with plain labels h, e, f, v0..vn: h.v_i = (n - 2i) v_i,
-    e.v_i = i v_(i-1), f.v_i = (n - i) v_(i+1)."""
-    constants = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
-    for i in range(n + 1):
-        constants[(0, 3 + i)] = {3 + i: n - 2 * i}
-        constants[(1, 3 + i)] = {2 + i: i}
-        if i < n:
-            constants[(2, 3 + i)] = {4 + i: n - i}
-    return _SplitAlgebra(f"sl2-V{n}", ["h", "e", "f"] + [f"v{i}" for i in range(n + 1)],
-                         constants)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [*range(1, 6), "h3", "sl2"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_reduction_on_sl2_semidirect_irreducible_needs_no_structured_labels(n, k):
-    """The reduction reads the Levi split and the brackets, never a label
-    kind: on sl2 ⋉ V_n it gives direct exact H^1 = 1, and H^2 = 1 for even n
-    and 0 for odd n."""
-    alg = _sl2_on_irreducible(n)
+    """The reduction computes the Levi split from the brackets and never reads
+    a label kind: on sl2 ⋉ V_n it gives direct exact H^1 = 1, and H^2 = 1 for
+    even n and 0 for odd n; on h3 (all radical) H^1 = 4 and H^2 = 5, and on
+    sl2 (no radical) both vanish."""
+    alg = load_algebra(n) if isinstance(n, str) else sl2_on_irreducible(n)
     assert alg.jacobi_check() == []
     direct = betti(alg, CoefficientModule.adjoint(alg), k, method="exact").betti
-    assert direct == (1 if k == 1 or n % 2 == 0 else 0)
+    assert direct == ({"h3": (4, 5), "sl2": (0, 0)}[n][k - 1] if isinstance(n, str)
+                      else 1 if k == 1 or n % 2 == 0 else 0)
     assert reduction_data(alg, k).betti == direct
     assert betti(alg, CoefficientModule.adjoint(alg), k, method="reduction").betti == direct
 
@@ -933,17 +885,7 @@ def test_h2_reduction_agrees_with_direct_on_midsize_subalgebra():
     Cross-validation at a size where the direct second-degree adjoint
     computation is still affordable: the L + T + T' + C subalgebra.
     """
-    from newstein.algebras import NewSteinAlgebra
-
-    G = build_newstein()
-    keep = [i for i, lab in enumerate(G.labels)
-            if lab.kind in ("L", "T", "Tp", "C")]
-    pos = {old: new for new, old in enumerate(keep)}
-    constants = {}
-    for (i, j), vec in G.constants.items():
-        if i in pos and j in pos:
-            constants[(pos[i], pos[j])] = {pos[t]: c for t, c in vec.items()}
-    sub = NewSteinAlgebra("einstein-c", [G.labels[i] for i in keep], constants)
+    sub = einstein_algebra(with_c=True)
     assert sub.jacobi_check() == []
     red = h2_via_reduction(sub)
     direct = betti(sub, CoefficientModule.adjoint(sub), 2,

@@ -13,6 +13,8 @@ from newstein.liealg import LieAlgebra, MismatchedAlgebraError
 from newstein.oscillator import (FockBasis, OscillatorOperator, RepParams, SamplePoint,
                                  external_generator)
 
+from oracles import rebased, sl2_on_irreducible
+
 
 @pytest.fixture(scope="module")
 def G():
@@ -44,10 +46,13 @@ CASES = {
     "negative-degree": (ValueError, "non-negative",
                         lambda G: betti(sl2(), CoefficientModule.trivial(), -1)),
     "reduction-degree-3": (ValueError, "degrees 0, 1 and 2", lambda G: invariant_cochains(G, 3)),
-    "reduction-unstructured": (ValueError, "structured algebra family",
-                               lambda G: h1_via_reduction(heisenberg3())),
-    "reduction-method-unstructured": (ValueError, "structured algebra family", lambda G: betti(
-        sl2(), CoefficientModule.adjoint(sl2()), 1, method="reduction")),
+    # sl2 ⋉ V_1 with v0 -> v0 + h: the radical is not spanned by basis vectors
+    "reduction-unaligned-radical": (ValueError, "not spanned by basis vectors", lambda G: (
+        h1_via_reduction(rebased(sl2_on_irreducible(1), "sl2-V1", 3, 0)))),
+    # ... with e -> e + v0: the Levi positions h, e, f do not span a subalgebra
+    "reduction-method-unclosed-levi": (ValueError, "do not span a subalgebra", lambda G: betti(
+        alg := rebased(sl2_on_irreducible(1), "sl2-V1", 1, 3), CoefficientModule.adjoint(alg), 1,
+        method="reduction")),
     "primes-exact": (ValueError, "modular method, not to 'exact'", lambda G: betti(
         heisenberg3(), CoefficientModule.trivial(), 1, method="exact", primes=[4, 6, 8])),
     "primes-reduction": (ValueError, "modular method, not to 'reduction'", lambda G: betti(
