@@ -480,9 +480,29 @@ def _intersect_kernel(basis: list[dict], image_of):
     columns by sorted key and reads only the values, so its combinations
     depend on the shape alone: each shape is solved once per call and its
     combinations serve every component of that shape.
+
+    Over the unit cochains of an invariance operator, ``_unit_kernel``
+    gives the same list from counts: in_b[y] + in_a[x] + [own(x) + diag(y)
+    != 0] units reach the key (x, y), so a unit that alone reaches each of
+    its keys is lone, and it is dropped, or kept when it has no key, with
+    no image built.
     """
     images = [image_of(vec) for vec in basis]
-    uf = _UnionFind(len(basis))
+    out: list[dict] = []
+    solved: dict[tuple, list] = {}     # shape -> its kernel combinations
+    for members in _components(images):
+        if len(members) > 1:
+            out += _component_kernel([basis[i] for i in members], [images[i] for i in members],
+                                     solved)
+        elif not images[members[0]]:
+            out.append(basis[members[0]])
+    return out
+
+
+def _components(images: list[dict]) -> list[list[int]]:
+    """The indices of each connected component through shared image keys,
+    ascending, the components in order of their first member."""
+    uf = _UnionFind(len(images))
     owner: dict = {}
     for idx, img in enumerate(images):
         for key in img:
@@ -491,24 +511,19 @@ def _intersect_kernel(basis: list[dict], image_of):
             else:
                 owner[key] = idx
     groups: dict[int, list[int]] = {}
-    for idx in range(len(basis)):
+    for idx in range(len(images)):
         groups.setdefault(uf.find(idx), []).append(idx)
-    out = []
-    solved: dict[tuple, list] = {}     # shape -> its kernel combinations
-    for members in groups.values():
-        if len(members) == 1:
-            if not images[members[0]]:
-                out.append(basis[members[0]])
-            continue
-        rank = {key: r for r, key in enumerate(sorted({key for i in members for key in images[i]}))}
-        shape = tuple(tuple(sorted((rank[key], v) for key, v in images[i].items()))
-                      for i in members)
-        if (combos := solved.get(shape)) is None:
-            combos = solved[shape] = kernel_basis([dict(img) for img in shape])
-        for combo in combos:
-            if vec := _combine(lambda local: basis[members[local]], combo):
-                out.append(_normalize(vec))
-    return out
+    return list(groups.values())
+
+
+def _component_kernel(vecs: list[dict], images: list[dict], solved: dict) -> list[dict]:
+    """Primitive kernel combinations of one component: ``vecs`` with their
+    ``images``, solved once per shape through ``solved``."""
+    rank = {key: r for r, key in enumerate(sorted({key for img in images for key in img}))}
+    shape = tuple(tuple(sorted((rank[key], v) for key, v in img.items())) for img in images)
+    if (combos := solved.get(shape)) is None:
+        combos = solved[shape] = kernel_basis([dict(img) for img in shape])
+    return [_normalize(vec) for combo in combos if (vec := _combine(vecs.__getitem__, combo))]
 
 
 @dataclass
@@ -546,48 +561,26 @@ def _ideal_complex(alg: LieAlgebra) -> CochainComplex:
     return CochainComplex(alg, CoefficientModule.adjoint(alg), alg.ideal_indices)
 
 
-def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
-    """Bases of the Levi-invariant cochains Hom(Lambda^k r, algebra) and
-    Hom(Lambda^(k-1) r, algebra) of the radical r, exact.
+class _InvarianceOperator:
+    """D * (g . f) for one Levi generator g, on the integer coordinates
+    w * dim + m of the cochain (wedges[w], m), with D the common denominator
+    of ad g: the sum of an argument part, built once per wedge
+    (``image_of_wedge``), and ad g on the module index m (``ad_cols``)."""
 
-    Invariance of f under a Levi generator g is the vanishing of the Lie
-    derivative
-
-        (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
-
-    solved as an intersection of operator kernels, one per generator in a
-    generating set of the Levi factor, over the unit cochains of both
-    degrees at once.  g . f keeps the degree, so no kernel component mixes
-    degrees and each degree's basis is the one a run on that degree alone
-    gives.  At k = 0 the cochains are the algebra itself and the basis spans
-    the centralizer of the Levi factor.
-
-    It runs on integers: each operator is scaled by its own common
-    denominator, and the bases hold primitive integer cochains.  A
-    coordinate (S, m) is the integer ``widx[S] * dim + m`` over the wedges
-    of both degrees in one lexicographic order, so integers sort as the
-    pairs do; the operator is the sum of its argument part, built once per
-    wedge S, and ad g on m.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
-    cx = _ideal_complex(alg)
-    dim = alg.dim
-    wedges = sorted(S for j in range(k - 1, k + 1) for S in cx.wedges(j))
-    widx = {S: w for w, S in enumerate(wedges)}
-    basis: list[dict] = [{key: 1} for key in range(len(wedges) * dim)]
-
-    idealset = set(cx.args)
-    for g in _generator_order(alg):
+    def __init__(self, alg: LieAlgebra, g: int, wedges: list[tuple[int, ...]]):
+        self.dim = dim = alg.dim
+        self.n_wedges = len(wedges)
+        widx = {S: w for w, S in enumerate(wedges)}
         ad_g = alg.ad_columns(g)
         # D * (g . f) has the kernel of g . f and integer entries
         D = lcm(*(c.denominator for vec in ad_g.values() for c in vec.values()))
-        ad_cols = {y: {x: int(c * D) for x, c in vec.items()} for y, vec in ad_g.items()}
+        self.ad_cols = {y: {x: int(c * D) for x, c in vec.items()} for y, vec in ad_g.items()}
         # transpose over ideal arguments: ad_t[x] lists (y, c) with y in the
         # ideal and [g, e_y] containing c * e_x, because the argument
         # constraint -f(.., [g, y], ..) lands on preimages
+        idealset = set(alg.ideal_indices)
         ad_t: dict[int, list] = {}
-        for y, vec in ad_cols.items():
+        for y, vec in self.ad_cols.items():
             if y not in idealset:
                 continue
             for x, c in vec.items():
@@ -614,21 +607,142 @@ def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
                     _bump(img, widx[rest[:q] + (y,) + rest[q:]] * dim, c if (p + q) & 1 else -c)
             return img.pop(w * dim, 0), img
 
-        def image_of_coord(key):
-            w, m = divmod(key, dim)
-            own, rest = image_of_wedge(w)
-            img = {key - m + mp: c for mp, c in ad_cols.get(m, {}).items()}
-            img.update({t + m: c for t, c in rest.items()})
-            if own:
-                _bump(img, key, own)
-            return img
+        self.image_of_wedge = image_of_wedge
 
-        def image_of(vec):
-            if len(vec) == 1 and 1 in vec.values():  # unit cochain: its coordinate's image
-                return image_of_coord(next(iter(vec)))
-            return _combine(image_of_coord, vec)
+    def image_of_coord(self, key: int) -> dict:
+        w, m = divmod(key, self.dim)
+        own, rest = self.image_of_wedge(w)
+        img = {key - m + mp: c for mp, c in self.ad_cols.get(m, {}).items()}
+        img.update({t + m: c for t, c in rest.items()})
+        if own:
+            _bump(img, key, own)
+        return img
 
-        basis = _intersect_kernel(basis, image_of)
+    def image_of(self, vec: dict) -> dict:
+        if len(vec) == 1 and 1 in vec.values():  # unit cochain: its coordinate's image
+            return self.image_of_coord(next(iter(vec)))
+        return _combine(self.image_of_coord, vec)
+
+
+def _unit_kernel(op: _InvarianceOperator) -> list[dict]:
+    """``_intersect_kernel`` over every unit cochain, entry for entry, with
+    images built only for the units that share a key.
+
+    Write own(w), rest(w) for the argument part of wedge w and off(m),
+    diag(m) for ad g on m off and on the diagonal.  The image of the unit
+    (w, m) has the keys (w, m') for m' in off(m), (t, m) for t in rest(w),
+    and (w, m) itself when own(w) + diag(m) != 0.  So
+
+        in_b[y] + in_a[x] + [own(x) + diag(y) != 0]
+
+    units reach the key (x, y), where in_a[x] counts the wedges whose rest
+    holds x and in_b[y] the indices whose off-column holds y.  A unit with
+    no key is kept; one that alone reaches each of its keys is lone with a
+    nonzero image and has no kernel.  Neither reads its image.  Only the
+    others get an image and a union-find entry; each of their components
+    has two members or more.  The kept units and the components' kernels
+    go in order of their first unit, as in ``_intersect_kernel``.
+    """
+    dim = op.dim
+    parts = [op.image_of_wedge(w) for w in range(op.n_wedges)]
+    diag = [op.ad_cols.get(m, {}).get(m, 0) for m in range(dim)]
+    off = [[y for y in op.ad_cols.get(m, ()) if y != m] for m in range(dim)]
+    in_a = [0] * op.n_wedges
+    for _, rest in parts:
+        for t in rest:
+            in_a[t // dim] += 1
+    in_b = [0] * dim
+    for col in off:
+        for y in col:
+            in_b[y] += 1
+    # whether (w, m) is lone or has no key reads w and m only through these
+    wsig = [(own, in_a[w], frozenset((in_a[t // dim], parts[t // dim][0]) for t in rest))
+            for w, (own, rest) in enumerate(parts)]
+    msig = [(diag[m], in_b[m], frozenset((in_b[y], diag[y]) for y in off[m]))
+            for m in range(dim)]
+
+    def kept(ws):
+        """[(m, whether (w, m) has no key)] over the units (w, m) that are
+        not lone, for any w of signature ws."""
+        own, a, rest = ws
+        out = []
+        for m, (d, b, offs) in enumerate(msig):
+            if not (rest or offs or own + d):
+                out.append((m, True))
+            elif not (all(by + a + (own + dy != 0) == 1 for by, dy in offs)
+                      and all(b + at + (ot + d != 0) == 1 for at, ot in rest)
+                      and (own + d == 0 or a + b == 0)):
+                out.append((m, False))
+        return out
+
+    by_sig: dict[tuple, list] = {}
+    zero, shared = [], []       # unit keys, ascending
+    for w, ws in enumerate(wsig):
+        if (ms := by_sig.get(ws)) is None:
+            ms = by_sig[ws] = kept(ws)
+        for m, no_key in ms:
+            (zero if no_key else shared).append(w * dim + m)
+    images = [op.image_of_coord(key) for key in shared]
+    out: list[dict] = []
+    solved: dict[tuple, list] = {}
+    done = 0
+    for members in _components(images):
+        upto = bisect_left(zero, shared[members[0]], done)
+        out += ({key: 1} for key in zero[done:upto])
+        done = upto
+        out += _component_kernel([{shared[i]: 1} for i in members], [images[i] for i in members],
+                                 solved)
+    out += ({key: 1} for key in zero[done:])
+    return out
+
+
+def _ladder_wedges(cx: CochainComplex, k: int) -> list[tuple[int, ...]]:
+    """The wedges of degrees k - 1 and k of ``cx`` in one lexicographic order."""
+    return sorted(S for j in range(k - 1, k + 1) for S in cx.wedges(j))
+
+
+def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
+    """Bases of the Levi-invariant cochains Hom(Lambda^k r, algebra) and
+    Hom(Lambda^(k-1) r, algebra) of the radical r, exact.
+
+    Invariance of f under a Levi generator g is the vanishing of the Lie
+    derivative
+
+        (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
+
+    solved as an intersection of operator kernels, one per generator in a
+    generating set of the Levi factor, over the unit cochains of both
+    degrees at once.  g . f keeps the degree, so no kernel component mixes
+    degrees and each degree's basis is the one a run on that degree alone
+    gives.  At k = 0 the cochains are the algebra itself and the basis spans
+    the centralizer of the Levi factor.
+
+    It runs on integers: each operator is scaled by its own common
+    denominator, and the bases hold primitive integer cochains.  A
+    coordinate (S, m) is the integer ``widx[S] * dim + m`` over the wedges
+    of both degrees in one lexicographic order, so integers sort as the
+    pairs do; the operator is the sum of its argument part, built once per
+    wedge S, and ad g on m.
+
+    The first generator's pass runs over every unit cochain.  It counts,
+    per wedge and per module index, how many units reach each image key
+    (``_unit_kernel``): a unit with no key is kept and a unit that alone
+    reaches each of its keys is dropped, both without building its image.
+    Only the units that share a key get an image and a component.  Later
+    passes run ``_intersect_kernel`` on the basis the pass before left.
+    """
+    if k not in (0, 1, 2):
+        raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
+    cx = _ideal_complex(alg)
+    dim = alg.dim
+    wedges = _ladder_wedges(cx, k)
+    gens = _generator_order(alg)
+    if gens:
+        basis = _unit_kernel(_InvarianceOperator(alg, gens[0], wedges))
+        for g in gens[1:]:
+            basis = _intersect_kernel(basis, _InvarianceOperator(alg, g, wedges).image_of)
+    else:
+        basis = [{key: 1} for key in range(len(wedges) * dim)]
     basis = [{(wedges[key // dim], key % dim): v for key, v in vec.items()} for vec in basis]
     # every key of a nonzero cochain has the same wedge length
     degree = [len(next(iter(vec))[0]) for vec in basis]
