@@ -106,7 +106,13 @@ def _echelon(rows, lead=min) -> dict[int, Row]:
 
 
 class SparseExactMatrix:
-    """Sparse matrix of integer rows, each stored up to a positive factor."""
+    """Sparse matrix of integer rows, each stored up to a positive factor.
+
+    Rows hold no zero entries: ``rank_mod_p`` keeps a row as its own pivot,
+    and an update by a pivot with a stored zero would delete that column
+    from a row that does not hold it.  The coboundary builders, ``d_matrix``
+    and the test matrices drop zeros.
+    """
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
@@ -130,13 +136,18 @@ class SparseExactMatrix:
         """Rank over GF(p) by sparse elimination, in stored order from each
         row's last column as ``rank_exact``.
 
-        A pivot is its row's residues in (-p/2, p/2] less the leading entry,
-        plus that entry's inverse mod p.  Updates add plain integers: a row
-        is reduced mod p only where its lead is read (a lead that is 0 mod p
-        is dropped) or where it becomes a pivot.  The factor is a residue in
-        (-p/2, p/2] too, so on a pivot of small entries led by +-1, as most
-        coboundary pivots are, an update is the exact integer one and its
-        cancellations give true zeros.
+        A pivot is its row, lead included, plus the lead's inverse mod p.
+        A row whose entries all lie in [-p//2, p//2] is kept as it is: a
+        stored row that no update touched is shared with ``self.rows`` and
+        only read.  Builder rows, with entries in {+-1, +-2}, always are for
+        p >= 5.  A row with an entry outside that range becomes its residues
+        in (-p/2, p/2], zeros dropped.  Either way a pivot holds no zero.
+
+        Updates add plain integers: a row is reduced mod p only where its
+        lead is read (a lead that is 0 mod p is dropped) or where it becomes
+        a pivot.  The factor is a residue in (-p/2, p/2] too, so on a pivot
+        of small entries led by +-1, as most coboundary pivots are, an update
+        is the exact integer one and its cancellations give true zeros.
         """
         half = p // 2
         pivots: dict[int, tuple[Row, int]] = {}
@@ -147,23 +158,24 @@ class SparseExactMatrix:
                 a = row[c] % p
                 piv = pivots.get(c)
                 if a and piv is None:
-                    pivots[c] = ({k: w - p if w > half else w
-                                  for k, v in row.items() if k != c and (w := v % p)},
-                                 pow(a, -1, p))
+                    if max(row.values()) > half or min(row.values()) < -half:
+                        row = {k: w - p if w > half else w
+                               for k, v in row.items() if (w := v % p)}
+                    pivots[c] = (row, pow(a, -1, p))
                     break
                 if not owned:
                     row, owned = dict(row), True
-                del row[c]
                 if a:
-                    tail, inv = piv
+                    prow, inv = piv
                     if (f := a * inv % p) > half:
                         f -= p
                     # inline, not _bump, and no % p: see the docstring
-                    for k, v in tail.items():
+                    for k, v in prow.items():
                         if w := row.get(k, 0) - f * v:
                             row[k] = w
                         else:
                             del row[k]
+                row.pop(c, None)    # 0 mod p now, whatever integer the update left
         return len(pivots)
 
 
