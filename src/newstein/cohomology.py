@@ -450,22 +450,6 @@ def betti(alg: LieAlgebra, coeffs: CoefficientModule, k: int, *,
 # -- invariant-cochain reduction -----------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _intersect_kernel(basis: list[dict], image_of):
     """Restrict a spanning set to the kernel of one linear operator.
 
@@ -502,17 +486,22 @@ def _intersect_kernel(basis: list[dict], image_of):
 def _components(images: list[dict]) -> list[list[int]]:
     """The indices of each connected component through shared image keys,
     ascending, the components in order of their first member."""
-    uf = _UnionFind(len(images))
+    # union-find with the root of each tree its largest index: image idx
+    # hangs the root of each key's first owner, found by path halving, under
+    # idx itself, so a parent never sits below its child
+    parent = list(range(len(images)))
     owner: dict = {}
     for idx, img in enumerate(images):
         for key in img:
-            if key in owner:
-                uf.union(owner[key], idx)
-            else:
-                owner[key] = idx
+            r = owner.setdefault(key, idx)
+            while (up := parent[r]) != r:
+                parent[r] = r = parent[up]
+            parent[r] = idx
     groups: dict[int, list[int]] = {}
-    for idx in range(len(images)):
-        groups.setdefault(uf.find(idx), []).append(idx)
+    for idx in reversed(range(len(images))):
+        parent[idx] = parent[parent[idx]]     # the parent's entry is its root already
+    for idx, r in enumerate(parent):
+        groups.setdefault(r, []).append(idx)
     return list(groups.values())
 
 
@@ -565,7 +554,9 @@ class _InvarianceOperator:
     """D * (g . f) for one Levi generator g, on the integer coordinates
     w * dim + m of the cochain (wedges[w], m), with D the common denominator
     of ad g: the sum of an argument part, built once per wedge
-    (``image_of_wedge``), and ad g on the module index m (``ad_cols``)."""
+    (``image_of_wedge``), and ad g on the module index m (``ad_cols``).
+    ``image_of`` adds both for every coordinate of a vector into one dict;
+    ``image_of_coord`` is its unit case, the one ``_unit_kernel`` builds."""
 
     def __init__(self, alg: LieAlgebra, g: int, wedges: list[tuple[int, ...]]):
         self.dim = dim = alg.dim
@@ -610,18 +601,38 @@ class _InvarianceOperator:
         self.image_of_wedge = image_of_wedge
 
     def image_of_coord(self, key: int) -> dict:
-        w, m = divmod(key, self.dim)
-        own, rest = self.image_of_wedge(w)
-        img = {key - m + mp: c for mp, c in self.ad_cols.get(m, {}).items()}
-        img.update({t + m: c for t, c in rest.items()})
-        if own:
-            _bump(img, key, own)
-        return img
+        """The image of the unit cochain at ``key``."""
+        return self.image_of({key: 1})
 
     def image_of(self, vec: dict) -> dict:
-        if len(vec) == 1 and 1 in vec.values():  # unit cochain: its coordinate's image
-            return self.image_of_coord(next(iter(vec)))
-        return _combine(self.image_of_coord, vec)
+        """The image of ``vec``, accumulated coordinate by coordinate into one
+        dict: c * ad g on m, c * rest(w) shifted by m and c * own(w), zeros
+        dropped as they appear (own(w) and ad g's diagonal meet at the key)."""
+        dim, ad_cols, image_of_wedge = self.dim, self.ad_cols, self.image_of_wedge
+        out: dict = {}
+        for key, c in vec.items():
+            w, m = divmod(key, dim)
+            own, rest = image_of_wedge(w)
+            # inline, not _bump, as in exactla._reduce
+            for k, v in rest.items():
+                k += m
+                if x := out.get(k, 0) + c * v:
+                    out[k] = x
+                else:
+                    del out[k]
+            base = key - m
+            for k, v in ad_cols.get(m, {}).items():
+                k += base
+                if x := out.get(k, 0) + c * v:
+                    out[k] = x
+                else:
+                    del out[k]
+            if own:
+                if x := out.get(key, 0) + c * own:
+                    out[key] = x
+                else:
+                    del out[key]
+        return out
 
 
 def _unit_kernel(op: _InvarianceOperator) -> list[dict]:

@@ -48,11 +48,16 @@ def _bump(d: dict, key, value) -> None:
 
 
 def _combine(image_of, vec: dict) -> dict:
-    """sum_k vec[k] * image_of(k) without zeros; the images are only read."""
+    """sum_k vec[k] * image_of(k) without zeros; the images are only read
+    and hold no zeros."""
     out: dict = {}
     for key, c in vec.items():
+        # inline, not _bump, as in _reduce
         for k, v in image_of(key).items():
-            _bump(out, k, c * v)
+            if w := out.get(k, 0) + c * v:
+                out[k] = w
+            else:
+                del out[k]
     return out
 
 
@@ -62,16 +67,17 @@ def _integral(vec: dict) -> tuple[dict, int]:
     return {k: int(v * s) for k, v in vec.items() if v}, s
 
 
-def _reduce(pivots: dict, row: dict, lead=min) -> dict:
-    """Gcd-normalized residual of int ``row`` against ``pivots``, each keyed
-    by its ``lead`` column (``min`` or ``max``); ``row`` is not modified."""
+def _reduce(pivots: dict, row: dict, lead=min) -> tuple[dict, object]:
+    """(gcd-normalized residual of int ``row`` against ``pivots``, each keyed
+    by its ``lead`` column (``min`` or ``max``), the residual's lead column
+    or None when it is zero); ``row`` is not modified."""
     row = _normalize(row)
     owned = False           # a given row is copied before it changes
     while row:
         c = lead(row)
         p = pivots.get(c)
         if p is None:
-            break
+            return row, c
         a, b = row[c], p[c]
         g = gcd(a, b) if b > 0 else -gcd(a, b)
         # row * fa - p * fb clears c; fa > 0 keeps a +-1 pivot from scaling the row
@@ -88,7 +94,7 @@ def _reduce(pivots: dict, row: dict, lead=min) -> dict:
                 del row[k]
         row = _normalize(row)
         owned = True
-    return row
+    return row, None
 
 
 def _echelon(rows, lead=min) -> dict[int, Row]:
@@ -100,8 +106,9 @@ def _echelon(rows, lead=min) -> dict[int, Row]:
     """
     pivots: dict[int, Row] = {}
     for row in rows:
-        if row := _reduce(pivots, row, lead):
-            pivots[lead(row)] = row
+        row, c = _reduce(pivots, row, lead)
+        if row:
+            pivots[c] = row
     return pivots
 
 
@@ -225,15 +232,13 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of ``vec`` against the current pivots; does not insert."""
-        return _reduce(self.pivots, _integral(vec)[0])
+        return _reduce(self.pivots, _integral(vec)[0])[0]
 
     def insert(self, vec: dict) -> object | None:
         """Reduce and insert; returns the new pivot key or None if dependent."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        c = min(vec)
-        self.pivots[c] = vec
+        vec, c = _reduce(self.pivots, _integral(vec)[0])
+        if vec:
+            self.pivots[c] = vec
         return c
 
     @property

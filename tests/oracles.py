@@ -106,6 +106,33 @@ def rational_kernel_basis(vectors: list[dict]) -> list[dict[int, Fraction]]:
     return [{i: v for i, v in enumerate(x) if v} for x in dense_nullspace(vectors)]
 
 
+def bfs_components(images: list[dict]) -> list[list[int]]:
+    """The indices of each connected component of the graph joining two
+    images that share a key, by breadth-first search from each unvisited
+    index in turn: members ascending, components in order of their first."""
+    by_key: dict = {}
+    for i, img in enumerate(images):
+        for key in img:
+            by_key.setdefault(key, []).append(i)
+    seen: set[int] = set()
+    out = []
+    for start in range(len(images)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = [start], []
+        while queue:
+            i = queue.pop(0)
+            members.append(i)
+            for key in images[i]:
+                for j in by_key[key]:
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+        out.append(sorted(members))
+    return out
+
+
 def brute_bracket(alg: LieAlgebra, x: dict, y: dict) -> dict:
     out: dict = {}
     for i, xi in x.items():
@@ -354,6 +381,34 @@ def invariant_dimension(alg, k: int, module: str) -> int:
         for m in module_weights:
             mult[tuple(a + b for a, b in zip(w, m))] += count
     return sum(sign * mult[shift] for shift, sign in shifts.items())
+
+
+def invariance_image(alg: LieAlgebra, g: int, wedges: list[tuple], key: int) -> dict:
+    """g . f for the unit cochain f at key = widx[S] * dim + m (f(S) = e_m,
+    zero on every other wedge), by the definition
+
+        (g . f)(T) = [g, f(T)] - sum_t f(T_1 .. [g, T_t] .. T_k)
+
+    over each wedge T of ``wedges``, antisymmetry read off the sort of the
+    arguments: {widx[T] * dim + x: Fraction}, zeros dropped."""
+    dim = alg.dim
+    S, m = wedges[key // dim], key % dim
+    ad = [brute_bracket(alg, {g: 1}, {z: 1}) for z in range(dim)]
+    out: dict = {}
+    for w, T in enumerate(wedges):
+        if T == S:
+            for x, c in ad[m].items():
+                out[w * dim + x] = out.get(w * dim + x, 0) + c
+        if len(T) != len(S):
+            continue
+        for t, z in enumerate(T):
+            for y, c in ad[z].items():
+                args = T[:t] + (y,) + T[t + 1:]
+                if tuple(sorted(args)) != S or len(set(args)) < len(args):
+                    continue
+                swaps = sum(a > b for i, a in enumerate(args) for b in args[i + 1:])
+                out[w * dim + m] = out.get(w * dim + m, 0) + (c if swaps & 1 else -c)
+    return {k: v for k, v in out.items() if v}
 
 
 # -- the extension classes by witness matrices ------------------------------

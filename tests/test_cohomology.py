@@ -10,7 +10,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -31,9 +31,9 @@ from newstein.liealg import LieAlgebra
 
 from oracles import (brute_betti, brute_bracket, brute_d_matrix, brute_d_value,
                      coboundary_matrix, dense_rank, direct_sum, einstein_algebra,
-                     full_coboundary_classes, invariant_dimension, keyed_dd_violations,
-                     keyed_domain_rows, levi_rescaled, newton_algebra, rebased,
-                     sl2_on_irreducible, span_contains)
+                     full_coboundary_classes, invariance_image, invariant_dimension,
+                     keyed_dd_violations, keyed_domain_rows, levi_rescaled, newton_algebra,
+                     rebased, sl2_on_irreducible, span_contains)
 
 F = Fraction
 
@@ -592,6 +592,53 @@ def test_unit_pass_builds_images_only_for_units_that_share_a_key(G):
     assert len(wedges) * G.dim == 46053
     assert len(built) == len(set(built)) == 13488
     assert sum(len(vec) == 1 and not op.image_of(vec) for vec in kernel) == 11847
+
+
+@pytest.mark.parametrize("name,k", [("sl2-V4-mixed", 2), ("sheared", 1)])
+def test_image_of_is_the_sum_of_its_coordinates_images(name, k):
+    """``image_of`` accumulates a vector's coordinates into one dict, which
+    is the zero-dropped sum of their unit images; a unit image is D * (g . f)
+    by the definition, D the common denominator of ad g.  Both algebras have
+    units where own(w) + diag(m) cancels; a kernel vector's image cancels to
+    {}, and a pair of units is weighted so that their shared key cancels."""
+    alg = _named_algebra(name)
+    dim = alg.dim
+    wedges = _ladder_wedges(_ideal_complex(alg), k)
+    units = range(len(wedges) * dim)
+    n_cancel = n_kernel = 0
+    for g in alg.levi_indices:
+        op = _InvarianceOperator(alg, g, wedges)
+        D = lcm(*(c.denominator for vec in alg.ad_columns(g).values() for c in vec.values()))
+        images = [op.image_of_coord(key) for key in units]
+        cancel = [key for key in units if (own := op.image_of_wedge(key // dim)[0])
+                  and own + op.ad_cols.get(key % dim, {}).get(key % dim, 0) == 0]
+        kernel = [vec for vec in _unit_kernel(op) if len(vec) > 1]
+        # the first unit whose image shares a key with an earlier unit's
+        owner: dict = {}
+        for a, img in enumerate(images):
+            if (shared := next((key for key in img if key in owner), None)) is not None:
+                b = owner[shared]
+                pair = {b: img[shared], a: -images[b][shared]}
+                break
+            owner.update(dict.fromkeys(img, a))
+        spread = [{a: 2, a + dim + 1: -3, a + 2 * dim - 1: 1}
+                  for a in range(0, len(units) - 2 * dim, len(units) // 16)]
+        vectors = [*kernel, pair, *spread]
+
+        for key in sorted({*cancel, *pair, *(key for vec in spread for key in vec)}):
+            assert images[key] == {
+                t: D * v for t, v in invariance_image(alg, g, wedges, key).items()}, key
+        for vec in vectors:
+            total: dict = {}
+            for key, c in vec.items():
+                for t, v in images[key].items():
+                    total[t] = total.get(t, 0) + c * v
+            assert op.image_of(vec) == {t: v for t, v in total.items() if v}, vec
+        assert all(op.image_of(vec) == {} for vec in kernel)
+        assert shared not in op.image_of(pair)
+        n_cancel += len(cancel)
+        n_kernel += len(kernel)
+    assert n_cancel and n_kernel
 
 
 def test_h2_deformations_integrate_exactly(G):

@@ -7,7 +7,8 @@ modular ranks agree.  The fraction-free eliminator is checked against the
 dense oracles: ``Echelon`` and ``SparseExactMatrix`` ranks against
 ``dense_rank`` in any row and column order, modular ranks against
 ``dense_rank_mod_p``, ``Echelon`` membership against ``span_contains`` and
-``kernel_basis`` against the rational kernel.  Definitions survive a JSON
+``kernel_basis`` against the rational kernel, and the invariant solver's
+``_components`` against breadth-first search.  Definitions survive a JSON
 round trip.
 """
 
@@ -22,12 +23,12 @@ from hypothesis import strategies as st
 
 from newstein import labels as lb
 from newstein.algebras import heisenberg3, sl2
-from newstein.cohomology import CochainComplex, CoefficientModule, betti
+from newstein.cohomology import CochainComplex, CoefficientModule, _components, betti
 from newstein.exactla import Echelon, kernel_basis, random_primes
 from newstein.extensions import ExtensionMatrix, classify
 from newstein.liealg import LieAlgebra
 
-from oracles import (brute_betti, brute_d_matrix, dense_rank, dense_rank_mod_p,
+from oracles import (bfs_components, brute_betti, brute_d_matrix, dense_rank, dense_rank_mod_p,
                      integer_matrix, keyed_domain_rows, rational_kernel_basis,
                      span_contains)
 
@@ -252,6 +253,24 @@ def test_kernel_basis_is_primitive_integer_and_spans_the_rational_kernel(data):
     ours = [[combo.get(i, 0) for i in range(n)] for combo in combos]
     oracle = [[combo.get(i, 0) for i in range(n)] for combo in rational_kernel_basis(vectors)]
     assert dense_rank(ours) == dense_rank(oracle) == dense_rank(ours + oracle) == n - rank
+
+
+@given(images=st.lists(st.dictionaries(st.integers(0, 12), st.just(1), max_size=3), max_size=12),
+       bridges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3))
+@example(images=[{0: 1}, {1: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}, {4: 1}, {}, {2: 1, 5: 1}],
+         bridges=[(3, 2), (4, 0)])
+@settings(max_examples=100, deadline=None)
+def test_components_equal_breadth_first_search(images, bridges):
+    """``_components`` groups images through shared keys as breadth-first
+    search does: the same groups, members ascending, groups in order of
+    their first member.  Each bridge appends an image holding a key of two
+    earlier images, so it merges the two trees they lie in when those differ
+    (in the example, chains of two images each, then a tree with a lone one)."""
+    for i, j in bridges:
+        held = [img for img in images if img]
+        if held:
+            images.append({min(held[i % len(held)]): 1, max(held[j % len(held)]): 1})
+    assert _components(images) == bfs_components(images)
 
 
 LABEL_POOL = [lb.T(1), lb.Tp(2), lb.C(1, 2), lb.A(3, 4), lb.L(1, 4), lb.J(2, 3), lb.K,
