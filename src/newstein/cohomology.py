@@ -29,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -466,10 +465,8 @@ def _intersect_kernel(basis: list[dict], image_of):
     combinations serve every component of that shape.
 
     Over the unit cochains of an invariance operator, ``_unit_kernel``
-    gives the same list from counts: in_b[y] + in_a[x] + [own(x) + diag(y)
-    != 0] units reach the key (x, y), so a unit that alone reaches each of
-    its keys is lone, and it is dropped, or kept when it has no key, with
-    no image built.
+    gives the same list from counts, with no image built for a unit that
+    has no key or reaches each of its keys alone.
     """
     images = [image_of(vec) for vec in basis]
     out: list[dict] = []
@@ -551,43 +548,37 @@ def _ideal_complex(alg: LieAlgebra) -> CochainComplex:
 
 
 class _InvarianceOperator:
-    """D * (g . f) for one Levi generator g, on the integer coordinates
-    w * dim + m of the cochain (wedges[w], m), with D the common denominator
-    of ad g: the sum of an argument part, built once per wedge
-    (``image_of_wedge``), and ad g on the module index m (``ad_cols``).
-    ``image_of`` adds both for every coordinate of a vector into one dict;
-    ``image_of_coord`` is its unit case, the one ``_unit_kernel`` builds."""
+    """D * (g . f) for one Levi generator g on the cochains of the ideal
+    complex ``cx``, on the integer coordinates w * dim + m of the cochain
+    (wedges[w], m), dim the module's, with D the common denominator of
+    ad g and rho(g): the sum of an argument part, one entry of ``parts``
+    per wedge, and rho(g) on the module index m (``rho_cols``)."""
 
-    def __init__(self, alg: LieAlgebra, g: int, wedges: list[tuple[int, ...]]):
-        self.dim = dim = alg.dim
-        self.n_wedges = len(wedges)
+    def __init__(self, cx: CochainComplex, g: int, wedges: list[tuple[int, ...]]):
+        self.dim = dim = cx.coeffs.dim
         widx = {S: w for w, S in enumerate(wedges)}
-        ad_g = alg.ad_columns(g)
+        argset = set(cx.args)
+        rho_g = cx.coeffs.action(g)
+        ad_g = {y: vec for y, vec in cx.alg.ad_columns(g).items() if y in argset}
         # D * (g . f) has the kernel of g . f and integer entries
-        D = lcm(*(c.denominator for vec in ad_g.values() for c in vec.values()))
-        self.ad_cols = {y: {x: int(c * D) for x, c in vec.items()} for y, vec in ad_g.items()}
-        # transpose over ideal arguments: ad_t[x] lists (y, c) with y in the
-        # ideal and [g, e_y] containing c * e_x, because the argument
-        # constraint -f(.., [g, y], ..) lands on preimages
-        idealset = set(alg.ideal_indices)
+        D = lcm(*(c.denominator for cols in (rho_g, ad_g) for vec in cols.values()
+                  for c in vec.values()))
+        self.rho_cols = {m: {x: int(c * D) for x, c in vec.items()} for m, vec in rho_g.items()}
+        # transpose over the arguments: ad_t[x] lists (y, c) with [g, e_y]
+        # containing c * e_x, because the argument constraint
+        # -f(.., [g, y], ..) lands on preimages
         ad_t: dict[int, list] = {}
-        for y, vec in self.ad_cols.items():
-            if y not in idealset:
-                continue
+        for y, vec in ad_g.items():
             for x, c in vec.items():
-                ad_t.setdefault(x, []).append((y, c))
-
-        @cache
-        def image_of_wedge(w):
-            """Argument part at module index 0, split as (the coefficient on S
-            itself, {widx[T] * dim: coefficient} for T != S).
-
-            T = S only where y = x, so the split-off coefficient sums diagonal
-            entries of ad g on the ideal; ad g on m, placed on S, shares no
-            key with the rest.
-            """
+                ad_t.setdefault(x, []).append((y, int(c * D)))
+        # parts[w]: the argument part at module index 0, split as (the
+        # coefficient on S itself, {widx[T] * dim: coefficient} for T != S).
+        # T = S only where y = x, so the split-off coefficient sums diagonal
+        # entries of ad g on the arguments; rho(g) on m, placed on S, shares
+        # no key with the rest.
+        self.parts: list[tuple[int, dict[int, int]]] = []
+        for w, S in enumerate(wedges):
             img: dict[int, int] = {}
-            S = wedges[w]
             for p, x in enumerate(S):
                 rest = S[:p] + S[p + 1:]
                 for y, c in ad_t.get(x, ()):
@@ -596,23 +587,17 @@ class _InvarianceOperator:
                     if q < len(rest) and rest[q] == y:
                         continue
                     _bump(img, widx[rest[:q] + (y,) + rest[q:]] * dim, c if (p + q) & 1 else -c)
-            return img.pop(w * dim, 0), img
-
-        self.image_of_wedge = image_of_wedge
-
-    def image_of_coord(self, key: int) -> dict:
-        """The image of the unit cochain at ``key``."""
-        return self.image_of({key: 1})
+            self.parts.append((img.pop(w * dim, 0), img))
 
     def image_of(self, vec: dict) -> dict:
         """The image of ``vec``, accumulated coordinate by coordinate into one
-        dict: c * ad g on m, c * rest(w) shifted by m and c * own(w), zeros
-        dropped as they appear (own(w) and ad g's diagonal meet at the key)."""
-        dim, ad_cols, image_of_wedge = self.dim, self.ad_cols, self.image_of_wedge
+        dict: c * rho(g) on m, c * rest(w) shifted by m and c * own(w), zeros
+        dropped as they appear (own(w) and rho(g)'s diagonal meet at the key)."""
+        dim, rho_cols, parts = self.dim, self.rho_cols, self.parts
         out: dict = {}
         for key, c in vec.items():
             w, m = divmod(key, dim)
-            own, rest = image_of_wedge(w)
+            own, rest = parts[w]
             # inline, not _bump, as in exactla._reduce
             for k, v in rest.items():
                 k += m
@@ -621,7 +606,7 @@ class _InvarianceOperator:
                 else:
                     del out[k]
             base = key - m
-            for k, v in ad_cols.get(m, {}).items():
+            for k, v in rho_cols.get(m, {}).items():
                 k += base
                 if x := out.get(k, 0) + c * v:
                     out[k] = x
@@ -639,8 +624,8 @@ def _unit_kernel(op: _InvarianceOperator) -> list[dict]:
     """``_intersect_kernel`` over every unit cochain, entry for entry, with
     images built only for the units that share a key.
 
-    Write own(w), rest(w) for the argument part of wedge w and off(m),
-    diag(m) for ad g on m off and on the diagonal.  The image of the unit
+    Write (own(w), rest(w)) for ``op.parts[w]`` and off(m), diag(m) for
+    rho(g) on m off and on the diagonal.  The image of the unit
     (w, m) has the keys (w, m') for m' in off(m), (t, m) for t in rest(w),
     and (w, m) itself when own(w) + diag(m) != 0.  So
 
@@ -654,11 +639,10 @@ def _unit_kernel(op: _InvarianceOperator) -> list[dict]:
     has two members or more.  The kept units and the components' kernels
     go in order of their first unit, as in ``_intersect_kernel``.
     """
-    dim = op.dim
-    parts = [op.image_of_wedge(w) for w in range(op.n_wedges)]
-    diag = [op.ad_cols.get(m, {}).get(m, 0) for m in range(dim)]
-    off = [[y for y in op.ad_cols.get(m, ()) if y != m] for m in range(dim)]
-    in_a = [0] * op.n_wedges
+    dim, parts = op.dim, op.parts
+    diag = [op.rho_cols.get(m, {}).get(m, 0) for m in range(dim)]
+    off = [[y for y in op.rho_cols.get(m, ()) if y != m] for m in range(dim)]
+    in_a = [0] * len(parts)
     for _, rest in parts:
         for t in rest:
             in_a[t // dim] += 1
@@ -693,7 +677,7 @@ def _unit_kernel(op: _InvarianceOperator) -> list[dict]:
             ms = by_sig[ws] = kept(ws)
         for m, no_key in ms:
             (zero if no_key else shared).append(w * dim + m)
-    images = [op.image_of_coord(key) for key in shared]
+    images = [op.image_of({key: 1}) for key in shared]
     out: list[dict] = []
     solved: dict[tuple, list] = {}
     done = 0
@@ -719,39 +703,37 @@ def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
     Invariance of f under a Levi generator g is the vanishing of the Lie
     derivative
 
-        (g . f)(x_1..x_k) = [g, f(x_1..x_k)] - sum_t f(x_1.. [g, x_t] ..x_k),
+        (g . f)(x_1..x_k) = rho(g) f(x_1..x_k) - sum_t f(x_1.. [g, x_t] ..x_k),
 
-    solved as an intersection of operator kernels, one per generator in a
-    generating set of the Levi factor, over the unit cochains of both
-    degrees at once.  g . f keeps the degree, so no kernel component mixes
-    degrees and each degree's basis is the one a run on that degree alone
-    gives.  At k = 0 the cochains are the algebra itself and the basis spans
-    the centralizer of the Levi factor.
+    rho the module's action (ad, here), solved as an intersection of
+    operator kernels, one per generator in a generating set of the Levi
+    factor, over the unit cochains of both degrees at once.  g . f keeps
+    the degree, so no kernel component mixes degrees and each degree's
+    basis is the one a run on that degree alone gives.  At k = 0 the
+    cochains are the algebra itself and the basis spans the centralizer of
+    the Levi factor.
 
     It runs on integers: each operator is scaled by its own common
     denominator, and the bases hold primitive integer cochains.  A
     coordinate (S, m) is the integer ``widx[S] * dim + m`` over the wedges
     of both degrees in one lexicographic order, so integers sort as the
-    pairs do; the operator is the sum of its argument part, built once per
-    wedge S, and ad g on m.
+    pairs do; the operator is the sum of its argument part, one table
+    entry per wedge S, and rho(g) on m.
 
-    The first generator's pass runs over every unit cochain.  It counts,
-    per wedge and per module index, how many units reach each image key
-    (``_unit_kernel``): a unit with no key is kept and a unit that alone
-    reaches each of its keys is dropped, both without building its image.
-    Only the units that share a key get an image and a component.  Later
+    The first generator's pass runs over every unit cochain and builds an
+    image only for the units that share a key (``_unit_kernel``).  Later
     passes run ``_intersect_kernel`` on the basis the pass before left.
     """
     if k not in (0, 1, 2):
         raise ValueError("invariant reduction implemented for degrees 0, 1 and 2")
     cx = _ideal_complex(alg)
-    dim = alg.dim
+    dim = cx.coeffs.dim
     wedges = _ladder_wedges(cx, k)
     gens = _generator_order(alg)
     if gens:
-        basis = _unit_kernel(_InvarianceOperator(alg, gens[0], wedges))
+        basis = _unit_kernel(_InvarianceOperator(cx, gens[0], wedges))
         for g in gens[1:]:
-            basis = _intersect_kernel(basis, _InvarianceOperator(alg, g, wedges).image_of)
+            basis = _intersect_kernel(basis, _InvarianceOperator(cx, g, wedges).image_of)
     else:
         basis = [{key: 1} for key in range(len(wedges) * dim)]
     basis = [{(wedges[key // dim], key % dim): v for key, v in vec.items()} for vec in basis]

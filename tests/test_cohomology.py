@@ -572,10 +572,11 @@ def test_unit_pass_matches_intersect_kernel_over_the_unit_basis(name, k):
     in the mixed basis a key is reached both through the diagonal and off
     it; the rescaled generators carry denominators."""
     alg = _named_algebra(name)
-    wedges = _ladder_wedges(_ideal_complex(alg), k)
+    cx = _ideal_complex(alg)
+    wedges = _ladder_wedges(cx, k)
     units = [{key: 1} for key in range(len(wedges) * alg.dim)]
     for g in alg.levi_indices:
-        op = _InvarianceOperator(alg, g, wedges)
+        op = _InvarianceOperator(cx, g, wedges)
         assert _unit_kernel(op) == _intersect_kernel(units, op.image_of), alg.labels[g]
 
 
@@ -583,13 +584,15 @@ def test_unit_pass_builds_images_only_for_units_that_share_a_key(G):
     """On the 46 053 unit cochains of degrees 1 and 2, the first generator's
     pass builds 13 488 images: the other 32 565 units have a zero image
     (11 847) or reach each of their keys alone (20 718)."""
-    wedges = _ladder_wedges(_ideal_complex(G), 2)
-    op = _InvarianceOperator(G, _generator_order(G)[0], wedges)
+    cx = _ideal_complex(G)
+    wedges = _ladder_wedges(cx, 2)
+    op = _InvarianceOperator(cx, _generator_order(G)[0], wedges)
     built = []
-    image_of_coord = op.image_of_coord
-    op.image_of_coord = lambda key: built.append(key) or image_of_coord(key)
+    image_of = op.image_of
+    op.image_of = lambda vec: built.append(tuple(vec)) or image_of(vec)
     kernel = _unit_kernel(op)
     assert len(wedges) * G.dim == 46053
+    assert all(len(vec) == 1 for vec in built)
     assert len(built) == len(set(built)) == 13488
     assert sum(len(vec) == 1 and not op.image_of(vec) for vec in kernel) == 11847
 
@@ -603,15 +606,16 @@ def test_image_of_is_the_sum_of_its_coordinates_images(name, k):
     {}, and a pair of units is weighted so that their shared key cancels."""
     alg = _named_algebra(name)
     dim = alg.dim
-    wedges = _ladder_wedges(_ideal_complex(alg), k)
+    cx = _ideal_complex(alg)
+    wedges = _ladder_wedges(cx, k)
     units = range(len(wedges) * dim)
     n_cancel = n_kernel = 0
     for g in alg.levi_indices:
-        op = _InvarianceOperator(alg, g, wedges)
+        op = _InvarianceOperator(cx, g, wedges)
         D = lcm(*(c.denominator for vec in alg.ad_columns(g).values() for c in vec.values()))
-        images = [op.image_of_coord(key) for key in units]
-        cancel = [key for key in units if (own := op.image_of_wedge(key // dim)[0])
-                  and own + op.ad_cols.get(key % dim, {}).get(key % dim, 0) == 0]
+        images = [op.image_of({key: 1}) for key in units]
+        cancel = [key for key in units if (own := op.parts[key // dim][0])
+                  and own + op.rho_cols.get(key % dim, {}).get(key % dim, 0) == 0]
         kernel = [vec for vec in _unit_kernel(op) if len(vec) > 1]
         # the first unit whose image shares a key with an earlier unit's
         owner: dict = {}
@@ -639,6 +643,34 @@ def test_image_of_is_the_sum_of_its_coordinates_images(name, k):
         n_cancel += len(cancel)
         n_kernel += len(kernel)
     assert n_cancel and n_kernel
+
+
+@pytest.mark.parametrize("n,scaled", [(1, False), (2, False), (3, False), (4, False), (4, True)])
+def test_invariance_operator_on_trivial_coefficients_drops_the_module_term(n, scaled):
+    """On the ideal complex with trivial coefficients the operator reads its
+    module from the complex: one module index, no rho(g), so every unit
+    image is D * (g . f) by the definition with [g, f(T)] dropped, D the
+    common denominator of ad g on the ideal.  With h and f rescaled by 1/2
+    and 1/5, ad e holds the denominator 5 only on the Levi factor and ad h
+    the denominator 2 on the ideal."""
+    alg = levi_rescaled(sl2_on_irreducible(n)) if scaled else sl2_on_irreducible(n)
+    cx = CochainComplex(alg, CoefficientModule.trivial(), alg.ideal_indices)
+    wedges = _ladder_wedges(cx, 2)
+    dim = alg.dim
+    for g in alg.levi_indices:
+        op = _InvarianceOperator(cx, g, wedges)
+        assert op.dim == 1
+        ad_g = {y: vec for y, vec in alg.ad_columns(g).items() if y in alg.ideal_indices}
+        D = lcm(*(c.denominator for vec in ad_g.values() for c in vec.values()))
+        module = brute_bracket(alg, {g: 1}, {0: 1})
+        for w in range(len(wedges)):
+            # the oracle's unit is f(S) = e_0; its module term [g, e_0] sits on S
+            full = invariance_image(alg, g, wedges, w * dim)
+            for x, c in module.items():
+                full[w * dim + x] = full.get(w * dim + x, 0) - c
+            arguments = {key: v for key, v in full.items() if v}
+            assert all(key % dim == 0 for key in arguments)
+            assert op.image_of({w: 1}) == {key // dim: D * v for key, v in arguments.items()}, w
 
 
 def test_h2_deformations_integrate_exactly(G):
