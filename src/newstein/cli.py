@@ -207,20 +207,12 @@ def read_state(path: str, dim: int) -> np.ndarray:
 def cmd_evolve(args) -> int:
     params = RepParams(m0=args.m0, alpha=args.alpha, ell=args.ell)
     basis = FockBasis(args.cutoff)
-    try:
-        coeffs = read_state(args.state, basis.dim)
-    except OSError as err:
-        _note(f"cannot read state file: {err}")
-        return EXIT_IO
+    coeffs = read_state(args.state, basis.dim)
     psi = evolve(WaveFunction(coeffs, basis), args.tau, params, basis)
     lines = [f"{i} {float(v.real)!r} {float(v.imag)!r}" for i, v in enumerate(psi.coeffs)]
     out_path = args.out or (args.state + ".out")
-    try:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        _note(f"cannot write state file: {err}")
-        return EXIT_IO
+    with open(out_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     _note(f"evolved tau={args.tau}, norm {np.linalg.norm(psi.coeffs):.12f} -> {out_path}")
     return EXIT_OK
 
@@ -262,6 +254,15 @@ def _claim(claim, claimed, computed, method, *, conditional=False, note="", comm
     return doc
 
 
+def _agree(claim, *routes):
+    """The value every (name, value) route gives; routes that differ fail
+    the internal check, naming each route and its value."""
+    if len({value for _, value in routes}) > 1:
+        named = ", ".join(f"{name} {value}" for name, value in routes)
+        raise InternalCheckError(f"{claim}: {named}")
+    return routes[0][1]
+
+
 # claim name -> function of the 51-dim algebra returning the keyword
 # arguments of _claim; insertion order is the report order
 CLAIMS: dict = {}
@@ -284,13 +285,11 @@ def _jacobi_newstein(G):
 def _center_dim(G):
     r = betti(G, CoefficientModule.adjoint(G), 0, method="exact")
     cen = G.centralizer([G.basis_element(l) for l in G.labels])
-    if len(cen) != r.betti:
-        raise InternalCheckError(f"center-dim: H^0 by rank {r.betti}, "
-                                 f"centralizer dimension {len(cen)}")
+    dim = _agree("center-dim", ("H^0 by rank", r.betti), ("centralizer dimension", len(cen)))
     trace = G.trace_c()
     k0 = next(iter(trace.coeffs))
-    ok = len(cen) == 1 and cen[0] == cen[0].coeffs.get(k0, 0) / trace.coeffs[k0] * trace
-    return dict(claimed=1, computed=r.betti if ok else -1, method="exact",
+    ok = dim == 1 and cen[0] == cen[0].coeffs.get(k0, 0) / trace.coeffs[k0] * trace
+    return dict(claimed=1, computed=dim if ok else -1, method="exact",
                 note="generator proportional to the metric trace of C")
 
 
@@ -298,11 +297,9 @@ def _center_dim(G):
 def _h1_adjoint(G):
     red = h1_via_reduction(G)
     direct = betti(G, CoefficientModule.adjoint(G), 1, method="modular")
-    if red.betti != direct.betti:
-        raise InternalCheckError(f"h1-adjoint: invariant reduction {red.betti}, "
-                                 f"modular direct {direct.betti}")
+    h1 = _agree("h1-adjoint", ("invariant reduction", red.betti), ("modular direct", direct.betti))
     return dict(
-        claimed=6, computed=red.betti, method="invariant-reduction-exact + modular-direct",
+        claimed=6, computed=h1, method="invariant-reduction-exact + modular-direct",
         note="reduction and direct computation agree; the printed six-parameter family omits "
              "the two outer derivations mixing the translation blocks (T -> T' and T' -> T)",
         command="newstein cohomology --algebra newstein --coeffs adjoint "
@@ -313,11 +310,9 @@ def _h1_adjoint(G):
 def _h2_adjoint(G):
     red = h2_via_reduction(G)
     direct = betti(G, CoefficientModule.adjoint(G), 2, method="exact")
-    if red.betti != direct.betti:
-        raise InternalCheckError(f"h2-adjoint: invariant reduction {red.betti}, "
-                                 f"direct exact {direct.betti}")
+    h2 = _agree("h2-adjoint", ("invariant reduction", red.betti), ("direct exact", direct.betti))
     return dict(
-        claimed=0, computed=red.betti, method="invariant-reduction-exact + direct-exact",
+        claimed=0, computed=h2, method="invariant-reduction-exact + direct-exact",
         note="invariant reduction and full-scale direct exact rank agree; "
              "the two surviving classes deform [T, T'] into the C block "
              "(both integrate to honest Lie algebras, so the algebra is not rigid)",

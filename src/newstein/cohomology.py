@@ -515,10 +515,9 @@ def _component_kernel(vecs: list[dict], images: list[dict], solved: dict) -> lis
 @dataclass
 class InvariantCochainSpace:
     """Exact bases of invariant cochains of the ideal complex, keyed (wedge, target):
-    ``basis`` in degree ``degree``, ``below`` in degree ``degree - 1``."""
+    ``basis`` in the degree k asked for, ``below`` in degree k - 1."""
 
     complex: CochainComplex
-    degree: int
     basis: list[dict]
     below: list[dict]
 
@@ -739,7 +738,7 @@ def invariant_cochains(alg: LieAlgebra, k: int) -> InvariantCochainSpace:
     basis = [{(wedges[key // dim], key % dim): v for key, v in vec.items()} for vec in basis]
     # every key of a nonzero cochain has the same wedge length
     degree = [len(next(iter(vec))[0]) for vec in basis]
-    return InvariantCochainSpace(cx, k, [v for v, j in zip(basis, degree) if j == k],
+    return InvariantCochainSpace(cx, [v for v, j in zip(basis, degree) if j == k],
                                  [v for v, j in zip(basis, degree) if j < k])
 
 

@@ -375,7 +375,19 @@ def test_evolve_unwritable_out_is_io_error(tmp_path, capsys):
     out = tmp_path / "missing" / "evolved.txt"
     assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "2",
                  "--out", str(out)]) == EXIT_IO
-    assert "cannot write state file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "I/O failure" in err and str(out) in err
+
+
+def test_evolve_missing_state_names_the_path(tmp_path, capsys):
+    """A state file that cannot be read takes the same exit-4 route as
+    every other I/O failure, and the message names the file."""
+    from newstein.cli import EXIT_IO
+
+    state = tmp_path / "none.txt"
+    assert main(["evolve", "--tau", "1.0", "--state", str(state), "--cutoff", "2"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "I/O failure" in err and str(state) in err
 
 
 def test_evolve_index_out_of_range_names_line(tmp_path, capsys):

@@ -580,6 +580,24 @@ def test_unit_pass_matches_intersect_kernel_over_the_unit_basis(name, k):
         assert _unit_kernel(op) == _intersect_kernel(units, op.image_of), alg.labels[g]
 
 
+@pytest.mark.parametrize("name,k", [
+    *((name, k) for name in ("newstein", "newstein2", "sheared", "levi-rescaled") for k in (1, 2)),
+    *((f"sl2-V{n}", k) for n in range(1, 6) for k in (1, 2, 3)),
+    ("sl2-V4-mixed", 2), ("sl2-V4-mixed", 3)])
+def test_unit_pass_matches_intersect_kernel_on_trivial_coefficients(name, k):
+    """The first pass on the ideal complex with trivial coefficients: one
+    module index and rho(g) = 0, so in_b and diag vanish and own(w) alone
+    decides whether a unit reaches its own key; the list is still the one
+    ``_intersect_kernel`` gives over the explicit unit basis."""
+    alg = _named_algebra(name)
+    cx = CochainComplex(alg, CoefficientModule.trivial(), alg.ideal_indices)
+    wedges = _ladder_wedges(cx, k)
+    units = [{w: 1} for w in range(len(wedges))]
+    for g in alg.levi_indices:
+        op = _InvarianceOperator(cx, g, wedges)
+        assert _unit_kernel(op) == _intersect_kernel(units, op.image_of), alg.labels[g]
+
+
 def test_unit_pass_builds_images_only_for_units_that_share_a_key(G):
     """On the 46 053 unit cochains of degrees 1 and 2, the first generator's
     pass builds 13 488 images: the other 32 565 units have a zero image
